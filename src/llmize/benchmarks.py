@@ -297,11 +297,15 @@ def seed_samples(
 
 @dataclass(frozen=True)
 class Benchmark:
+    """A registered problem with its seeding recipe, plus the step budget and
+    stop target that ``llmize bench`` runs it with."""
+
     name: str
     spec: ProblemSpec
     objective: Objective
     seed_style: SeedStyle
     seed_count: int
+    default_steps: int
     default_target: float | None = None
     tsp_instance: TspInstance | None = None
 
@@ -332,6 +336,7 @@ def make_convex_benchmark() -> Benchmark:
         objective=objective,
         seed_style=SeedStyle.GRID,
         seed_count=4,
+        default_steps=60,
         default_target=7.95,
     )
 
@@ -363,6 +368,7 @@ def make_lp_benchmark() -> Benchmark:
         objective=objective,
         seed_style=SeedStyle.UNIFORM_RANDOM,
         seed_count=64,
+        default_steps=110,
         default_target=40.5,
     )
 
@@ -397,6 +403,7 @@ def make_tsp_benchmark(n: int = 10, instance_seed: int = 0) -> Benchmark:
         objective=objective,
         seed_style=SeedStyle.UNIFORM_RANDOM,
         seed_count=8,
+        default_steps=250,
         tsp_instance=instance,
     )
 

@@ -1,5 +1,10 @@
 """Command-line front end: configured runs, built-in benchmarks, and plots.
 
+One construction path serves ``run`` and ``bench``: ``run`` reads a JSON config
+document, ``bench`` translates its flags into the same kind of document, and
+``build_plan`` turns either into a ``RunPlan`` that ``_execute`` evaluates the
+seeds for, hands to ``optimizers.optimize`` and writes artifacts from.
+
 Exit codes: 0 for a completed run, 1 for usage or configuration errors,
 2 for an aborted run.
 """
@@ -12,6 +17,7 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -34,10 +40,11 @@ from .core import (
     TerminationKind,
 )
 from .evaluation import EvalPolicy, EvaluationFailed, Objective, evaluate_batch
-from .optimizers import RunConfig, SaState, run_hlmea, run_hlmsa, run_opro
+from .optimizers import RunConfig, SaState, optimize
 from .proposer import (
     HttpChatBackend,
     PerturbBackend,
+    ProposerBackend,
     SamplingParams,
     ScriptedBackend,
     Strategy,
@@ -49,13 +56,6 @@ HISTORY_CSV_HEADER = (
     "step_index,best_of_step,mean_of_step,best_so_far,"
     "sampling_temperature,sa_temperature,cooling_rate"
 )
-
-_RUNNERS = {
-    Strategy.OPRO: run_opro,
-    Strategy.HLMEA: run_hlmea,
-    Strategy.HLMSA: run_hlmsa,
-}
-
 
 class ConfigError(Exception):
     pass
@@ -242,6 +242,12 @@ def command_objective(
     return Objective(evaluate=evaluate, direction=direction, name=name)
 
 
+def _options(obj: dict, **convert) -> dict:
+    """Converted values of the keys set in ``obj``. Keys that are absent or
+    null are left out, so the receiving function's own defaults apply."""
+    return {k: conv(obj[k]) for k, conv in convert.items() if obj.get(k) is not None}
+
+
 def _parse_backend(obj: dict, raw: str):
     _check_keys(
         obj,
@@ -252,8 +258,7 @@ def _parse_backend(obj: dict, raw: str):
     kind = _require(obj, "kind", "backend")
     if kind == "perturb":
         return PerturbBackend(
-            seed=int(_require(obj, "seed", "backend")),
-            step_scale=float(obj.get("step_scale", 0.1)),
+            seed=int(_require(obj, "seed", "backend")), **_options(obj, step_scale=float)
         )
     if kind == "scripted":
         transcript_path = Path(_require(obj, "transcript", "backend"))
@@ -270,10 +275,8 @@ def _parse_backend(obj: dict, raw: str):
         return ScriptedBackend(transcripts)
     if kind == "http":
         return HttpChatBackend(
-            base_url=obj.get("base_url"),
             model=str(_require(obj, "model", "backend")),
-            api_key=obj.get("api_key"),
-            timeout=float(obj.get("timeout", 60.0)),
+            **_options(obj, base_url=str, api_key=str, timeout=float),
         )
     raise ConfigError(f"unknown backend kind {kind!r}")
 
@@ -289,7 +292,7 @@ def _parse_callbacks(obj: dict, raw: str) -> list[Callback]:
         callbacks.append(
             early_stopping(
                 patience=int(_require(block, "patience", "callbacks.early_stopping")),
-                min_delta=float(block.get("min_delta", 0.0)),
+                **_options(block, min_delta=float),
             )
         )
     if "target_stop" in obj:
@@ -312,7 +315,7 @@ def _parse_callbacks(obj: dict, raw: str) -> list[Callback]:
                     _require(block, "stagnation_window", "callbacks.adaptive_sampling")
                 ),
                 bump=float(_require(block, "bump", "callbacks.adaptive_sampling")),
-                ceiling=float(block.get("ceiling", 2.0)),
+                **_options(block, ceiling=float),
             )
         )
     return callbacks
@@ -337,15 +340,36 @@ _TOP_KEYS = {
 }
 
 
-def _load_run_file(path: Path):
+@dataclass(frozen=True)
+class RunPlan:
+    """Everything one run needs, built from a config document by ``build_plan``."""
+
+    strategy: Strategy
+    spec: ProblemSpec
+    objective: Objective
+    backend: ProposerBackend
+    config: RunConfig
+    callbacks: list[Callback]
+    seeds: list[SolutionValue]
+    sa: SaState | None
+    out_dir: Path
+    benchmark: Benchmark | None
+
+
+def _read_run_file(path: Path) -> tuple[dict, str]:
+    """The config document and its raw text (kept for error line numbers)."""
     try:
         raw = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     try:
-        doc = json.loads(raw)
+        return json.loads(raw), raw
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+
+
+def build_plan(doc: dict, raw: str = "") -> RunPlan:
+    """Validate a config document and build the run it describes."""
     _check_keys(doc, _TOP_KEYS, "", raw)
 
     try:
@@ -358,22 +382,33 @@ def _load_run_file(path: Path):
     if ("benchmark" in doc) == ("problem" in doc):
         raise ConfigError("exactly one of 'benchmark' or 'problem' is required")
 
-    rng_seed = int(doc.get("rng_seed", 0))
+    sampling_doc = doc.get("sampling", {})
+    _check_keys(
+        sampling_doc, {"model_temperature", "max_output_tokens", "seed"}, "sampling", raw
+    )
+    sampling = SamplingParams(
+        **_options(sampling_doc, model_temperature=float, max_output_tokens=int, seed=int)
+    )
+    config = RunConfig(
+        sampling=sampling,
+        **_options(
+            doc, max_steps=int, batch=int, history_capacity=int, workers=int, rng_seed=int
+        ),
+    )
+
     benchmark: Benchmark | None = None
     if "benchmark" in doc:
         params = doc.get("benchmark_params", {})
         _check_keys(params, {"n", "seed"}, "benchmark_params", raw)
         if params and doc["benchmark"] != "tsp":
             raise ConfigError("benchmark_params only applies to the tsp benchmark")
+        if doc["benchmark"] == "tsp":
+            params = {
+                "instance_seed": int(params.get("seed", config.rng_seed)),
+                **_options(params, n=int),
+            }
         try:
-            if doc["benchmark"] == "tsp":
-                benchmark = bench_mod.get_benchmark(
-                    "tsp",
-                    n=int(params.get("n", 10)),
-                    instance_seed=int(params.get("seed", rng_seed)),
-                )
-            else:
-                benchmark = bench_mod.get_benchmark(doc["benchmark"])
+            benchmark = bench_mod.get_benchmark(doc["benchmark"], **params)
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from None
         spec = benchmark.spec
@@ -401,25 +436,6 @@ def _load_run_file(path: Path):
 
     backend = _parse_backend(_require(doc, "backend", ""), raw)
 
-    sampling_doc = doc.get("sampling", {})
-    _check_keys(
-        sampling_doc, {"model_temperature", "max_output_tokens", "seed"}, "sampling", raw
-    )
-    sampling = SamplingParams(
-        model_temperature=float(sampling_doc.get("model_temperature", 1.0)),
-        max_output_tokens=int(sampling_doc.get("max_output_tokens", 2048)),
-        seed=sampling_doc.get("seed"),
-    )
-
-    config = RunConfig(
-        max_steps=int(doc.get("max_steps", 50)),
-        batch=int(doc.get("batch", 8)),
-        history_capacity=int(doc.get("history_capacity", 16)),
-        sampling=sampling,
-        workers=int(doc.get("workers", 1)),
-        rng_seed=rng_seed,
-    )
-
     seeding_doc = doc.get("seeding", {})
     _check_keys(seeding_doc, {"style", "count", "seed"}, "seeding", raw)
     if benchmark is not None:
@@ -437,27 +453,30 @@ def _load_run_file(path: Path):
         style = styles[seeding_doc["style"]]
     if "count" in seeding_doc:
         count = int(seeding_doc["count"])
-    seed_seed = int(seeding_doc.get("seed", rng_seed))
+    seed_seed = int(seeding_doc.get("seed", config.rng_seed))
     seeds = seed_samples(spec.schema, count, seed_seed, style)
 
     callbacks = _parse_callbacks(doc.get("callbacks", {}), raw)
 
+    # An hlmsa run without an 'sa' block starts from the default SaState; the
+    # block's initial_temperature is the state's starting sa_temperature.
     sa_doc = doc.get("sa", {})
     _check_keys(
         sa_doc, {"initial_temperature", "cooling_bounds", "default_cooling"}, "sa", raw
     )
-    if sa_doc and strategy is not Strategy.HLMSA:
-        raise ConfigError("'sa' settings only apply to the hlmsa strategy")
-    sa_init = None
-    if strategy is Strategy.HLMSA:
-        sa_init = SaState(
-            sa_temperature=float(sa_doc.get("initial_temperature", 1.0)),
-            cooling_bounds=tuple(sa_doc.get("cooling_bounds", (0.5, 0.99))),
-            default_cooling=float(sa_doc.get("default_cooling", 0.92)),
+    sa = None
+    if sa_doc:
+        if strategy is not Strategy.HLMSA:
+            raise ConfigError("'sa' settings only apply to the hlmsa strategy")
+        sa_doc = {**sa_doc, "sa_temperature": sa_doc.get("initial_temperature")}
+        sa = SaState(
+            **_options(sa_doc, sa_temperature=float, cooling_bounds=tuple, default_cooling=float)
         )
 
     out_dir = Path(doc.get("output_dir", "."))
-    return strategy, spec, objective, backend, config, callbacks, seeds, sa_init, out_dir, benchmark
+    return RunPlan(
+        strategy, spec, objective, backend, config, callbacks, seeds, sa, out_dir, benchmark
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -465,31 +484,21 @@ def _load_run_file(path: Path):
 # ---------------------------------------------------------------------------
 
 
-def _execute(
-    strategy: Strategy,
-    spec: ProblemSpec,
-    objective: Objective,
-    backend,
-    config: RunConfig,
-    callbacks: Sequence[Callback],
-    seeds: Sequence[SolutionValue],
-    sa_init: SaState | None,
-    out_dir: Path,
-    benchmark: Benchmark | None,
-) -> int:
-    policy = EvalPolicy(workers=config.workers)
+def _execute(plan: RunPlan) -> int:
+    policy = EvalPolicy(workers=plan.config.workers)
     try:
-        scores = evaluate_batch(objective, list(seeds), policy)
+        scores = evaluate_batch(plan.objective, plan.seeds, policy)
     except EvaluationFailed as exc:
         print(f"aborted while evaluating initial samples: {exc}", file=sys.stderr)
         return 2
-    initial = [EvaluatedSolution(v, s) for v, s in zip(seeds, scores)]
+    initial = [EvaluatedSolution(v, s) for v, s in zip(plan.seeds, scores)]
 
-    if strategy is Strategy.HLMSA:
-        result = run_hlmsa(spec, objective, backend, config, callbacks, initial, sa_init)
-    else:
-        result = _RUNNERS[strategy](spec, objective, backend, config, callbacks, initial)
+    result = optimize(
+        plan.strategy, plan.spec, plan.objective, plan.backend, plan.config,
+        plan.callbacks, initial, plan.sa,
+    )
 
+    out_dir = plan.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "result.json").write_text(dumps_result(result))
     (out_dir / "history.csv").write_text(dumps_history_csv(result))
@@ -504,6 +513,7 @@ def _execute(
             for s in result.steps
         ]
         (out_dir / "plot.svg").write_text(render_history_chart(rows))
+    benchmark = plan.benchmark
     if (
         benchmark is not None
         and benchmark.tsp_instance is not None
@@ -528,68 +538,48 @@ def _execute(
 def cmd_run(config_path: str) -> int:
     path = Path(config_path)
     try:
-        parts = _load_run_file(path)
+        plan = build_plan(*_read_run_file(path))
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error in {path}: {exc}", file=sys.stderr)
         return 1
-    return _execute(*parts)
-
-
-def _bench_defaults(name: str, seed: int, n: int) -> tuple[Benchmark, int, float | None]:
-    if name == "convex2d":
-        return bench_mod.get_benchmark("convex2d"), 60, 7.95
-    if name == "lp3":
-        return bench_mod.get_benchmark("lp3"), 110, 40.5
-    if name == "tsp":
-        return bench_mod.get_benchmark("tsp", n=n, instance_seed=seed), 250, None
-    raise KeyError(name)
+    return _execute(plan)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    """Translate the flags into a config document and run it like ``run``.
+
+    Unset flags are left out of the document, so they take the same defaults
+    as a config file; the step budget and stop target come from the benchmark.
+    """
     try:
-        benchmark, default_steps, target = _bench_defaults(args.name, args.seed, args.n)
-    except KeyError:
-        print(
-            f"unknown benchmark {args.name!r}; known: {', '.join(bench_mod.BENCHMARK_NAMES)}",
-            file=sys.stderr,
-        )
+        defaults = bench_mod.get_benchmark(args.name)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
         return 1
-    strategy = Strategy(args.strategy)
+    if args.http_model:
+        backend = {"kind": "http", "model": args.http_model, "base_url": args.http_base_url}
+    else:
+        backend = {"kind": "perturb", "seed": args.seed, "step_scale": args.step_scale}
+    doc = {
+        "strategy": args.strategy,
+        "benchmark": args.name,
+        "backend": backend,
+        "max_steps": defaults.default_steps if args.max_steps is None else args.max_steps,
+        "batch": args.batch,
+        "history_capacity": args.history_capacity,
+        "rng_seed": args.seed,
+        "output_dir": args.out,
+    }
+    if args.name == "tsp":
+        doc["benchmark_params"] = {"n": args.n}
+    if defaults.default_target is not None:
+        doc["callbacks"] = {"target_stop": {"target": defaults.default_target}}
     try:
-        config = RunConfig(
-            max_steps=args.max_steps or default_steps,
-            batch=args.batch,
-            history_capacity=args.history_capacity,
-            sampling=SamplingParams(),
-            workers=1,
-            rng_seed=args.seed,
-        )
-        if args.http_model:
-            backend = HttpChatBackend(base_url=args.http_base_url, model=args.http_model)
-        else:
-            backend = PerturbBackend(seed=args.seed, step_scale=args.step_scale)
-    except ValueError as exc:
+        plan = build_plan(doc)
+    except (ConfigError, ValueError, TypeError) as exc:
         print(f"invalid benchmark options: {exc}", file=sys.stderr)
         return 1
-    callbacks: list[Callback] = []
-    if target is not None:
-        callbacks.append(target_stop(target))
-    seeds = seed_samples(
-        benchmark.spec.schema, benchmark.seed_count, args.seed, benchmark.seed_style
-    )
-    sa_init = SaState() if strategy is Strategy.HLMSA else None
-    return _execute(
-        strategy,
-        benchmark.spec,
-        benchmark.objective,
-        backend,
-        config,
-        callbacks,
-        seeds,
-        sa_init,
-        Path(args.out),
-        benchmark,
-    )
+    return _execute(plan)
 
 
 def cmd_plot(history_csv: str, out_svg: str) -> int:
@@ -621,13 +611,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=[s.value for s in Strategy], default="opro"
     )
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--n", type=int, default=10, help="tsp city count")
-    p_bench.add_argument("--max-steps", type=int, default=None)
-    p_bench.add_argument("--batch", type=int, default=8)
-    p_bench.add_argument("--history-capacity", type=int, default=16)
-    p_bench.add_argument("--step-scale", type=float, default=0.1)
+    p_bench.add_argument("--n", type=int, help="tsp city count")
+    p_bench.add_argument("--max-steps", type=int)
+    p_bench.add_argument("--batch", type=int)
+    p_bench.add_argument("--history-capacity", type=int)
+    p_bench.add_argument("--step-scale", type=float)
     p_bench.add_argument("--http-model", default=None, help="use the HTTP backend with this model")
-    p_bench.add_argument("--http-base-url", default=None)
+    p_bench.add_argument("--http-base-url")
     p_bench.add_argument("--out", default=".", help="output directory")
 
     p_plot = sub.add_parser("plot", help="render a history CSV as an SVG chart")

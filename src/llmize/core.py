@@ -160,19 +160,6 @@ class KeyedScalars:
 SolutionValue = RealVector | Permutation | KeyedScalars
 
 
-def matches_schema(value: SolutionValue, schema: SolutionSchema) -> bool:
-    """Structural check: right variant and arity/keys. Bounds are not checked."""
-    if isinstance(schema, RealVectorSchema):
-        return isinstance(value, RealVector) and len(value.values) == schema.dim
-    if isinstance(schema, PermutationSchema):
-        return isinstance(value, Permutation) and len(value.order) == schema.n
-    if isinstance(schema, KeyedScalarsSchema):
-        return isinstance(value, KeyedScalars) and tuple(
-            k for k, _ in value.pairs
-        ) == schema.keys
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Problem specification
 # ---------------------------------------------------------------------------
@@ -267,12 +254,6 @@ class History:
         while len(self._entries) > self.capacity:
             del self._entries[0]
             del self._seqs[0]
-
-
-def history_insert(h: History, e: EvaluatedSolution) -> History:
-    """Insert ``e`` into ``h`` and return ``h``."""
-    h.insert(e)
-    return h
 
 
 def update_best(

@@ -1,9 +1,13 @@
-"""The three optimization loops: prompting, evolutionary, simulated annealing.
+"""The optimization engine and its three strategies: prompting (OPRO),
+evolutionary (HLMEA) and simulated annealing (HLMSA).
 
-All three share one engine: build prompt, propose, parse, evaluate, update
-history and best, record stats, dispatch callbacks. They differ in the prompt's
-strategy block, the tags they expect back, and (for annealing) per-trajectory
-acceptance plus a model-proposed cooling schedule.
+``optimize`` is the one step loop: build prompt, propose, parse, evaluate,
+update history and best, record stats, dispatch callbacks. It takes the
+strategy as a value. The strategies differ in the prompt's strategy block and
+the tags they expect back; annealing adds per-trajectory Metropolis
+acceptance and a model-proposed cooling schedule, confined to one setup block,
+the prompt's trajectory argument and one post-evaluation block.
+``run_opro``, ``run_hlmea`` and ``run_hlmsa`` are one-line shorthands.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .proposer import (
     build_prompt,
     clamp_tag,
     parse_proposal,
-    propose,
 )
 
 logger = logging.getLogger(__name__)
@@ -49,9 +52,9 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RunConfig:
-    max_steps: int
-    batch: int
-    history_capacity: int
+    max_steps: int = 50
+    batch: int = 8
+    history_capacity: int = 16
     sampling: SamplingParams = SamplingParams()
     workers: int = 1
     rng_seed: int = 0
@@ -140,7 +143,7 @@ def _propose_and_parse(
     for _ in range(2):
         calls += 1
         try:
-            raw = propose(backend, bundle, sampling)
+            raw = backend.propose(bundle, sampling)
         except (ScriptExhausted, TransportError) as exc:
             raise _AbortRun(f"proposal failed: {exc}", calls) from exc
         try:
@@ -155,16 +158,22 @@ def _propose_and_parse(
     raise _AbortRun(f"unusable proposal after retry: {failure}", calls)
 
 
-def _run(
+def optimize(
     strategy: Strategy,
     spec: ProblemSpec,
     objective: Objective,
     backend: ProposerBackend,
     config: RunConfig,
-    callbacks: Sequence[Callback],
-    initial: Sequence[EvaluatedSolution],
-    sa: SaState | None,
+    callbacks: Sequence[Callback] = (),
+    initial: Sequence[EvaluatedSolution] = (),
+    sa: SaState | None = None,
 ) -> OptimizationResult:
+    """Run ``strategy`` for up to ``config.max_steps`` steps from the evaluated
+    ``initial`` solutions.
+
+    ``sa`` seeds the annealing state and applies to HLMSA only (a default
+    ``SaState`` when None); it is mutated during the run.
+    """
     if not initial:
         raise ValueError("initial evaluated solutions required")
     if objective.direction is not spec.direction:
@@ -179,8 +188,17 @@ def _run(
         best = update_best(best, entry, direction)
     assert best is not None
 
+    # Annealing setup: one trajectory per batch slot, and worsening magnitudes
+    # measured against the seed scores' range, frozen for the whole run.
+    need: int | None = None
     norm_offset, norm_scale = 0.0, 1.0
-    if sa is not None:
+    if strategy is Strategy.HLMSA:
+        sa = sa if sa is not None else SaState()
+        if not sa.trajectories:
+            sa.trajectories = [initial[i % len(initial)] for i in range(config.batch)]
+        if len(sa.trajectories) != config.batch:
+            raise ValueError("need one trajectory per batch slot")
+        need = config.batch
         seed_scores = [e.score for e in initial]
         norm_offset = min(seed_scores)
         norm_scale = max(seed_scores) - norm_offset or 1.0
@@ -189,6 +207,8 @@ def _run(
             norm_offset,
             norm_scale,
         )
+    elif sa is not None:
+        raise ValueError("annealing state only applies to the hlmsa strategy")
 
     rng = np.random.default_rng(config.rng_seed)
     sampling = config.sampling
@@ -200,23 +220,14 @@ def _run(
     termination = Termination(TerminationKind.MAX_STEPS)
 
     for step_index in range(config.max_steps):
-        state = {"sa_temperature": sa.sa_temperature} if sa is not None else {}
-        bundle = build_prompt(
-            spec,
-            history,
-            strategy,
-            state,
-            config.batch,
-            trajectories=sa.trajectories if sa is not None else None,
-        )
+        if sa is None:
+            state, trajectories = {}, None
+        else:
+            state, trajectories = {"sa_temperature": sa.sa_temperature}, sa.trajectories
+        bundle = build_prompt(spec, history, strategy, state, config.batch, trajectories)
         try:
             parsed, calls = _propose_and_parse(
-                backend,
-                bundle,
-                sampling,
-                spec.schema,
-                tags,
-                need=config.batch if sa is not None else None,
+                backend, bundle, sampling, spec.schema, tags, need
             )
         except _AbortRun as exc:
             proposer_calls += exc.calls
@@ -224,10 +235,9 @@ def _run(
             break
         proposer_calls += calls
 
-        candidates = list(parsed.candidates)
-        if sa is not None:
-            # Positional alignment: candidate i belongs to trajectory i.
-            candidates = candidates[: config.batch]
+        # Positional alignment for HLMSA: candidate i belongs to trajectory i,
+        # and extras are dropped. Other strategies keep every candidate.
+        candidates = list(parsed.candidates[:need])
         try:
             scores = evaluate_batch(objective, candidates, policy)
         except EvaluationFailed as exc:
@@ -246,9 +256,8 @@ def _run(
         if sa is not None:
             step_sa_temperature = sa.sa_temperature
             for i, candidate in enumerate(evaluated):
-                current = sa.trajectories[i]
                 accepted = accept_candidate(
-                    (current.score - norm_offset) / norm_scale,
+                    (sa.trajectories[i].score - norm_offset) / norm_scale,
                     (candidate.score - norm_offset) / norm_scale,
                     sa.sa_temperature,
                     direction,
@@ -262,6 +271,7 @@ def _run(
                 sa.cooling_bounds[1],
                 sa.default_cooling,
             )
+            sa.sa_temperature = cool(sa.sa_temperature, cooling)
 
         step_scores = [e.score for e in evaluated]
         if direction is ObjectiveDirection.MINIMIZE:
@@ -279,10 +289,6 @@ def _run(
             hyperparams=dict(parsed.hyperparams),
         )
         steps.append(stats)
-
-        if sa is not None:
-            assert cooling is not None
-            sa.sa_temperature = cool(sa.sa_temperature, cooling)
 
         context = StepContext(stats=stats, direction=direction, sampling=sampling)
         action = resolve_actions([cb(context) for cb in callbacks])
@@ -312,7 +318,7 @@ def run_opro(
 ) -> OptimizationResult:
     """Iterative prompting: each step asks for a batch of improvements over
     the rendered history."""
-    return _run(Strategy.OPRO, spec, objective, backend, config, callbacks, initial, None)
+    return optimize(Strategy.OPRO, spec, objective, backend, config, callbacks, initial)
 
 
 def run_hlmea(
@@ -327,7 +333,7 @@ def run_hlmea(
     and mutation, and asks for elitism/mutation/crossover rate tags. The rates
     are logged per step but never enforced; elitism is implicit in the
     top-K history that feeds each prompt."""
-    return _run(Strategy.HLMEA, spec, objective, backend, config, callbacks, initial, None)
+    return optimize(Strategy.HLMEA, spec, objective, backend, config, callbacks, initial)
 
 
 def run_hlmsa(
@@ -353,11 +359,4 @@ def run_hlmsa(
     ``sa_init`` seeds the annealing state; it is mutated during the run, so
     callers that keep a reference can observe trajectories and temperature.
     """
-    if not initial:
-        raise ValueError("initial evaluated solutions required")
-    sa = sa_init if sa_init is not None else SaState()
-    if not sa.trajectories:
-        sa.trajectories = [initial[i % len(initial)] for i in range(config.batch)]
-    if len(sa.trajectories) != config.batch:
-        raise ValueError("need one trajectory per batch slot")
-    return _run(Strategy.HLMSA, spec, objective, backend, config, callbacks, initial, sa)
+    return optimize(Strategy.HLMSA, spec, objective, backend, config, callbacks, initial, sa_init)

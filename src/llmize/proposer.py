@@ -351,10 +351,6 @@ class ProposerBackend(Protocol):
     def propose(self, bundle: PromptBundle, params: SamplingParams) -> str: ...
 
 
-def propose(backend: ProposerBackend, bundle: PromptBundle, params: SamplingParams) -> str:
-    return backend.propose(bundle, params)
-
-
 class ScriptExhausted(Exception):
     """The scripted backend ran out of canned completions."""
 
@@ -383,7 +379,8 @@ class TransportError(Exception):
 class HttpChatBackend:
     """Client for a chat-completions endpoint.
 
-    Sends one request per proposal with the bundle's two messages. The bearer
+    Sends one request per proposal with the bundle's two messages, plus the
+    sampling seed when one is set. The bearer
     token comes from ``api_key`` or the LLMIZE_API_KEY environment variable;
     the endpoint from ``base_url`` or LLMIZE_BASE_URL. At most one
     transport-level retry is attempted.
@@ -416,6 +413,8 @@ class HttpChatBackend:
             "temperature": params.model_temperature,
             "max_tokens": params.max_output_tokens,
         }
+        if params.seed is not None:
+            payload["seed"] = params.seed
         headers = {"Content-Type": "application/json"}
         token = self.api_key or os.environ.get("LLMIZE_API_KEY")
         if token:

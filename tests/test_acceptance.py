@@ -41,7 +41,6 @@ from llmize import (
     cool,
     early_stopping,
     evaluate_batch,
-    history_insert,
     parse_proposal,
     render_solution,
     resolve_actions,
@@ -212,7 +211,7 @@ def test_criterion_06_history_property_suite():
         entries = [ev(RealVector((float(i),)), s) for i, s in enumerate(scores)]
         h = History(capacity=capacity, direction=direction)
         for entry in entries:
-            history_insert(h, entry)
+            h.insert(entry)
         assert h.entries == brute_force_topk(entries, capacity, direction)
         checked += 1
     assert checked == 1000

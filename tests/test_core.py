@@ -16,8 +16,6 @@ from llmize import (
     RealVector,
     RealVectorSchema,
     compare_scores,
-    history_insert,
-    matches_schema,
     update_best,
 )
 from conftest import brute_force_topk, ev
@@ -66,15 +64,6 @@ class TestSolutionValues:
         with pytest.raises(ValueError):
             KeyedScalarsSchema(keys=("a", "a"), lower=(0.0, 0.0), upper=(1.0, 1.0))
 
-    def test_matches_schema(self):
-        schema = RealVectorSchema(dim=2, lower=(0.0, 0.0), upper=(5.0, 5.0))
-        assert matches_schema(rv(1, 2), schema)
-        assert not matches_schema(rv(1, 2, 3), schema)
-        assert not matches_schema(Permutation((0, 1)), schema)
-        keyed = KeyedScalarsSchema.from_bounds({"u": (0, 1), "p": (0, 1)})
-        assert matches_schema(KeyedScalars((("u", 0.5), ("p", 0.1))), keyed)
-        assert not matches_schema(KeyedScalars((("p", 0.1), ("u", 0.5))), keyed)
-
     def test_evaluated_solution_requires_finite_score(self):
         with pytest.raises(ValueError):
             EvaluatedSolution(rv(1), float("inf"))
@@ -88,17 +77,17 @@ class TestSolutionValues:
 class TestHistoryInsert:
     def test_keeps_two_smallest_under_minimize(self):
         h = History(capacity=2, direction=MIN)
-        history_insert(h, ev(rv(1), 10.0))
-        history_insert(h, ev(rv(2), 20.0))
-        history_insert(h, ev(rv(3), 5.0))
+        h.insert(ev(rv(1), 10.0))
+        h.insert(ev(rv(2), 20.0))
+        h.insert(ev(rv(3), 5.0))
         assert [e.score for e in h.entries] == [10.0, 5.0]
 
     def test_worse_than_all_rejected_when_full(self):
         h = History(capacity=2, direction=MIN)
-        history_insert(h, ev(rv(1), 5.0))
-        history_insert(h, ev(rv(2), 10.0))
+        h.insert(ev(rv(1), 5.0))
+        h.insert(ev(rv(2), 10.0))
         before = h.entries
-        history_insert(h, ev(rv(3), 50.0))
+        h.insert(ev(rv(3), 50.0))
         assert h.entries == before
 
     def test_all_insertion_orders_agree_under_maximize(self):
@@ -107,21 +96,21 @@ class TestHistoryInsert:
         for order in itertools.permutations(items):
             h = History(capacity=3, direction=MAX)
             for item in order:
-                history_insert(h, item)
+                h.insert(item)
             assert [e.score for e in h.entries] == [38.0, 40.0, 41.08]
 
     def test_duplicate_payload_replaces_score(self):
         h = History(capacity=4, direction=MIN)
-        history_insert(h, ev(rv(1), 10.0))
-        history_insert(h, ev(rv(1), 7.0))
+        h.insert(ev(rv(1), 10.0))
+        h.insert(ev(rv(1), 7.0))
         assert len(h) == 1
         assert h.entries[0].score == 7.0
 
     def test_tie_keeps_earlier_insertion(self):
         h = History(capacity=2, direction=MIN)
-        history_insert(h, ev(rv(1), 5.0))
-        history_insert(h, ev(rv(2), 5.0))
-        history_insert(h, ev(rv(3), 1.0))
+        h.insert(ev(rv(1), 5.0))
+        h.insert(ev(rv(2), 5.0))
+        h.insert(ev(rv(3), 1.0))
         # One of the tied 5.0 entries must go; the earlier one survives.
         kept = [e.solution for e in h.entries]
         assert rv(1) in kept and rv(2) not in kept
@@ -130,7 +119,7 @@ class TestHistoryInsert:
         for direction in (MIN, MAX):
             h = History(capacity=5, direction=direction)
             for i, score in enumerate([3.0, 1.0, 4.0, 1.5, 2.0]):
-                history_insert(h, ev(rv(i), score))
+                h.insert(ev(rv(i), score))
             scores = [e.score for e in h.entries]
             if direction is MIN:
                 assert scores == sorted(scores, reverse=True)
@@ -147,7 +136,7 @@ class TestHistoryInsert:
             entries = [ev(rv(i), float(rng.integers(0, 8))) for i in range(n)]
             h = History(capacity=capacity, direction=direction)
             for entry in entries:
-                history_insert(h, entry)
+                h.insert(entry)
             assert h.entries == brute_force_topk(entries, capacity, direction)
 
 

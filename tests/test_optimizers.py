@@ -14,11 +14,13 @@ from llmize import (
     SaState,
     SamplingParams,
     ScriptedBackend,
+    Strategy,
     TerminationKind,
     TransportError,
     accept_candidate,
     adaptive_sampling,
     cool,
+    optimize,
     run_hlmea,
     run_hlmsa,
     run_opro,
@@ -188,6 +190,14 @@ class TestStrategyEquivalence:
         assert a.best == b.best
         assert [s.best_so_far for s in a.steps] == [s.best_so_far for s in b.steps]
         assert a.evaluations_used == b.evaluations_used
+
+    def test_annealing_state_rejected_for_other_strategies(self):
+        for strategy in (Strategy.OPRO, Strategy.HLMEA):
+            with pytest.raises(ValueError, match="hlmsa"):
+                optimize(
+                    strategy, SPEC, SUM_OBJECTIVE, ScriptedBackend([]), config(),
+                    initial=seeds((9, 9)), sa=SaState(),
+                )
 
     def test_hlmea_records_rate_tags(self):
         raw = (

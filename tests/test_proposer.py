@@ -21,7 +21,6 @@ from llmize import (
     build_prompt,
     clamp_tag,
     parse_proposal,
-    propose,
     render_solution,
 )
 from llmize.proposer import HttpChatBackend, render_history_line
@@ -241,9 +240,9 @@ class TestScriptedBackend:
             1,
         )
         params = SamplingParams()
-        assert propose(backend, bundle, params) == "<solution>1,2,0</solution>"
+        assert backend.propose(bundle, params) == "<solution>1,2,0</solution>"
         with pytest.raises(ScriptExhausted):
-            propose(backend, bundle, params)
+            backend.propose(bundle, params)
 
 
 class TestPerturbBackend:
@@ -364,6 +363,15 @@ class TestHttpChatBackend:
         assert [m["role"] for m in body["messages"]] == ["system", "user"]
         assert body["messages"][0]["content"] == bundle.system_text
         assert body["messages"][1]["content"] == bundle.user_text
+
+    def test_sampling_seed_sent_only_when_set(self, stub_chat_server):
+        server = stub_chat_server(lambda n: (200, chat_body("<solution>1, 1</solution>")))
+        backend = HttpChatBackend(base_url=server.url, model="m1")
+        backend.propose(self._bundle(), SamplingParams(seed=1234))
+        backend.propose(self._bundle(), SamplingParams())
+        seeded, unseeded = (r["body"] for r in server.requests)
+        assert seeded["seed"] == 1234
+        assert "seed" not in unseeded
 
     def test_one_retry_then_transport_error(self, stub_chat_server):
         server = stub_chat_server(lambda n: (500, {"error": "boom"}))
