@@ -7,6 +7,7 @@ only ever touched from the single loop that owns a run.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -207,6 +208,11 @@ class History:
     tie is resolved in favor of the earlier insertion. Re-inserting a solution
     payload that is already present replaces its stored score instead of
     creating a duplicate entry.
+
+    Each entry has a unique sort key ``(goodness, -seq)``, where goodness is
+    the score (negated when minimizing) and ``seq`` counts insertions; a
+    parallel list of keys and a dict from payload to key locate any slot by
+    bisection. An insert costs an O(log K) search plus an O(K) list shift.
     """
 
     def __init__(self, capacity: int, direction: ObjectiveDirection):
@@ -215,7 +221,8 @@ class History:
         self.capacity = capacity
         self.direction = direction
         self._entries: list[EvaluatedSolution] = []
-        self._seqs: list[int] = []
+        self._keys: list[tuple[float, int]] = []
+        self._key_of: dict[SolutionValue, tuple[float, int]] = {}
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -230,30 +237,27 @@ class History:
         return self._entries[-1] if self._entries else None
 
     def insert(self, entry: EvaluatedSolution) -> None:
-        for i, existing in enumerate(self._entries):
-            if existing.solution == entry.solution:
-                del self._entries[i]
-                del self._seqs[i]
-                break
-        self._entries.append(entry)
-        self._seqs.append(self._next_seq)
-        self._next_seq += 1
+        old = self._key_of.pop(entry.solution, None)
+        if old is not None:
+            i = bisect_left(self._keys, old)
+            del self._keys[i]
+            del self._entries[i]
 
         # Worst-to-best: later insertions lose score ties, so they sort
         # closer to the worst end.
         if self.direction is ObjectiveDirection.MINIMIZE:
-            def goodness(i: int):
-                return (-self._entries[i].score, -self._seqs[i])
+            key = (-entry.score, -self._next_seq)
         else:
-            def goodness(i: int):
-                return (self._entries[i].score, -self._seqs[i])
+            key = (entry.score, -self._next_seq)
+        self._next_seq += 1
+        i = bisect_left(self._keys, key)
+        self._keys.insert(i, key)
+        self._entries.insert(i, entry)
+        self._key_of[entry.solution] = key
 
-        order = sorted(range(len(self._entries)), key=goodness)
-        self._entries = [self._entries[i] for i in order]
-        self._seqs = [self._seqs[i] for i in order]
-        while len(self._entries) > self.capacity:
-            del self._entries[0]
-            del self._seqs[0]
+        if len(self._entries) > self.capacity:
+            del self._keys[0]
+            del self._key_of[self._entries.pop(0).solution]
 
 
 def update_best(

@@ -34,7 +34,7 @@ class EvalPolicy:
     ``on_error`` is either None (abort the batch, the default) or a finite
     score substituted for the failing candidate. The substitute must be worse
     than anything the objective can legitimately return; that is on the caller.
-    ``timeout`` is a per-evaluation limit in seconds.
+    ``timeout`` is a per-evaluation limit in seconds, finite and > 0.
     """
 
     workers: int = 1
@@ -46,6 +46,8 @@ class EvalPolicy:
             raise ValueError("workers must be >= 1")
         if self.on_error is not None and not math.isfinite(self.on_error):
             raise ValueError("on_error score must be finite")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be a finite number of seconds > 0")
 
 
 class EvaluationFailed(Exception):

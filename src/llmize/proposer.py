@@ -11,6 +11,7 @@ import math
 import os
 import re
 import threading
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -96,6 +97,16 @@ def render_solution(value: SolutionValue) -> str:
 
 def render_history_line(entry: EvaluatedSolution) -> str:
     return f"solution: {render_solution(entry.solution)} | score: {render_float(entry.score)}"
+
+
+# The rendered line of every entry each live History held at its last prompt,
+# keyed by entry identity: equal payloads can render differently (0.0 and
+# -0.0). Each value holds its entry, so an id is not reused while cached. The
+# map is rebuilt from the current entries on every prompt, so it never holds
+# more than one history's worth, and it goes when its History does.
+_history_lines: weakref.WeakKeyDictionary[
+    History, dict[int, tuple[EvaluatedSolution, str]]
+] = weakref.WeakKeyDictionary()
 
 
 def describe_encoding(schema: SolutionSchema) -> str:
@@ -207,7 +218,14 @@ def build_prompt(
         blocks.append(f"Domain knowledge:\n{spec.domain_knowledge}")
     entries = history.entries
     if entries:
-        lines = [render_history_line(e) for e in entries]
+        cached = _history_lines.get(history, {})
+        rendered: dict[int, tuple[EvaluatedSolution, str]] = {}
+        lines = []
+        for e in entries:
+            pair = cached.get(id(e)) or (e, render_history_line(e))
+            rendered[id(e)] = pair
+            lines.append(pair[1])
+        _history_lines[history] = rendered
         blocks.append(
             "Previously evaluated solutions, ordered from worst to best:\n"
             + "\n".join(lines)
@@ -265,12 +283,9 @@ def _parse_block(text: str, schema: SolutionSchema) -> SolutionValue | None:
         if len(tokens) != schema.n:
             return None
         try:
-            order = [int(t) for t in tokens]
+            return Permutation(tuple(tokens))  # type: ignore[arg-type]
         except ValueError:
             return None
-        if sorted(order) != list(range(schema.n)):
-            return None
-        return Permutation(tuple(order))
     if isinstance(schema, KeyedScalarsSchema):
         parts = [p.strip() for p in re.split(r"[,\n]+", text) if p.strip()]
         found: dict[str, float] = {}

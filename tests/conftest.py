@@ -1,3 +1,5 @@
+from __future__ import annotations
+
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -82,3 +84,54 @@ def brute_force_topk(entries, capacity, direction):
 
 def ev(solution, score) -> EvaluatedSolution:
     return EvaluatedSolution(solution=solution, score=score)
+
+
+class SortedHistory:
+    """Reference for ``History``: the original insert, which re-sorts every
+    entry and scans payloads linearly on each call."""
+
+    def __init__(self, capacity: int, direction: ObjectiveDirection):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self.direction = direction
+        self._entries: list[EvaluatedSolution] = []
+        self._seqs: list[int] = []
+        self._next_seq = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def entries(self) -> list[EvaluatedSolution]:
+        """Current entries, worst to best. Returns a copy."""
+        return list(self._entries)
+
+    def best(self) -> EvaluatedSolution | None:
+        return self._entries[-1] if self._entries else None
+
+    def insert(self, entry: EvaluatedSolution) -> None:
+        for i, existing in enumerate(self._entries):
+            if existing.solution == entry.solution:
+                del self._entries[i]
+                del self._seqs[i]
+                break
+        self._entries.append(entry)
+        self._seqs.append(self._next_seq)
+        self._next_seq += 1
+
+        # Worst-to-best: later insertions lose score ties, so they sort
+        # closer to the worst end.
+        if self.direction is ObjectiveDirection.MINIMIZE:
+            def goodness(i: int):
+                return (-self._entries[i].score, -self._seqs[i])
+        else:
+            def goodness(i: int):
+                return (self._entries[i].score, -self._seqs[i])
+
+        order = sorted(range(len(self._entries)), key=goodness)
+        self._entries = [self._entries[i] for i in order]
+        self._seqs = [self._seqs[i] for i in order]
+        while len(self._entries) > self.capacity:
+            del self._entries[0]
+            del self._seqs[0]

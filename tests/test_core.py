@@ -18,7 +18,7 @@ from llmize import (
     compare_scores,
     update_best,
 )
-from conftest import brute_force_topk, ev
+from conftest import SortedHistory, brute_force_topk, ev
 
 MIN = ObjectiveDirection.MINIMIZE
 MAX = ObjectiveDirection.MAXIMIZE
@@ -138,6 +138,24 @@ class TestHistoryInsert:
             for entry in entries:
                 h.insert(entry)
             assert h.entries == brute_force_topk(entries, capacity, direction)
+
+    def test_matches_sort_reference_with_repeated_payloads(self):
+        # Re-inserts, score ties and evictions together, checked after every
+        # insert. 0.0 and -0.0 are one payload; entries compare by identity.
+        rng = np.random.default_rng(20261018)
+        pool = [rv(0.0), rv(-0.0), rv(1), rv(2), rv(3), rv(4)]
+        for _ in range(1000):
+            capacity = int(rng.integers(1, 17))
+            direction = MIN if rng.random() < 0.5 else MAX
+            h = History(capacity=capacity, direction=direction)
+            ref = SortedHistory(capacity=capacity, direction=direction)
+            for _ in range(int(rng.integers(1, 41))):
+                entry = ev(pool[int(rng.integers(len(pool)))], float(rng.integers(0, 4)))
+                h.insert(entry)
+                ref.insert(entry)
+                assert [id(e) for e in h.entries] == [id(e) for e in ref.entries]
+                assert len(h) == len(ref)
+                assert h.best() is ref.best()
 
 
 class TestUpdateBest:

@@ -119,3 +119,13 @@ def test_policy_validation():
         EvalPolicy(workers=0)
     with pytest.raises(ValueError):
         EvalPolicy(on_error=float("inf"))
+
+
+def test_timeout_must_be_finite_and_positive():
+    # Each of these once aborted every threaded batch as "timed out" (or, for
+    # infinity, as an out-of-range wait), whatever the objective did.
+    for timeout in (0, 0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            EvalPolicy(workers=2, timeout=timeout)
+    assert EvalPolicy(workers=2, timeout=0.05).timeout == 0.05
+    assert EvalPolicy(workers=2).timeout is None

@@ -1,7 +1,13 @@
+import gc
+import math
+import weakref
+
 import pytest
 
 from llmize import (
     History,
+    Objective,
+    RunConfig,
     KeyedScalars,
     KeyedScalarsSchema,
     ObjectiveDirection,
@@ -20,7 +26,10 @@ from llmize import (
     ZeroCandidatesError,
     build_prompt,
     clamp_tag,
+    optimize,
+    optimizers,
     parse_proposal,
+    proposer,
     render_solution,
 )
 from llmize.proposer import HttpChatBackend, render_history_line
@@ -104,6 +113,98 @@ class TestBuildPrompt:
         assert "trajectory 1: 3, 4 | score: 8" in bundle.user_text
 
 
+class TestHistoryLineCache:
+    """``build_prompt`` renders each history entry once and reuses the line."""
+
+    def test_optimize_reuses_lines_and_matches_uncached_render(self, monkeypatch):
+        rendered = []
+        render = proposer.render_solution
+
+        def counting_render(value):
+            rendered.append(value)
+            return render(value)
+
+        prompts = []
+        build = optimizers.build_prompt
+
+        def recording_build(spec, history, *args):
+            bundle = build(spec, history, *args)
+            prompts.append((history.entries, bundle, args))
+            return bundle
+
+        monkeypatch.setattr(proposer, "render_solution", counting_render)
+        monkeypatch.setattr(optimizers, "build_prompt", recording_build)
+        script = [
+            "<solution>0, 1</solution><solution>2, 2</solution><solution>3, 0</solution>",
+            # -0 re-inserts the payload of "0, 1" (equal values, same score).
+            "<solution>-0, 1</solution><solution>1, 0</solution><solution>4, 4</solution>",
+            "<solution>0.5, 0</solution><solution>2, 2</solution><solution>0, 0.5</solution>",
+            "<solution>5, 5</solution><solution>0, 0.25</solution>",
+            "<solution>1, 0</solution><solution>0.1, 0.1</solution>",
+        ]
+        objective = Objective(lambda v: math.fsum(v.values), MIN)
+        initial = [ev(RealVector((float(i), 3.0)), i + 3.0) for i in range(3)]
+        result = optimize(
+            Strategy.OPRO, SPEC, objective, ScriptedBackend(script),
+            RunConfig(max_steps=len(script), batch=3, history_capacity=4),
+            initial=initial,
+        )
+        assert len(result.steps) == len(prompts) == len(script)
+        # One render per distinct entry object shown, however many prompts
+        # showed it; the history kept some entries across steps.
+        shown = {id(e) for entries, _, _ in prompts for e in entries}
+        assert len(rendered) == len(shown)
+        assert len(shown) < sum(len(entries) for entries, _, _ in prompts)
+
+        monkeypatch.setattr(proposer, "render_solution", render)
+        for entries, bundle, args in prompts:
+            # A fresh History has nothing cached. Inserting best first keeps
+            # the order of tied entries.
+            fresh = History(capacity=4, direction=MIN)
+            for e in reversed(entries):
+                fresh.insert(e)
+            assert all(a is b for a, b in zip(fresh.entries, entries))
+            assert build(SPEC, fresh, *args) == bundle
+
+        assert "solution: 0, 1 | score: 1\n" in prompts[1][1].user_text
+        assert "solution: -0, 1 | score: 1\n" in prompts[2][1].user_text
+        assert "solution: 0, 1 |" not in prompts[2][1].user_text
+
+    def test_equal_payloads_keep_their_own_rendering(self):
+        h = History(capacity=4, direction=MIN)
+        lines = []
+        for value in (0.0, -0.0, 0.0):
+            h.insert(ev(RealVector((value,)), 1.0))
+            bundle = build_prompt(SPEC, h, Strategy.OPRO, {}, 1)
+            lines.append(
+                [l for l in bundle.user_text.splitlines() if l.startswith("solution: ")]
+            )
+        assert lines == [
+            ["solution: 0 | score: 1"],
+            ["solution: -0 | score: 1"],
+            ["solution: 0 | score: 1"],
+        ]
+
+    def test_holds_no_dropped_entry_or_history(self):
+        h = History(capacity=1, direction=MIN)
+        entry = ev(RealVector((5.0, 5.0)), 10.0)
+        h.insert(entry)
+        build_prompt(SPEC, h, Strategy.OPRO, {}, 1)
+        evicted = weakref.ref(entry)
+        del entry
+        h.insert(ev(RealVector((1.0, 1.0)), 2.0))
+        build_prompt(SPEC, h, Strategy.OPRO, {}, 1)
+        gc.collect()
+        assert evicted() is None
+
+        kept = weakref.ref(h.best())
+        history = weakref.ref(h)
+        del h
+        gc.collect()
+        assert history() is None
+        assert kept() is None
+
+
 class TestParseProposal:
     def test_single_well_formed_block(self):
         parsed = parse_proposal("<solution>3.47, 0.0</solution>", BOX)
@@ -162,6 +263,24 @@ class TestParseProposal:
         with pytest.raises(ZeroCandidatesError) as exc:
             parse_proposal(raw, BOX)
         assert exc.value.rejected_blocks == 2
+
+    def test_permutation_rejections_counted(self):
+        raw = "".join(
+            f"<solution>{body}</solution>"
+            for body in (
+                " 2 , 0 ,1 ",  # valid, whitespace around tokens
+                "0, 1, x",  # not an integer
+                "0, 1.0, 2",  # not an integer
+                "0, 1, 1",  # repeated
+                "1, 2, 3",  # out of range
+                "0, 1",  # too short
+                "0, 1, 2, 3",  # too long
+                "",
+            )
+        )
+        parsed = parse_proposal(raw, PermutationSchema(n=3))
+        assert parsed.candidates == (Permutation((2, 0, 1)),)
+        assert parsed.rejected_blocks == 7
 
     def test_wrong_arity_rejected(self):
         raw = "<solution>1.0</solution><solution>1.0, 2.0, 3.0</solution>"
