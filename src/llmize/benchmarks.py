@@ -327,8 +327,6 @@ def make_convex_benchmark() -> Benchmark:
     objective = Objective(
         evaluate=lambda v: convex2d(v.values),
         direction=ObjectiveDirection.MINIMIZE,
-        name="convex2d",
-        description="penalized smooth 2-d objective on [0,5]^2",
     )
     return Benchmark(
         name="convex2d",
@@ -359,8 +357,6 @@ def make_lp_benchmark() -> Benchmark:
     objective = Objective(
         evaluate=lambda v: lp3(v.values),
         direction=ObjectiveDirection.MAXIMIZE,
-        name="lp3",
-        description="penalized 3-variable linear program",
     )
     return Benchmark(
         name="lp3",
@@ -394,8 +390,6 @@ def make_tsp_benchmark(n: int = 10, instance_seed: int = 0) -> Benchmark:
     objective = Objective(
         evaluate=lambda v: tsp_length(instance, v),
         direction=ObjectiveDirection.MINIMIZE,
-        name="tsp",
-        description=f"closed-tour length over {n} random cities",
     )
     return Benchmark(
         name="tsp",

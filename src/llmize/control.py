@@ -52,12 +52,6 @@ CallbackAction = Continue | Stop | SetSamplingTemperature
 Callback = Callable[[StepContext], CallbackAction]
 
 
-def _gain(prev: float, current: float, direction: ObjectiveDirection) -> float:
-    if direction is ObjectiveDirection.MINIMIZE:
-        return prev - current
-    return current - prev
-
-
 def early_stopping(patience: int, min_delta: float = 0.0) -> Callback:
     """Stop after ``patience`` consecutive steps without improvement.
 
@@ -76,7 +70,8 @@ def early_stopping(patience: int, min_delta: float = 0.0) -> Callback:
         state["prev"] = best
         if prev is None:
             return Continue()
-        if _gain(prev, best, ctx.direction) > min_delta:
+        goodness = ctx.direction.goodness
+        if goodness(best) - goodness(prev) > min_delta:
             state["stale"] = 0
         else:
             state["stale"] += 1
@@ -93,12 +88,10 @@ def target_stop(target: float) -> Callback:
         raise ValueError("target must be finite")
 
     def callback(ctx: StepContext) -> CallbackAction:
-        best = ctx.stats.best_so_far
-        if ctx.direction is ObjectiveDirection.MINIMIZE:
-            reached = best <= target
-        else:
-            reached = best >= target
-        return Stop(TerminationKind.TARGET_REACHED) if reached else Continue()
+        goodness = ctx.direction.goodness
+        if goodness(ctx.stats.best_so_far) >= goodness(target):
+            return Stop(TerminationKind.TARGET_REACHED)
+        return Continue()
 
     return callback
 
@@ -126,7 +119,8 @@ def adaptive_sampling(
         state["prev"] = best
         if prev is None:
             return Continue()
-        if _gain(prev, best, ctx.direction) > 0:
+        goodness = ctx.direction.goodness
+        if goodness(best) - goodness(prev) > 0:
             state["stale"] = 0
             return Continue()
         state["stale"] += 1

@@ -1,7 +1,10 @@
 """Shared domain types: problems, solutions, scores, history, and run results.
 
 Everything here is a plain value. Mutation is limited to ``History``, which is
-only ever touched from the single loop that owns a run.
+only ever touched from the single loop that owns a run, and to the memoized
+``EvaluatedSolution.text``, which renders an entry's prompt text on first use.
+``ObjectiveDirection.goodness`` is the one place that decides which score is
+better.
 """
 
 from __future__ import annotations
@@ -10,32 +13,16 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 
 class ObjectiveDirection(Enum):
     MINIMIZE = "minimize"
     MAXIMIZE = "maximize"
 
-
-class Ordering(Enum):
-    BETTER = "better"
-    EQUAL = "equal"
-    WORSE = "worse"
-
-
-def compare_scores(a: float, b: float, direction: ObjectiveDirection) -> Ordering:
-    """Rank score ``a`` against score ``b`` under the given direction."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"scores must be finite, got {a!r} and {b!r}")
-    if a == b:
-        return Ordering.EQUAL
-    if direction is ObjectiveDirection.MINIMIZE:
-        return Ordering.BETTER if a < b else Ordering.WORSE
-    return Ordering.BETTER if a > b else Ordering.WORSE
-
-
-def is_better(a: float, b: float, direction: ObjectiveDirection) -> bool:
-    return compare_scores(a, b, direction) is Ordering.BETTER
+    def goodness(self, score: float) -> float:
+        """``score`` on a higher-is-better scale: negated when minimizing."""
+        return -score if self is ObjectiveDirection.MINIMIZE else score
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +148,21 @@ class KeyedScalars:
 SolutionValue = RealVector | Permutation | KeyedScalars
 
 
+def render_float(x: float) -> str:
+    """Render a real at 6 significant digits, the prompt-side precision."""
+    return f"{x:.6g}"
+
+
+def render_solution(value: SolutionValue) -> str:
+    if isinstance(value, RealVector):
+        return ", ".join(render_float(v) for v in value.values)
+    if isinstance(value, Permutation):
+        return ", ".join(str(v) for v in value.order)
+    if isinstance(value, KeyedScalars):
+        return ", ".join(f"{k}={render_float(v)}" for k, v in value.pairs)
+    raise TypeError(f"unknown solution value: {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Problem specification
 # ---------------------------------------------------------------------------
@@ -195,6 +197,15 @@ class EvaluatedSolution:
         if not math.isfinite(self.score):
             raise ValueError(f"score must be finite, got {self.score!r}")
 
+    @cached_property
+    def text(self) -> str:
+        """``"<solution> | score: <score>"``, rendered on first use and kept.
+
+        Equal payloads can render differently (0.0 and -0.0), so the text
+        belongs to the entry, not to its payload.
+        """
+        return f"{render_solution(self.solution)} | score: {render_float(self.score)}"
+
 
 # ---------------------------------------------------------------------------
 # History
@@ -209,10 +220,10 @@ class History:
     payload that is already present replaces its stored score instead of
     creating a duplicate entry.
 
-    Each entry has a unique sort key ``(goodness, -seq)``, where goodness is
-    the score (negated when minimizing) and ``seq`` counts insertions; a
-    parallel list of keys and a dict from payload to key locate any slot by
-    bisection. An insert costs an O(log K) search plus an O(K) list shift.
+    Each entry has a unique sort key ``(direction.goodness(score), -seq)``,
+    where ``seq`` counts insertions; a parallel list of keys and a dict from
+    payload to key locate any slot by bisection. An insert costs an O(log K)
+    search plus an O(K) list shift.
     """
 
     def __init__(self, capacity: int, direction: ObjectiveDirection):
@@ -245,10 +256,7 @@ class History:
 
         # Worst-to-best: later insertions lose score ties, so they sort
         # closer to the worst end.
-        if self.direction is ObjectiveDirection.MINIMIZE:
-            key = (-entry.score, -self._next_seq)
-        else:
-            key = (entry.score, -self._next_seq)
+        key = (self.direction.goodness(entry.score), -self._next_seq)
         self._next_seq += 1
         i = bisect_left(self._keys, key)
         self._keys.insert(i, key)
@@ -268,7 +276,7 @@ def update_best(
     """Return the better of incumbent and candidate; ties keep the incumbent."""
     if current_best is None:
         return candidate
-    if is_better(candidate.score, current_best.score, direction):
+    if direction.goodness(candidate.score) > direction.goodness(current_best.score):
         return candidate
     return current_best
 

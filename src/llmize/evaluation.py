@@ -13,18 +13,14 @@ from .core import ObjectiveDirection, SolutionValue
 
 @dataclass(frozen=True)
 class Objective:
-    """A user-supplied score function plus the metadata the framework needs.
+    """A user-supplied score function and the direction it is optimized in.
 
     ``evaluate`` must accept a solution value and return a finite real in
-    problem units. It should be deterministic within a run; set ``stochastic``
-    when it is not, which forfeits replay-exactness but nothing else.
+    problem units. Same-seed runs repeat exactly only if it is deterministic.
     """
 
     evaluate: Callable[[SolutionValue], float]
     direction: ObjectiveDirection
-    name: str = ""
-    description: str = ""
-    stochastic: bool = False
 
 
 @dataclass(frozen=True)
@@ -34,7 +30,9 @@ class EvalPolicy:
     ``on_error`` is either None (abort the batch, the default) or a finite
     score substituted for the failing candidate. The substitute must be worse
     than anything the objective can legitimately return; that is on the caller.
-    ``timeout`` is a per-evaluation limit in seconds, finite and > 0.
+    ``timeout`` is a per-evaluation limit in seconds, finite and > 0. It needs
+    ``workers`` > 1: one worker evaluates in the calling thread, which cannot
+    be interrupted.
     """
 
     workers: int = 1
@@ -48,6 +46,8 @@ class EvalPolicy:
             raise ValueError("on_error score must be finite")
         if self.timeout is not None and not 0 < self.timeout < math.inf:
             raise ValueError("timeout must be a finite number of seconds > 0")
+        if self.timeout is not None and self.workers == 1:
+            raise ValueError("timeout needs workers > 1")
 
 
 class EvaluationFailed(Exception):
@@ -91,22 +91,24 @@ def evaluate_batch(
                 out.append(policy.on_error)
         return out
 
+    # The pool is shut down without waiting: a timed-out evaluation keeps
+    # running in its thread, but the caller gets its answer (or the failure)
+    # at once, and queued candidates that never started are cancelled.
     results: list[float] = [0.0] * len(candidates)
-    with ThreadPoolExecutor(max_workers=policy.workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=policy.workers)
+    try:
         futures = [pool.submit(_score, objective, c) for c in candidates]
         for i, fut in enumerate(futures):
             try:
                 results[i] = fut.result(timeout=policy.timeout)
             except FutureTimeout:
                 if policy.on_error is None:
-                    for f in futures:
-                        f.cancel()
                     raise EvaluationFailed(i, "evaluation timed out") from None
                 results[i] = policy.on_error
             except Exception as exc:
                 if policy.on_error is None:
-                    for f in futures:
-                        f.cancel()
                     raise EvaluationFailed(i, str(exc)) from exc
                 results[i] = policy.on_error
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
     return results

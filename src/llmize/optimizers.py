@@ -102,10 +102,7 @@ def accept_candidate(
         raise ValueError("sa_temperature must be > 0")
     if not (math.isfinite(current_score) and math.isfinite(candidate_score)):
         raise ValueError("scores must be finite")
-    if direction is ObjectiveDirection.MINIMIZE:
-        delta = candidate_score - current_score
-    else:
-        delta = current_score - candidate_score
+    delta = direction.goodness(current_score) - direction.goodness(candidate_score)
     if delta <= 0:
         return True
     return rng.random() < math.exp(-delta / sa_temperature)
@@ -274,13 +271,9 @@ def optimize(
             sa.sa_temperature = cool(sa.sa_temperature, cooling)
 
         step_scores = [e.score for e in evaluated]
-        if direction is ObjectiveDirection.MINIMIZE:
-            best_of_step = min(step_scores)
-        else:
-            best_of_step = max(step_scores)
         stats = StepStats(
             step_index=step_index,
-            best_of_step=best_of_step,
+            best_of_step=max(step_scores, key=direction.goodness),
             mean_of_step=sum(step_scores) / len(step_scores),
             best_so_far=best.score,
             sampling_temperature=sampling.model_temperature,

@@ -3,6 +3,8 @@
 Covers prompt construction, proposal parsing, and the pluggable backends that
 produce completions: a chat-completions HTTP client, a scripted replayer for
 offline tests, and a seeded perturbation heuristic that stands in for a model.
+Nothing here caches prompt text: each history or trajectory entry carries its
+own rendering (``EvaluatedSolution.text``), made once on first use.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import math
 import os
 import re
 import threading
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -32,6 +33,8 @@ from .core import (
     RealVectorSchema,
     SolutionSchema,
     SolutionValue,
+    render_float,
+    render_solution,
 )
 
 
@@ -80,33 +83,8 @@ class SamplingParams:
 # ---------------------------------------------------------------------------
 
 
-def render_float(x: float) -> str:
-    """Render a real at 6 significant digits, the prompt-side precision."""
-    return f"{x:.6g}"
-
-
-def render_solution(value: SolutionValue) -> str:
-    if isinstance(value, RealVector):
-        return ", ".join(render_float(v) for v in value.values)
-    if isinstance(value, Permutation):
-        return ", ".join(str(v) for v in value.order)
-    if isinstance(value, KeyedScalars):
-        return ", ".join(f"{k}={render_float(v)}" for k, v in value.pairs)
-    raise TypeError(f"unknown solution value: {value!r}")
-
-
 def render_history_line(entry: EvaluatedSolution) -> str:
-    return f"solution: {render_solution(entry.solution)} | score: {render_float(entry.score)}"
-
-
-# The rendered line of every entry each live History held at its last prompt,
-# keyed by entry identity: equal payloads can render differently (0.0 and
-# -0.0). Each value holds its entry, so an id is not reused while cached. The
-# map is rebuilt from the current entries on every prompt, so it never holds
-# more than one history's worth, and it goes when its History does.
-_history_lines: weakref.WeakKeyDictionary[
-    History, dict[int, tuple[EvaluatedSolution, str]]
-] = weakref.WeakKeyDictionary()
+    return "solution: " + entry.text
 
 
 def describe_encoding(schema: SolutionSchema) -> str:
@@ -171,10 +149,7 @@ def _strategy_block(
         if trajectories:
             lines.append("Current trajectory states:")
             for i, entry in enumerate(trajectories):
-                lines.append(
-                    f"trajectory {i}: {render_solution(entry.solution)} "
-                    f"| score: {render_float(entry.score)}"
-                )
+                lines.append(f"trajectory {i}: " + entry.text)
         lines.append(
             "For each trajectory, propose one neighboring solution: a modest "
             "change of that trajectory's current solution. The i-th solution "
@@ -218,17 +193,9 @@ def build_prompt(
         blocks.append(f"Domain knowledge:\n{spec.domain_knowledge}")
     entries = history.entries
     if entries:
-        cached = _history_lines.get(history, {})
-        rendered: dict[int, tuple[EvaluatedSolution, str]] = {}
-        lines = []
-        for e in entries:
-            pair = cached.get(id(e)) or (e, render_history_line(e))
-            rendered[id(e)] = pair
-            lines.append(pair[1])
-        _history_lines[history] = rendered
         blocks.append(
             "Previously evaluated solutions, ordered from worst to best:\n"
-            + "\n".join(lines)
+            + "\n".join(map(render_history_line, entries))
         )
     blocks.append(_strategy_block(strategy, strategy_state, batch, trajectories))
     blocks.append(f"Return exactly {batch} solution blocks.")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -135,3 +136,49 @@ class SortedHistory:
         while len(self._entries) > self.capacity:
             del self._entries[0]
             del self._seqs[0]
+
+
+# The per-direction score comparisons that ``ObjectiveDirection.goodness``
+# replaced, kept as the reference for tests/test_direction.py.
+
+
+def ref_is_better(a: float, b: float, direction: ObjectiveDirection) -> bool:
+    """The original ``is_better``: ``a`` strictly beats ``b``."""
+    if a == b:
+        return False
+    if direction is ObjectiveDirection.MINIMIZE:
+        return a < b
+    return a > b
+
+
+def ref_gain(prev: float, current: float, direction: ObjectiveDirection) -> float:
+    """The original ``control._gain``: improvement from ``prev`` to ``current``."""
+    if direction is ObjectiveDirection.MINIMIZE:
+        return prev - current
+    return current - prev
+
+
+def ref_worsening(current: float, candidate: float, direction: ObjectiveDirection) -> float:
+    """The original Metropolis ``delta`` of ``accept_candidate``."""
+    if direction is ObjectiveDirection.MINIMIZE:
+        return candidate - current
+    return current - candidate
+
+
+def ref_accept_candidate(current, candidate, sa_temperature, direction, rng) -> bool:
+    delta = ref_worsening(current, candidate, direction)
+    if delta <= 0:
+        return True
+    return rng.random() < math.exp(-delta / sa_temperature)
+
+
+def ref_target_reached(best: float, target: float, direction: ObjectiveDirection) -> bool:
+    if direction is ObjectiveDirection.MINIMIZE:
+        return best <= target
+    return best >= target
+
+
+def ref_best_of_step(scores: list[float], direction: ObjectiveDirection) -> float:
+    if direction is ObjectiveDirection.MINIMIZE:
+        return min(scores)
+    return max(scores)

@@ -9,13 +9,11 @@ from llmize import (
     KeyedScalars,
     KeyedScalarsSchema,
     ObjectiveDirection,
-    Ordering,
     Permutation,
     PermutationSchema,
     ProblemSpec,
     RealVector,
     RealVectorSchema,
-    compare_scores,
     update_best,
 )
 from conftest import SortedHistory, brute_force_topk, ev
@@ -28,21 +26,26 @@ def rv(*values):
     return RealVector(tuple(float(v) for v in values))
 
 
-class TestCompareScores:
+class TestGoodness:
     def test_minimize_smaller_is_better(self):
-        assert compare_scores(3.0, 5.0, MIN) is Ordering.BETTER
+        assert MIN.goodness(3.0) == -3.0
+        assert MIN.goodness(3.0) > MIN.goodness(5.0)
 
     def test_maximize_mirrors_minimize(self):
-        assert compare_scores(3.0, 5.0, MAX) is Ordering.WORSE
+        assert MAX.goodness(3.0) == 3.0
+        assert MAX.goodness(3.0) < MAX.goodness(5.0)
 
     def test_equal(self):
-        assert compare_scores(7.9, 7.9, MIN) is Ordering.EQUAL
+        for direction in (MIN, MAX):
+            assert direction.goodness(7.9) == direction.goodness(7.9)
+            assert direction.goodness(0.0) == direction.goodness(-0.0)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            compare_scores(float("inf"), 1.0, MIN)
-        with pytest.raises(ValueError):
-            compare_scores(1.0, float("nan"), MAX)
+        # Scores are ranked only once they sit in an entry, which refuses
+        # non-finite values, so goodness never ranks inf or nan.
+        for score in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                EvaluatedSolution(rv(1), score)
 
 
 class TestSolutionValues:

@@ -1,3 +1,4 @@
+import threading
 import time
 
 import numpy as np
@@ -16,12 +17,12 @@ from llmize.benchmarks import convex2d
 MIN = ObjectiveDirection.MINIMIZE
 
 
-def vector_objective(fn, **kw):
-    return Objective(evaluate=lambda v: fn(v.values), direction=MIN, **kw)
+def vector_objective(fn):
+    return Objective(evaluate=lambda v: fn(v.values), direction=MIN)
 
 
 def test_convex_candidate_value():
-    objective = vector_objective(convex2d, name="convex2d")
+    objective = vector_objective(convex2d)
     [score] = evaluate_batch(objective, [RealVector((3.473, 0.0))])
     assert score == pytest.approx(7.898, abs=1e-3)
 
@@ -86,6 +87,32 @@ def test_timeout_treated_as_failure():
         )
 
 
+def test_timeout_bounds_wall_time():
+    # A hung evaluation fails the batch at the timeout; the call does not
+    # wait for the hung thread to finish.
+    release = threading.Event()
+
+    def hung(values):
+        release.wait(2.0)
+        return 0.0
+
+    objective = vector_objective(hung)
+    candidates = [RealVector((0.0,)), RealVector((1.0,))]
+    try:
+        started = time.perf_counter()
+        with pytest.raises(EvaluationFailed, match="timed out"):
+            evaluate_batch(objective, candidates, EvalPolicy(workers=2, timeout=0.2))
+        assert time.perf_counter() - started < 1.0
+        started = time.perf_counter()
+        out = evaluate_batch(
+            objective, candidates, EvalPolicy(workers=2, timeout=0.2, on_error=1e9)
+        )
+        assert time.perf_counter() - started < 1.0
+        assert out == [1e9, 1e9]
+    finally:
+        release.set()
+
+
 def test_single_worker_matches_sequential():
     objective = vector_objective(lambda values: values[0] * 0.1 + 7.3)
     candidates = [RealVector((float(i),)) for i in range(16)]
@@ -129,3 +156,11 @@ def test_timeout_must_be_finite_and_positive():
             EvalPolicy(workers=2, timeout=timeout)
     assert EvalPolicy(workers=2, timeout=0.05).timeout == 0.05
     assert EvalPolicy(workers=2).timeout is None
+
+
+def test_timeout_needs_more_than_one_worker():
+    # One worker evaluates in the calling thread, where a timeout cannot act.
+    with pytest.raises(ValueError, match="workers"):
+        EvalPolicy(timeout=0.2)
+    with pytest.raises(ValueError, match="workers"):
+        EvalPolicy(workers=1, timeout=5.0)

@@ -32,9 +32,7 @@ MIN = ObjectiveDirection.MINIMIZE
 BOX = RealVectorSchema(dim=2, lower=(0.0, 0.0), upper=(5.0, 5.0))
 SPEC = ProblemSpec(description="Minimize the box objective.", direction=MIN, schema=BOX)
 
-SUM_OBJECTIVE = Objective(
-    evaluate=lambda v: math.fsum(v.values), direction=MIN, name="sum"
-)
+SUM_OBJECTIVE = Objective(evaluate=lambda v: math.fsum(v.values), direction=MIN)
 
 
 def config(**kw):

@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 from llmize import (
+    EvaluatedSolution,
     History,
     Objective,
     RunConfig,
@@ -18,6 +19,7 @@ from llmize import (
     ProblemSpec,
     RealVector,
     RealVectorSchema,
+    SaState,
     SamplingParams,
     ScriptExhausted,
     ScriptedBackend,
@@ -26,6 +28,7 @@ from llmize import (
     ZeroCandidatesError,
     build_prompt,
     clamp_tag,
+    core,
     optimize,
     optimizers,
     parse_proposal,
@@ -114,11 +117,15 @@ class TestBuildPrompt:
 
 
 class TestHistoryLineCache:
-    """``build_prompt`` renders each history entry once and reuses the line."""
+    """Each entry renders its prompt text once (``EvaluatedSolution.text``),
+    however many prompts show it."""
 
-    def test_optimize_reuses_lines_and_matches_uncached_render(self, monkeypatch):
+    @staticmethod
+    def _record(monkeypatch):
+        """Count ``core.render_solution`` calls and keep what every prompt
+        showed: history entries, trajectories, the bundle and its arguments."""
         rendered = []
-        render = proposer.render_solution
+        render = core.render_solution
 
         def counting_render(value):
             rendered.append(value)
@@ -127,13 +134,28 @@ class TestHistoryLineCache:
         prompts = []
         build = optimizers.build_prompt
 
-        def recording_build(spec, history, *args):
-            bundle = build(spec, history, *args)
-            prompts.append((history.entries, bundle, args))
+        def recording_build(spec, history, strategy, state, batch, trajectories=None):
+            bundle = build(spec, history, strategy, state, batch, trajectories)
+            shown = list(trajectories) if trajectories else []
+            prompts.append((history.entries, shown, bundle, (strategy, state, batch)))
             return bundle
 
-        monkeypatch.setattr(proposer, "render_solution", counting_render)
+        monkeypatch.setattr(core, "render_solution", counting_render)
         monkeypatch.setattr(optimizers, "build_prompt", recording_build)
+        return rendered, prompts
+
+    @staticmethod
+    def _assert_rendered_once(rendered, prompts):
+        # Every payload object belongs to one entry, so counting renders by
+        # payload identity counts them by entry.
+        shown = {id(e): e for entries, trajectories, _, _ in prompts
+                 for e in entries + trajectories}
+        assert sorted(id(v) for v in rendered) == sorted(
+            id(e.solution) for e in shown.values()
+        )
+
+    def test_optimize_reuses_lines_and_matches_uncached_render(self, monkeypatch):
+        rendered, prompts = self._record(monkeypatch)
         script = [
             "<solution>0, 1</solution><solution>2, 2</solution><solution>3, 0</solution>",
             # -0 re-inserts the payload of "0, 1" (equal values, same score).
@@ -150,25 +172,52 @@ class TestHistoryLineCache:
             initial=initial,
         )
         assert len(result.steps) == len(prompts) == len(script)
-        # One render per distinct entry object shown, however many prompts
-        # showed it; the history kept some entries across steps.
-        shown = {id(e) for entries, _, _ in prompts for e in entries}
-        assert len(rendered) == len(shown)
-        assert len(shown) < sum(len(entries) for entries, _, _ in prompts)
+        # One render per distinct entry shown, however many prompts showed
+        # it; the history kept some entries across steps.
+        self._assert_rendered_once(rendered, prompts)
+        assert len(rendered) < sum(len(entries) for entries, _, _, _ in prompts)
 
-        monkeypatch.setattr(proposer, "render_solution", render)
-        for entries, bundle, args in prompts:
-            # A fresh History has nothing cached. Inserting best first keeps
-            # the order of tied entries.
+        for entries, _, bundle, args in prompts:
+            # Copies carry no rendering yet. Inserting best first keeps the
+            # order of tied entries.
+            copies = [EvaluatedSolution(e.solution, e.score) for e in entries]
             fresh = History(capacity=4, direction=MIN)
-            for e in reversed(entries):
+            for e in reversed(copies):
                 fresh.insert(e)
-            assert all(a is b for a, b in zip(fresh.entries, entries))
-            assert build(SPEC, fresh, *args) == bundle
+            assert all(a is b for a, b in zip(fresh.entries, copies))
+            assert proposer.build_prompt(SPEC, fresh, *args) == bundle
 
-        assert "solution: 0, 1 | score: 1\n" in prompts[1][1].user_text
-        assert "solution: -0, 1 | score: 1\n" in prompts[2][1].user_text
-        assert "solution: 0, 1 |" not in prompts[2][1].user_text
+        assert "solution: 0, 1 | score: 1\n" in prompts[1][2].user_text
+        assert "solution: -0, 1 | score: 1\n" in prompts[2][2].user_text
+        assert "solution: 0, 1 |" not in prompts[2][2].user_text
+
+    def test_hlmsa_renders_each_shown_entry_once(self, monkeypatch):
+        rendered, prompts = self._record(monkeypatch)
+        blocks = [
+            "<solution>1, 1</solution><solution>2, 0</solution><solution>0, 2</solution>",
+            "<solution>0.5, 0.5</solution><solution>3, 3</solution><solution>1, 0</solution>",
+            "<solution>0, 0.5</solution><solution>0.25, 0</solution><solution>4, 1</solution>",
+            "<solution>0, 0</solution><solution>2, 2</solution><solution>0.1, 0</solution>",
+        ]
+        script = [b + "<cooling_rate>0.8</cooling_rate>" for b in blocks]
+        objective = Objective(lambda v: math.fsum(v.values), MIN)
+        initial = [ev(RealVector((float(i), 4.0)), i + 4.0) for i in range(2)]
+        result = optimize(
+            Strategy.HLMSA, SPEC, objective, ScriptedBackend(script),
+            RunConfig(max_steps=len(script), batch=3, history_capacity=4),
+            initial=initial, sa=SaState(sa_temperature=0.5),
+        )
+        assert len(result.steps) == len(prompts) == len(script)
+        self._assert_rendered_once(rendered, prompts)
+        # Trajectory points stay shown across steps and are also history
+        # entries; neither showing renders them again.
+        trajectory_ids = {id(e) for _, trajectories, _, _ in prompts for e in trajectories}
+        history_ids = {id(e) for entries, _, _, _ in prompts for e in entries}
+        assert trajectory_ids & history_ids
+        assert sum(len(t) for _, t, _, _ in prompts) > len(trajectory_ids)
+        for _, trajectories, bundle, _ in prompts:
+            for i, e in enumerate(trajectories):
+                assert f"trajectory {i}: {e.text}\n" in bundle.user_text
 
     def test_equal_payloads_keep_their_own_rendering(self):
         h = History(capacity=4, direction=MIN)
