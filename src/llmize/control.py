@@ -12,14 +12,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import ObjectiveDirection, StepStats, TerminationKind
-from .proposer import SamplingParams
 
 
 @dataclass(frozen=True)
 class StepContext:
     stats: StepStats
     direction: ObjectiveDirection
-    sampling: SamplingParams
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ def adaptive_sampling(
         if state["stale"] >= stagnation_window:
             state["stale"] = 0
             return SetSamplingTemperature(
-                min(ctx.sampling.model_temperature + bump, ceiling)
+                min(ctx.stats.sampling_temperature + bump, ceiling)
             )
         return Continue()
 

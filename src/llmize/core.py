@@ -137,10 +137,6 @@ class KeyedScalars:
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate keys")
 
-    @classmethod
-    def from_dict(cls, mapping: dict[str, float]) -> "KeyedScalars":
-        return cls(tuple(mapping.items()))
-
     def as_dict(self) -> dict[str, float]:
         return dict(self.pairs)
 

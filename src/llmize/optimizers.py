@@ -283,7 +283,7 @@ def optimize(
         )
         steps.append(stats)
 
-        context = StepContext(stats=stats, direction=direction, sampling=sampling)
+        context = StepContext(stats=stats, direction=direction)
         action = resolve_actions([cb(context) for cb in callbacks])
         if isinstance(action, Stop):
             termination = Termination(action.reason)

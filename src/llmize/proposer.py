@@ -9,17 +9,21 @@ own rendering (``EvaluatedSolution.text``), made once on first use.
 
 from __future__ import annotations
 
+import http.client
+import json
 import math
 import os
 import re
 import threading
+import urllib.error
+import urllib.parse
+import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Protocol
 
 import numpy as np
-import requests
 
 from .core import (
     EvaluatedSolution,
@@ -362,10 +366,10 @@ class HttpChatBackend:
     """Client for a chat-completions endpoint.
 
     Sends one request per proposal with the bundle's two messages, plus the
-    sampling seed when one is set. The bearer
-    token comes from ``api_key`` or the LLMIZE_API_KEY environment variable;
-    the endpoint from ``base_url`` or LLMIZE_BASE_URL. At most one
-    transport-level retry is attempted.
+    sampling seed when one is set. The bearer token comes from ``api_key`` or
+    the LLMIZE_API_KEY environment variable; the http(s) endpoint from
+    ``base_url`` or LLMIZE_BASE_URL. At most one transport retry is made.
+    Proxies come from ``*_proxy`` variables; HTTPS uses the system trust store.
     """
 
     def __init__(
@@ -376,8 +380,9 @@ class HttpChatBackend:
         timeout: float = 60.0,
     ):
         resolved = base_url or os.environ.get("LLMIZE_BASE_URL")
-        if not resolved:
-            raise ValueError("base_url required (or set LLMIZE_BASE_URL)")
+        parts = urllib.parse.urlsplit(resolved or "")
+        if parts.scheme not in ("http", "https") or not parts.netloc:
+            raise ValueError(f"base_url (or LLMIZE_BASE_URL) must be an http(s) URL: {resolved!r}")
         if not model:
             raise ValueError("model name required")
         self.base_url = resolved.rstrip("/")
@@ -397,24 +402,27 @@ class HttpChatBackend:
         }
         if params.seed is not None:
             payload["seed"] = params.seed
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": "llmize"}
         token = self.api_key or os.environ.get("LLMIZE_API_KEY")
         if token:
             headers["Authorization"] = f"Bearer {token}"
         url = f"{self.base_url}/chat/completions"
+        request = urllib.request.Request(url, json.dumps(payload).encode(), headers)
 
         last_error: TransportError | None = None
         for _ in range(2):
             try:
-                response = requests.post(
-                    url, json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
+                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                    status, body = response.status, response.read()
+            except urllib.error.HTTPError as exc:
+                status, body = exc.code, b""
+                exc.close()
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = TransportError(f"request failed: {exc}")
                 continue
-            if response.status_code == 200:
+            if status == 200:
                 try:
-                    content = response.json()["choices"][0]["message"]["content"]
+                    content = json.loads(body)["choices"][0]["message"]["content"]
                 except (ValueError, KeyError, IndexError, TypeError):
                     raise TransportError(
                         "malformed completion response", status=200
@@ -422,12 +430,9 @@ class HttpChatBackend:
                 if not isinstance(content, str):
                     raise TransportError("completion content is not text", status=200)
                 return content
-            last_error = TransportError(
-                f"HTTP {response.status_code} from {url}",
-                status=response.status_code,
-            )
+            last_error = TransportError(f"HTTP {status} from {url}", status=status)
             # Client errors other than rate limiting will not improve on retry.
-            if 400 <= response.status_code < 500 and response.status_code != 429:
+            if 400 <= status < 500 and status != 429:
                 break
         assert last_error is not None
         raise last_error

@@ -13,7 +13,8 @@ from llmize import EvaluatedSolution, ObjectiveDirection
 class StubChatServer:
     """Local chat-completions stub that records every request.
 
-    ``responder`` maps the request count (1-based) to (status, body dict).
+    ``responder`` maps the request count (1-based) to (status, body), where
+    body is a dict sent as JSON or bytes sent as they are.
     """
 
     def __init__(self, responder):
@@ -24,16 +25,17 @@ class StubChatServer:
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
-                body = json.loads(self.rfile.read(length)) if length else None
+                raw = self.rfile.read(length)
                 outer.requests.append(
                     {
                         "path": self.path,
                         "headers": {k: v for k, v in self.headers.items()},
-                        "body": body,
+                        "body": json.loads(raw) if raw else None,
+                        "raw": raw,
                     }
                 )
                 status, payload = outer.responder(len(outer.requests))
-                data = json.dumps(payload).encode()
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
@@ -44,6 +46,9 @@ class StubChatServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        # A client that timed out closes its socket before a slow reply is
+        # written; that is the case under test, not a server error to print.
+        self._server.handle_error = lambda request, client_address: None
         self.url = f"http://127.0.0.1:{self._server.server_address[1]}"
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()

@@ -316,11 +316,7 @@ def test_criterion_09_callback_traces():
                 best_so_far=best,
                 sampling_temperature=temperature,
             )
-            ctx = StepContext(
-                stats=stats,
-                direction=direction,
-                sampling=SamplingParams(model_temperature=temperature),
-            )
+            ctx = StepContext(stats=stats, direction=direction)
             actions.append(callback(ctx))
         return actions
 

@@ -72,6 +72,16 @@ class TestCmdRun:
         assert run_cli("run", config) == 1
         assert "max_steps" in capsys.readouterr().err
 
+    def test_http_base_url_without_scheme_is_config_error(self, tmp_path, capsys, monkeypatch):
+        backend = {"kind": "http", "model": "m1", "base_url": "localhost:8000/v1"}
+        config = write_config(tmp_path / "run.json", backend=backend)
+        assert run_cli("run", config) == 1
+        assert "base_url" in capsys.readouterr().err
+        monkeypatch.setenv("LLMIZE_BASE_URL", "localhost:8000/v1")
+        config = write_config(tmp_path / "run.json", backend={"kind": "http", "model": "m1"})
+        assert run_cli("run", config) == 1
+        assert "base_url" in capsys.readouterr().err
+
     def test_broken_objective_command_aborts(self, tmp_path, capsys):
         config_path = tmp_path / "broken_cmd.json"
         config_path.write_text(

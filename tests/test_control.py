@@ -5,7 +5,6 @@ import pytest
 from llmize import (
     Continue,
     ObjectiveDirection,
-    SamplingParams,
     SetSamplingTemperature,
     StepContext,
     StepStats,
@@ -29,7 +28,7 @@ def ctx(best_so_far, direction=MIN, temperature=1.0, step=0):
         best_so_far=best_so_far,
         sampling_temperature=temperature,
     )
-    return StepContext(stats=stats, direction=direction, sampling=SamplingParams(model_temperature=temperature))
+    return StepContext(stats=stats, direction=direction)
 
 
 def feed(callback, series, direction=MIN, temperature=1.0):

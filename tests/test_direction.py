@@ -20,7 +20,6 @@ from llmize import (
     RealVector,
     RealVectorSchema,
     RunConfig,
-    SamplingParams,
     ScriptedBackend,
     SetSamplingTemperature,
     StepContext,
@@ -82,7 +81,7 @@ def ctx(best_so_far: float, direction: ObjectiveDirection) -> StepContext:
         best_so_far=best_so_far,
         sampling_temperature=1.0,
     )
-    return StepContext(stats=stats, direction=direction, sampling=SamplingParams())
+    return StepContext(stats=stats, direction=direction)
 
 
 def test_update_best():

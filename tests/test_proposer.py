@@ -1,5 +1,7 @@
 import gc
+import json
 import math
+import time
 import weakref
 
 import pytest
@@ -571,6 +573,82 @@ class TestHttpChatBackend:
         backend = HttpChatBackend(base_url=server.url, model="m1")
         with pytest.raises(TransportError):
             backend.propose(self._bundle(), SamplingParams())
+
+    def _fails(self, server, **kwargs):
+        backend = HttpChatBackend(base_url=server.url, model="m1", **kwargs)
+        with pytest.raises(TransportError) as exc:
+            backend.propose(self._bundle(), SamplingParams())
+        return exc.value.status
+
+    def test_client_error_sent_once(self, stub_chat_server):
+        server = stub_chat_server(lambda n: (404, {"error": "no such model"}))
+        assert self._fails(server) == 404
+        assert len(server.requests) == 1
+
+    def test_rate_limit_retried_once(self, stub_chat_server):
+        server = stub_chat_server(lambda n: (429, {"error": "slow down"}))
+        assert self._fails(server) == 429
+        assert len(server.requests) == 2
+
+    def test_only_200_is_success(self, stub_chat_server):
+        server = stub_chat_server(lambda n: (201, chat_body("<solution>1, 1</solution>")))
+        assert self._fails(server) == 201
+        assert len(server.requests) == 2
+
+    def test_refused_connection(self, stub_chat_server):
+        server = stub_chat_server(lambda n: (200, chat_body("x")))
+        server.close()
+        assert self._fails(server) is None
+        assert server.requests == []
+
+    def test_timeout_bounds_wall_time(self, stub_chat_server):
+        def slow(n):
+            time.sleep(2)
+            return 200, chat_body("late")
+
+        server = stub_chat_server(slow)
+        started = time.perf_counter()
+        assert self._fails(server, timeout=0.2) is None
+        assert time.perf_counter() - started < 1.5
+        assert len(server.requests) == 2
+
+    def test_non_json_200_not_retried(self, stub_chat_server):
+        server = stub_chat_server(lambda n: (200, b"<html>bad gateway</html>"))
+        assert self._fails(server) == 200
+        assert len(server.requests) == 1
+
+    def test_request_bytes_and_headers(self, stub_chat_server, monkeypatch):
+        monkeypatch.setenv("LLMIZE_API_KEY", "sekrit")
+        server = stub_chat_server(lambda n: (200, chat_body("x")))
+        backend = HttpChatBackend(base_url=server.url + "/", model="m1")
+        bundle = self._bundle()
+        backend.propose(bundle, SamplingParams(model_temperature=0.3, seed=5))
+        [request] = server.requests
+        payload = {
+            "model": "m1",
+            "messages": [
+                {"role": "system", "content": bundle.system_text},
+                {"role": "user", "content": bundle.user_text},
+            ],
+            "temperature": 0.3,
+            "max_tokens": 2048,
+            "seed": 5,
+        }
+        assert request["raw"] == json.dumps(payload).encode()
+        headers = {k.lower(): v for k, v in request["headers"].items()}
+        assert headers["content-type"] == "application/json"
+        assert headers["authorization"] == "Bearer sekrit"
+        assert headers["user-agent"] == "llmize"
+
+    @pytest.mark.parametrize(
+        "url", ["localhost:8000/v1", "127.0.0.1:8000/v1", "ftp://host/v1", "http:///v1"]
+    )
+    def test_base_url_needs_http_scheme(self, url, monkeypatch):
+        with pytest.raises(ValueError, match="http"):
+            HttpChatBackend(base_url=url, model="m1")
+        monkeypatch.setenv("LLMIZE_BASE_URL", url)
+        with pytest.raises(ValueError, match="http"):
+            HttpChatBackend(model="m1")
 
 
 class TestSamplingParams:
