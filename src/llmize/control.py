@@ -124,9 +124,7 @@ def adaptive_sampling(
         state["stale"] += 1
         if state["stale"] >= stagnation_window:
             state["stale"] = 0
-            return SetSamplingTemperature(
-                min(ctx.stats.sampling_temperature + bump, ceiling)
-            )
+            return SetSamplingTemperature(min(ctx.stats.sampling_temperature + bump, ceiling))
         return Continue()
 
     return callback

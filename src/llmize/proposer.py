@@ -215,9 +215,7 @@ class ZeroCandidatesError(Exception):
     """Raised when a completion contains no valid solution block."""
 
     def __init__(self, rejected_blocks: int):
-        super().__init__(
-            f"no valid solution block found ({rejected_blocks} malformed)"
-        )
+        super().__init__(f"no valid solution block found ({rejected_blocks} malformed)")
         self.rejected_blocks = rejected_blocks
 
 
@@ -276,9 +274,7 @@ def _parse_block(text: str, schema: SolutionSchema) -> SolutionValue | None:
 
 
 def _parse_tag(raw: str, name: str) -> float | None:
-    pattern = re.compile(
-        rf"<{re.escape(name)}>(.*?)</{re.escape(name)}>", re.DOTALL
-    )
+    pattern = re.compile(rf"<{re.escape(name)}>(.*?)</{re.escape(name)}>", re.DOTALL)
     for match in reversed(pattern.findall(raw)):
         value = _parse_real(match.strip())
         if value is not None:
@@ -362,14 +358,21 @@ class TransportError(Exception):
         self.status = status
 
 
+class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
+    # urllib would resend the bearer token to whatever host a redirect names.
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
 class HttpChatBackend:
     """Client for a chat-completions endpoint.
 
     Sends one request per proposal with the bundle's two messages, plus the
     sampling seed when one is set. The bearer token comes from ``api_key`` or
     the LLMIZE_API_KEY environment variable; the http(s) endpoint from
-    ``base_url`` or LLMIZE_BASE_URL. At most one transport retry is made.
-    Proxies come from ``*_proxy`` variables; HTTPS uses the system trust store.
+    ``base_url`` or LLMIZE_BASE_URL. At most one transport retry is made; a
+    redirect is a failed attempt, never followed. Proxies come from ``*_proxy``
+    variables read at construction; HTTPS uses the system trust store.
     """
 
     def __init__(
@@ -389,6 +392,7 @@ class HttpChatBackend:
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
+        self._opener = urllib.request.build_opener(_RefuseRedirect)
 
     def propose(self, bundle: PromptBundle, params: SamplingParams) -> str:
         payload = {
@@ -407,12 +411,13 @@ class HttpChatBackend:
         if token:
             headers["Authorization"] = f"Bearer {token}"
         url = f"{self.base_url}/chat/completions"
-        request = urllib.request.Request(url, json.dumps(payload).encode(), headers)
-
+        data = json.dumps(payload).encode()
         last_error: TransportError | None = None
         for _ in range(2):
+            # A fresh Request per attempt: proxy handling rewrites it in place.
+            request = urllib.request.Request(url, data, headers)
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                with self._opener.open(request, timeout=self.timeout) as response:
                     status, body = response.status, response.read()
             except urllib.error.HTTPError as exc:
                 status, body = exc.code, b""
@@ -424,9 +429,7 @@ class HttpChatBackend:
                 try:
                     content = json.loads(body)["choices"][0]["message"]["content"]
                 except (ValueError, KeyError, IndexError, TypeError):
-                    raise TransportError(
-                        "malformed completion response", status=200
-                    ) from None
+                    raise TransportError("malformed completion response", status=200) from None
                 if not isinstance(content, str):
                     raise TransportError("completion content is not text", status=200)
                 return content

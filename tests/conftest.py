@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -10,11 +11,21 @@ import pytest
 from llmize import EvaluatedSolution, ObjectiveDirection
 
 
+class _QuietOnHangup(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        # A client that timed out closes its socket before a slow reply is
+        # written; that is the case under test, not a server error to print.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
+
+
 class StubChatServer:
     """Local chat-completions stub that records every request.
 
-    ``responder`` maps the request count (1-based) to (status, body), where
-    body is a dict sent as JSON or bytes sent as they are.
+    ``responder`` maps the request count (1-based) to (status, body) or
+    (status, body, extra_headers), where body is a dict sent as JSON or bytes
+    sent as they are.
     """
 
     def __init__(self, responder):
@@ -28,29 +39,35 @@ class StubChatServer:
                 raw = self.rfile.read(length)
                 outer.requests.append(
                     {
+                        "method": self.command,
                         "path": self.path,
                         "headers": {k: v for k, v in self.headers.items()},
                         "body": json.loads(raw) if raw else None,
                         "raw": raw,
                     }
                 )
-                status, payload = outer.responder(len(outer.requests))
+                status, payload, *extra = outer.responder(len(outer.requests))
                 data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)
 
+            # Recorded too, so a test sees a request that a redirect turned into a GET.
+            do_GET = do_POST
+
             def log_message(self, *args):
                 pass
 
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        # A client that timed out closes its socket before a slow reply is
-        # written; that is the case under test, not a server error to print.
-        self._server.handle_error = lambda request, client_address: None
+        self._server = _QuietOnHangup(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self._server.server_address[1]}"
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short poll lets close() return without waiting out the 0.5 s default.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        )
         self._thread.start()
 
     def close(self):

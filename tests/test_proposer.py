@@ -612,6 +612,16 @@ class TestHttpChatBackend:
         assert time.perf_counter() - started < 1.5
         assert len(server.requests) == 2
 
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_not_followed(self, status, stub_chat_server, monkeypatch):
+        monkeypatch.setenv("LLMIZE_API_KEY", "sekrit")
+        elsewhere = stub_chat_server(lambda n: (200, chat_body("x")))
+        location = {"Location": elsewhere.url + "/chat/completions"}
+        server = stub_chat_server(lambda n: (status, {}, location))
+        assert self._fails(server) == status
+        assert len(server.requests) == 2
+        assert elsewhere.requests == []
+
     def test_non_json_200_not_retried(self, stub_chat_server):
         server = stub_chat_server(lambda n: (200, b"<html>bad gateway</html>"))
         assert self._fails(server) == 200
