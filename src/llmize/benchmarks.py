@@ -16,8 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    KeyedScalars,
-    KeyedScalarsSchema,
     ObjectiveDirection,
     Permutation,
     PermutationSchema,
@@ -249,8 +247,8 @@ def seed_samples(
     """Deterministic starting solutions for a run.
 
     Grid style lays an axis-aligned lattice of roughly ``count`` points over
-    real-vector bounds (corners included); uniform style draws within bounds,
-    or uniformly random permutations.
+    real-vector bounds (corners included); uniform style draws ``count``
+    values with ``schema.sample``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -267,27 +265,7 @@ def seed_samples(
             RealVector(tuple(float(v) for v in point))
             for point in itertools.product(*axes)
         ]
-    if isinstance(schema, RealVectorSchema):
-        return [
-            RealVector(tuple(float(rng.uniform(lo, hi)) for lo, hi in zip(schema.lower, schema.upper)))
-            for _ in range(count)
-        ]
-    if isinstance(schema, PermutationSchema):
-        return [
-            Permutation(tuple(int(v) for v in rng.permutation(schema.n)))
-            for _ in range(count)
-        ]
-    if isinstance(schema, KeyedScalarsSchema):
-        return [
-            KeyedScalars(
-                tuple(
-                    (k, float(rng.uniform(lo, hi)))
-                    for k, lo, hi in zip(schema.keys, schema.lower, schema.upper)
-                )
-            )
-            for _ in range(count)
-        ]
-    raise TypeError(f"unknown schema: {schema!r}")
+    return [schema.sample(rng) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,11 @@ from .benchmarks import Benchmark, SeedStyle, seed_samples
 from .control import Callback, adaptive_sampling, early_stopping, target_stop
 from .core import (
     EvaluatedSolution,
-    KeyedScalars,
     KeyedScalarsSchema,
     ObjectiveDirection,
     OptimizationResult,
-    Permutation,
     PermutationSchema,
     ProblemSpec,
-    RealVector,
     RealVectorSchema,
     SolutionSchema,
     SolutionValue,
@@ -48,7 +45,6 @@ from .proposer import (
     SamplingParams,
     ScriptedBackend,
     Strategy,
-    render_solution,
 )
 from .svg import render_history_chart, render_tour
 
@@ -66,23 +62,13 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def solution_to_jsonable(value: SolutionValue) -> dict:
-    if isinstance(value, RealVector):
-        return {"kind": "real_vector", "values": list(value.values)}
-    if isinstance(value, Permutation):
-        return {"kind": "permutation", "order": list(value.order)}
-    if isinstance(value, KeyedScalars):
-        return {"kind": "keyed_scalars", "pairs": value.as_dict()}
-    raise TypeError(f"unknown solution value: {value!r}")
-
-
 def result_to_jsonable(result: OptimizationResult) -> dict:
     # wall_time is intentionally left out: result.json must be byte-identical
     # across reruns with the same seed. Steps are copied with vars(), not
     # dataclasses.asdict, whose deep copy costs ~30x more per step.
     return {
         "best": {
-            "solution": solution_to_jsonable(result.best.solution),
+            "solution": result.best.solution.to_json(),
             "score": result.best.score,
         },
         "steps": [dict(vars(s)) for s in result.steps],
@@ -195,8 +181,13 @@ def _parse_schema(obj: dict, raw: str) -> SolutionSchema:
         return PermutationSchema(n=int(_require(obj, "n", "problem.schema")))
     if kind == "keyed_scalars":
         bounds = _require(obj, "bounds", "problem.schema")
+        if not isinstance(bounds, dict) or not all(
+            isinstance(p, list) and len(p) == 2 and {type(v) for v in p} <= {int, float}
+            for p in bounds.values()
+        ):
+            raise ConfigError("problem.schema.bounds must map each key to a [lo, hi] number pair")
         return KeyedScalarsSchema.from_bounds(
-            {str(k): (float(v[0]), float(v[1])) for k, v in bounds.items()}
+            {str(k): (float(lo), float(hi)) for k, (lo, hi) in bounds.items()}
         )
     raise ConfigError(f"unknown schema kind {kind!r}")
 
@@ -208,7 +199,7 @@ def command_objective(command: list[str], direction: ObjectiveDirection) -> Obje
     def evaluate(value: SolutionValue) -> float:
         proc = subprocess.run(
             command,
-            input=render_solution(value),
+            input=value.render(),
             capture_output=True,
             text=True,
         )
@@ -484,15 +475,9 @@ def _execute(plan: RunPlan) -> int:
     if result.steps:
         rows = [vars(s) for s in result.steps]
         (out_dir / "plot.svg").write_text(render_history_chart(rows))
-    benchmark = plan.benchmark
-    if (
-        benchmark is not None
-        and benchmark.tsp_instance is not None
-        and isinstance(result.best.solution, Permutation)
-    ):
-        (out_dir / "tour.svg").write_text(
-            render_tour(benchmark.tsp_instance, result.best.solution)
-        )
+    instance = plan.benchmark and plan.benchmark.tsp_instance
+    if instance is not None:
+        (out_dir / "tour.svg").write_text(render_tour(instance, result.best.solution))
 
     print(
         f"best={result.best.score!r} steps={len(result.steps)} "

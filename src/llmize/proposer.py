@@ -4,7 +4,9 @@ Covers prompt construction, proposal parsing, and the pluggable backends that
 produce completions: a chat-completions HTTP client, a scripted replayer for
 offline tests, and a seeded perturbation heuristic that stands in for a model.
 Nothing here caches prompt text: each history or trajectory entry carries its
-own rendering (``EvaluatedSolution.text``), made once on first use.
+own rendering (``EvaluatedSolution.text``), made once on first use. Nothing
+here knows a solution kind either: each kind's encoding (describe, parse,
+render, sample, perturb) lives on its schema and value classes in ``core``.
 """
 
 from __future__ import annotations
@@ -21,24 +23,17 @@ import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, get_args
 
 import numpy as np
 
 from .core import (
     EvaluatedSolution,
     History,
-    KeyedScalars,
-    KeyedScalarsSchema,
-    Permutation,
-    PermutationSchema,
     ProblemSpec,
-    RealVector,
-    RealVectorSchema,
     SolutionSchema,
     SolutionValue,
-    render_float,
-    render_solution,
+    parse_real,
 )
 
 
@@ -89,33 +84,6 @@ class SamplingParams:
 
 def render_history_line(entry: EvaluatedSolution) -> str:
     return "solution: " + entry.text
-
-
-def describe_encoding(schema: SolutionSchema) -> str:
-    if isinstance(schema, RealVectorSchema):
-        bounds = ", ".join(
-            f"[{render_float(lo)}, {render_float(hi)}]"
-            for lo, hi in zip(schema.lower, schema.upper)
-        )
-        return (
-            f"Each solution is a comma-separated list of {schema.dim} real numbers. "
-            f"Bounds per position: {bounds}."
-        )
-    if isinstance(schema, PermutationSchema):
-        return (
-            f"Each solution is a comma-separated ordering of the integers "
-            f"0..{schema.n - 1}, each appearing exactly once."
-        )
-    if isinstance(schema, KeyedScalarsSchema):
-        bounds = ", ".join(
-            f"{k} in [{render_float(lo)}, {render_float(hi)}]"
-            for k, lo, hi in zip(schema.keys, schema.lower, schema.upper)
-        )
-        return (
-            "Each solution is a comma-separated list of key=value assignments, "
-            f"exactly one per key. Keys and bounds: {bounds}."
-        )
-    raise TypeError(f"unknown schema: {schema!r}")
 
 
 def _tag_request(name: str) -> str:
@@ -188,7 +156,7 @@ def build_prompt(
         "You are an optimization assistant. Propose candidate solutions for the "
         "problem in the user message, guided by the evaluated examples shown "
         "there.\n"
-        f"{describe_encoding(spec.schema)}\n"
+        f"{spec.schema.describe()}\n"
         f"{OUTPUT_CONTRACT}"
     )
 
@@ -229,54 +197,10 @@ class ParsedProposal:
 _SOLUTION_RE = re.compile(r"<solution>(.*?)</solution>", re.DOTALL)
 
 
-def _parse_real(token: str) -> float | None:
-    try:
-        value = float(token)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _parse_block(text: str, schema: SolutionSchema) -> SolutionValue | None:
-    text = text.strip()
-    if isinstance(schema, RealVectorSchema):
-        tokens = [t.strip() for t in text.split(",")]
-        if len(tokens) != schema.dim:
-            return None
-        values = [_parse_real(t) for t in tokens]
-        if any(v is None for v in values):
-            return None
-        return RealVector(tuple(values))  # type: ignore[arg-type]
-    if isinstance(schema, PermutationSchema):
-        tokens = [t.strip() for t in text.split(",")]
-        if len(tokens) != schema.n:
-            return None
-        try:
-            return Permutation(tuple(tokens))  # type: ignore[arg-type]
-        except ValueError:
-            return None
-    if isinstance(schema, KeyedScalarsSchema):
-        parts = [p.strip() for p in re.split(r"[,\n]+", text) if p.strip()]
-        found: dict[str, float] = {}
-        for part in parts:
-            key, sep, raw = part.partition("=")
-            key = key.strip()
-            if not sep or key not in schema.keys or key in found:
-                return None
-            value = _parse_real(raw.strip())
-            if value is None:
-                return None
-            found[key] = value
-        if set(found) != set(schema.keys):
-            return None
-        return KeyedScalars(tuple((k, found[k]) for k in schema.keys))
-    raise TypeError(f"unknown schema: {schema!r}")
-
-
 def _parse_tag(raw: str, name: str) -> float | None:
     pattern = re.compile(rf"<{re.escape(name)}>(.*?)</{re.escape(name)}>", re.DOTALL)
     for match in reversed(pattern.findall(raw)):
-        value = _parse_real(match.strip())
+        value = parse_real(match)
         if value is not None:
             return value
     return None
@@ -298,7 +222,7 @@ def parse_proposal(
     candidates: list[SolutionValue] = []
     rejected = 0
     for match in _SOLUTION_RE.finditer(raw):
-        value = _parse_block(match.group(1), schema)
+        value = schema.parse(match.group(1))
         if value is None:
             rejected += 1
         else:
@@ -444,11 +368,6 @@ class HttpChatBackend:
 _HISTORY_LINE_RE = re.compile(r"^solution: (.*) \| score: (.*)$", re.MULTILINE)
 _BATCH_RE = re.compile(r"Return exactly (\d+) solution blocks\.")
 _TAG_REQUEST_RE = re.compile(r"inside <([^\s<>]+)> and </")
-_REAL_BOUNDS_RE = re.compile(r"Bounds per position: (.+?)\.(?:\n|$)")
-_PERM_RE = re.compile(r"ordering of the integers\s+0\.\.(\d+)")
-_KEYED_BOUNDS_RE = re.compile(r"Keys and bounds: (.+?)\.(?:\n|$)")
-_BRACKET_PAIR_RE = re.compile(r"\[([^,\]]+),\s*([^\]]+)\]")
-_KEY_BOUND_RE = re.compile(r"(\S+) in \[([^,\]]+),\s*([^\]]+)\]")
 
 _TAG_DEFAULTS = {"cooling_rate": "0.9"}
 _GENERIC_TAG_DEFAULT = "0.5"
@@ -485,8 +404,8 @@ class PerturbBackend:
         ]
 
         with self._lock:
-            values = [self._perturb(best, schema) for _ in range(batch)]
-        lines = [f"<solution>{render_solution(v)}</solution>" for v in values]
+            values = [schema.perturb(best, self._rng, self.step_scale) for _ in range(batch)]
+        lines = [f"<solution>{v.render()}</solution>" for v in values]
         for tag in tags:
             content = _TAG_DEFAULTS.get(tag, _GENERIC_TAG_DEFAULT)
             lines.append(f"<{tag}>{content}</{tag}>")
@@ -494,27 +413,11 @@ class PerturbBackend:
 
     @staticmethod
     def _schema_from_prompt(text: str) -> SolutionSchema:
-        match = _REAL_BOUNDS_RE.search(text)
-        if match:
-            pairs = _BRACKET_PAIR_RE.findall(match.group(1))
-            if not pairs:
-                raise ValueError("no bounds found in prompt encoding")
-            lower = tuple(float(lo) for lo, _ in pairs)
-            upper = tuple(float(hi) for _, hi in pairs)
-            return RealVectorSchema(dim=len(pairs), lower=lower, upper=upper)
-        match = _PERM_RE.search(text)
-        if match:
-            return PermutationSchema(n=int(match.group(1)) + 1)
-        match = _KEYED_BOUNDS_RE.search(text)
-        if match:
-            triples = _KEY_BOUND_RE.findall(match.group(1))
-            if not triples:
-                raise ValueError("no keyed bounds found in prompt encoding")
-            return KeyedScalarsSchema(
-                keys=tuple(k for k, _, _ in triples),
-                lower=tuple(float(lo) for _, lo, _ in triples),
-                upper=tuple(float(hi) for _, _, hi in triples),
-            )
+        # Each kind in the SolutionSchema union reads its own description back.
+        for kind in get_args(SolutionSchema):
+            schema = kind.from_description(text)
+            if schema is not None:
+                return schema
         raise ValueError("prompt does not describe a recognizable solution encoding")
 
     @staticmethod
@@ -524,30 +427,7 @@ class PerturbBackend:
             raise ValueError("perturb backend needs at least one history line")
         # History is rendered worst to best, so the last line is the best.
         rendered = matches[-1][0]
-        value = _parse_block(rendered, schema)
+        value = schema.parse(rendered)
         if value is None:
             raise ValueError(f"unparseable history line: {rendered!r}")
         return value
-
-    def _perturb(self, value: SolutionValue, schema: SolutionSchema) -> SolutionValue:
-        if isinstance(value, RealVector) and isinstance(schema, RealVectorSchema):
-            spans = [
-                self.step_scale * (hi - lo)
-                for lo, hi in zip(schema.lower, schema.upper)
-            ]
-            noise = [self._rng.uniform(-m, m) if m > 0 else 0.0 for m in spans]
-            return RealVector(tuple(v + n for v, n in zip(value.values, noise)))
-        if isinstance(value, Permutation):
-            order = list(value.order)
-            swaps = 1 + int(self._rng.integers(2))
-            for _ in range(swaps):
-                i, j = self._rng.choice(len(order), size=2, replace=False)
-                order[i], order[j] = order[j], order[i]
-            return Permutation(tuple(order))
-        if isinstance(value, KeyedScalars):
-            jittered = tuple(
-                (k, v * (1.0 + self._rng.uniform(-self.step_scale, self.step_scale)))
-                for k, v in value.pairs
-            )
-            return KeyedScalars(jittered)
-        raise TypeError(f"cannot perturb {value!r}")

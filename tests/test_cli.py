@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,25 @@ def write_config(path: Path, **overrides):
     }
     doc.update(overrides)
     path.write_text(json.dumps(doc, indent=2))
+    return path
+
+
+def write_keyed_problem(path: Path, bounds):
+    path.write_text(
+        json.dumps(
+            {
+                "strategy": "opro",
+                "problem": {
+                    "description": "d",
+                    "direction": "minimize",
+                    "schema": {"kind": "keyed_scalars", "bounds": bounds},
+                    "objective_command": ["/nonexistent/evaluator"],
+                },
+                "backend": {"kind": "perturb", "seed": 1},
+                "seeding": {"style": "uniform", "count": 2},
+            }
+        )
+    )
     return path
 
 
@@ -81,6 +101,24 @@ class TestCmdRun:
         config = write_config(tmp_path / "run.json", backend={"kind": "http", "model": "m1"})
         assert run_cli("run", config) == 1
         assert "base_url" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [None, [[0, 1]], {"u": {"a": 1}}, {"u": [0]}, {"u": [0, 1, 2]}],
+        ids=["null", "array", "object-value", "one-number", "three-numbers"],
+    )
+    def test_keyed_bounds_shape_is_config_error(self, bounds, tmp_path, capsys):
+        config = write_keyed_problem(tmp_path / "run.json", bounds)
+        assert run_cli("run", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "problem.schema.bounds" in err
+
+    @pytest.mark.parametrize("pair", [[0, math.inf], [math.nan, 1], [-math.inf, 0]])
+    def test_non_finite_keyed_bound_is_config_error(self, pair, tmp_path, capsys):
+        config = write_keyed_problem(tmp_path / "run.json", {"u": pair})
+        assert run_cli("run", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "finite" in err
 
     def test_broken_objective_command_aborts(self, tmp_path, capsys):
         config_path = tmp_path / "broken_cmd.json"

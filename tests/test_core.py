@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ class TestSolutionValues:
             PermutationSchema(n=1)
         with pytest.raises(ValueError):
             KeyedScalarsSchema(keys=("a", "a"), lower=(0.0, 0.0), upper=(1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_non_finite_bounds_rejected(self, bad, side):
+        bounds = {"lower": (0.0, 0.0), "upper": (1.0, 1.0)}
+        bounds[side] = (0.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            RealVectorSchema(dim=2, **bounds)
+        with pytest.raises(ValueError, match="finite"):
+            KeyedScalarsSchema(keys=("a", "b"), **bounds)
 
     def test_evaluated_solution_requires_finite_score(self):
         with pytest.raises(ValueError):

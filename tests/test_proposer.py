@@ -367,13 +367,16 @@ class TestParseProposal:
             KeyedScalarsSchema.from_bounds({"u": (32, 512), "p": (0, 0.6)}),
         ]
         for value, schema in zip(values, schemas):
+            # Each kind reads back its own encoding sentence and block text.
+            assert type(schema).from_description(schema.describe()) == schema
             raw = f"<solution>{render_solution(value)}</solution>"
             [parsed] = parse_proposal(raw, schema).candidates
-            if isinstance(value, RealVector):
-                for a, b in zip(parsed.values, value.values):
-                    assert a == pytest.approx(b, rel=1e-5, abs=1e-10)
-            else:
-                assert parsed == value
+            for got in (parsed, schema.parse(value.render())):
+                if isinstance(value, RealVector):
+                    for a, b in zip(got.values, value.values):
+                        assert a == pytest.approx(b, rel=1e-5, abs=1e-10)
+                else:
+                    assert got == value
 
 
 class TestClampTag:
