@@ -185,15 +185,18 @@ def tsp_length(instance: TspInstance, route: Permutation | Sequence[int]) -> flo
     Uses an exactly rounded sum, so rotations and reversals of the same tour
     produce bit-identical lengths.
     """
-    order = list(route.order) if isinstance(route, Permutation) else [int(v) for v in route]
-    if sorted(order) != list(range(instance.n)):
-        return INVALID_ROUTE_SCORE
+    if isinstance(route, Permutation):
+        # A Permutation is a valid ordering by construction; only its size can be wrong.
+        order = route.order
+        if len(order) != instance.n:
+            return INVALID_ROUTE_SCORE
+    else:
+        order = [int(v) for v in route]
+        if sorted(order) != list(range(instance.n)):
+            return INVALID_ROUTE_SCORE
     coords = instance.coordinates
-    edges = [
-        math.dist(coords[order[k]], coords[order[(k + 1) % instance.n]])
-        for k in range(instance.n)
-    ]
-    return math.fsum(edges)
+    pts = [coords[i] for i in order]
+    return math.fsum(map(math.dist, pts, pts[1:] + pts[:1]))
 
 
 def tsp_canonical(route: Permutation) -> Permutation:

@@ -170,20 +170,30 @@ def _parse_direction(value: str) -> ObjectiveDirection:
         ) from None
 
 
+def _all_numbers(items: list) -> bool:
+    # JSON true/false load as bool, which is an int subclass.
+    return {type(v) for v in items} <= {int, float}
+
+
+def _numbers(obj: dict, key: str) -> tuple[float, ...]:
+    items = _require(obj, key, "problem.schema")
+    if not isinstance(items, list) or not _all_numbers(items):
+        raise ConfigError(f"problem.schema.{key} must be an array of numbers")
+    return tuple(items)
+
+
 def _parse_schema(obj: dict, raw: str) -> SolutionSchema:
     _check_keys(obj, {"kind", "lower", "upper", "n", "bounds"}, "problem.schema", raw)
     kind = _require(obj, "kind", "problem.schema")
     if kind == "real_vector":
-        lower = _require(obj, "lower", "problem.schema")
-        upper = _require(obj, "upper", "problem.schema")
-        return RealVectorSchema(dim=len(lower), lower=tuple(lower), upper=tuple(upper))
+        lower, upper = _numbers(obj, "lower"), _numbers(obj, "upper")
+        return RealVectorSchema(dim=len(lower), lower=lower, upper=upper)
     if kind == "permutation":
-        return PermutationSchema(n=int(_require(obj, "n", "problem.schema")))
+        return PermutationSchema(n=_require(obj, "n", "problem.schema"))
     if kind == "keyed_scalars":
         bounds = _require(obj, "bounds", "problem.schema")
         if not isinstance(bounds, dict) or not all(
-            isinstance(p, list) and len(p) == 2 and {type(v) for v in p} <= {int, float}
-            for p in bounds.values()
+            isinstance(p, list) and len(p) == 2 and _all_numbers(p) for p in bounds.values()
         ):
             raise ConfigError("problem.schema.bounds must map each key to a [lo, hi] number pair")
         return KeyedScalarsSchema.from_bounds(

@@ -11,6 +11,11 @@ encoding is the contract between prompt and parser, and it lives here. A
 schema describes its kind for the prompt (``describe``, read back by
 ``from_description``), parses a solution block (``parse``), and draws values
 (``sample``, ``perturb``); a value renders itself (``render``, ``to_json``).
+
+A schema validates a value once, where it enters. The public constructors
+check their arguments; the permutations that ``parse``, ``sample`` and
+``perturb`` build are valid by construction and are not checked again (real
+vectors and keyed scalars keep their constructors' few ``float()`` calls).
 """
 
 from __future__ import annotations
@@ -140,8 +145,19 @@ class PermutationSchema:
     n: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise ValueError(f"permutation size must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError("permutation size must be >= 2")
+
+    @cached_property
+    def _cities(self) -> frozenset[int]:
+        return frozenset(range(self.n))
+
+    @cached_property
+    def _city_of_token(self) -> dict[str, int]:
+        # The tokens a rendered order splits into: "7" first, " 7" after.
+        return {t: i for i in range(self.n) for t in (str(i), f" {i}")}
 
     def describe(self) -> str:
         return (
@@ -155,16 +171,25 @@ class PermutationSchema:
         return cls(n=int(match.group(1)) + 1) if match else None
 
     def parse(self, text: str) -> Permutation | None:
+        """Tokens are read as ``int()`` reads them; the one check is that
+        they name each city once."""
         tokens = text.split(",")
         if len(tokens) != self.n:
             return None
+        table = self._city_of_token
         try:
-            return Permutation(tuple(tokens))  # type: ignore[arg-type]
-        except ValueError:
+            order = tuple(map(table.__getitem__, tokens))
+        except KeyError:
+            try:
+                order = tuple(map(int, tokens))
+            except ValueError:
+                return None
+        if set(order) != self._cities:
             return None
+        return Permutation._trusted(order)
 
     def sample(self, rng: Generator) -> Permutation:
-        return Permutation(tuple(int(v) for v in rng.permutation(self.n)))
+        return Permutation._trusted(tuple(rng.permutation(self.n).tolist()))
 
     def perturb(self, value: Permutation, rng: Generator, step_scale: float) -> Permutation:
         """Swap one or two random pairs; ``step_scale`` does not apply."""
@@ -172,7 +197,7 @@ class PermutationSchema:
         for _ in range(1 + int(rng.integers(2))):
             i, j = rng.choice(len(order), size=2, replace=False)
             order[i], order[j] = order[j], order[i]
-        return Permutation(tuple(order))
+        return Permutation._trusted(tuple(order))
 
 
 @dataclass(frozen=True)
@@ -191,6 +216,11 @@ class KeyedScalarsSchema:
             raise ValueError("at least one key required")
         if any(not k for k in self.keys):
             raise ValueError("keys must be non-empty")
+        for k in self.keys:
+            # The encoding splits on commas and "=", and reads keys back from
+            # the prompt as whitespace-free words.
+            if "," in k or "=" in k or any(c.isspace() for c in k):
+                raise ValueError(f"key {k!r} contains a comma, '=' or whitespace")
         if len(set(self.keys)) != len(self.keys):
             raise ValueError("keys must be unique")
         if len(self.lower) != len(self.keys) or len(self.upper) != len(self.keys):
@@ -278,8 +308,17 @@ class Permutation:
         if sorted(self.order) != list(range(len(self.order))):
             raise ValueError(f"not a permutation of 0..{len(self.order) - 1}: {self.order}")
 
+    @classmethod
+    def _trusted(cls, order: tuple[int, ...]) -> Permutation:
+        """A value from ``order`` unchecked: only ``PermutationSchema``, which
+        has already checked it, calls this."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "order", order)
+        return value
+
     def render(self) -> str:
-        return ", ".join(map(str, self.order))
+        # The list repr of ints is ", ".join(map(str, order)), built in C.
+        return str(list(self.order))[1:-1]
 
     def to_json(self) -> dict:
         return {"kind": "permutation", "order": list(self.order)}

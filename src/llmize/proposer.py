@@ -194,7 +194,7 @@ class ParsedProposal:
     rejected_blocks: int
 
 
-_SOLUTION_RE = re.compile(r"<solution>(.*?)</solution>", re.DOTALL)
+_OPEN, _CLOSE = "<solution>", "</solution>"
 
 
 def _parse_tag(raw: str, name: str) -> float | None:
@@ -221,12 +221,18 @@ def parse_proposal(
     """
     candidates: list[SolutionValue] = []
     rejected = 0
-    for match in _SOLUTION_RE.finditer(raw):
-        value = schema.parse(match.group(1))
+    # Each block runs from an open tag to the first close tag after it.
+    start = raw.find(_OPEN)
+    while start >= 0:
+        end = raw.find(_CLOSE, start + len(_OPEN))
+        if end < 0:
+            break
+        value = schema.parse(raw[start + len(_OPEN) : end])
         if value is None:
             rejected += 1
         else:
             candidates.append(value)
+        start = raw.find(_OPEN, end + len(_CLOSE))
     if not candidates:
         raise ZeroCandidatesError(rejected)
     hyperparams: dict[str, float] = {}

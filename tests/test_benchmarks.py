@@ -118,6 +118,30 @@ class TestTsp:
         assert tsp_length(SQUARE, [0, 1, 2, 2]) == INVALID_ROUTE_SCORE
         assert tsp_length(SQUARE, [0, 1, 2]) == INVALID_ROUTE_SCORE
 
+    def test_valid_permutation_of_wrong_size(self):
+        # A Permutation is a bijection by construction; its size is still checked.
+        assert tsp_length(SQUARE, Permutation((0, 1, 2))) == INVALID_ROUTE_SCORE
+        assert tsp_length(SQUARE, Permutation((0, 1, 2, 3, 4))) == INVALID_ROUTE_SCORE
+        assert tsp_length(SQUARE, PermutationSchema(5).sample(np.random.default_rng(0))) == (
+            INVALID_ROUTE_SCORE
+        )
+
+    def test_bit_identical_to_indexed_edge_sum(self):
+        def reference(inst, order):  # the formula before the mapped-dist form
+            coords = inst.coordinates
+            return math.fsum(
+                [math.dist(coords[order[k]], coords[order[(k + 1) % inst.n]]) for k in range(inst.n)]
+            )
+
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 7, 50, 60):
+            inst = tsp_generate(n, n)
+            for _ in range(40):
+                route = PermutationSchema(n).sample(rng)
+                want = reference(inst, route.order).hex()
+                assert tsp_length(inst, route).hex() == want
+                assert tsp_length(inst, list(route.order)).hex() == want
+
     def test_bruteforce_square(self):
         route, length = tsp_bruteforce(SQUARE)
         assert length == 40.0

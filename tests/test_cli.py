@@ -28,6 +28,10 @@ def write_config(path: Path, **overrides):
 
 
 def write_keyed_problem(path: Path, bounds):
+    return write_schema_problem(path, {"kind": "keyed_scalars", "bounds": bounds})
+
+
+def write_schema_problem(path: Path, schema: dict):
     path.write_text(
         json.dumps(
             {
@@ -35,7 +39,7 @@ def write_keyed_problem(path: Path, bounds):
                 "problem": {
                     "description": "d",
                     "direction": "minimize",
-                    "schema": {"kind": "keyed_scalars", "bounds": bounds},
+                    "schema": schema,
                     "objective_command": ["/nonexistent/evaluator"],
                 },
                 "backend": {"kind": "perturb", "seed": 1},
@@ -119,6 +123,38 @@ class TestCmdRun:
         assert run_cli("run", config) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and "finite" in err
+
+    @pytest.mark.parametrize(
+        "schema, names",
+        [
+            ({"kind": "permutation", "n": 4.9}, "integer"),
+            ({"kind": "permutation", "n": "7"}, "integer"),
+            ({"kind": "permutation", "n": 7.0}, "integer"),
+            ({"kind": "permutation", "n": True}, "integer"),
+            ({"kind": "real_vector", "lower": True, "upper": [1]}, "problem.schema.lower"),
+            ({"kind": "real_vector", "lower": "01", "upper": [1, 1]}, "problem.schema.lower"),
+            ({"kind": "real_vector", "lower": [0, "0"], "upper": [1, 1]}, "problem.schema.lower"),
+            ({"kind": "real_vector", "lower": {"a": 0}, "upper": [1]}, "problem.schema.lower"),
+            ({"kind": "real_vector", "lower": [0], "upper": [True]}, "problem.schema.upper"),
+            ({"kind": "real_vector", "lower": [0], "upper": None}, "problem.schema.upper"),
+            ({"kind": "real_vector", "lower": [0], "upper": [[1]]}, "problem.schema.upper"),
+            ({"kind": "keyed_scalars", "bounds": {"a,b": [0, 1], "c": [0, 1]}}, "comma"),
+            ({"kind": "keyed_scalars", "bounds": {"x=y": [0, 1]}}, "comma"),
+            ({"kind": "keyed_scalars", "bounds": {"two words": [0, 1]}}, "whitespace"),
+            ({"kind": "keyed_scalars", "bounds": {"tab\there": [0, 1]}}, "whitespace"),
+        ],
+        ids=[
+            "n-fraction", "n-string", "n-float", "n-bool",
+            "lower-bool", "lower-string", "lower-string-item", "lower-object",
+            "upper-bool-item", "upper-null", "upper-nested",
+            "key-comma", "key-equals", "key-space", "key-tab",
+        ],
+    )
+    def test_bad_schema_shape_is_config_error(self, schema, names, tmp_path, capsys):
+        config = write_schema_problem(tmp_path / "run.json", schema)
+        assert run_cli("run", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and names in err
 
     def test_broken_objective_command_aborts(self, tmp_path, capsys):
         config_path = tmp_path / "broken_cmd.json"

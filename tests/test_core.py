@@ -1,9 +1,13 @@
+import ast
 import itertools
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import llmize
 from llmize import (
     EvaluatedSolution,
     History,
@@ -86,6 +90,171 @@ class TestSolutionValues:
         schema = RealVectorSchema(dim=1, lower=(0.0,), upper=(1.0,))
         with pytest.raises(ValueError):
             ProblemSpec(description="  ", direction=MIN, schema=schema)
+
+
+def reference_parse(tokens: list[str], n: int) -> Permutation | None:
+    """What ``PermutationSchema.parse`` accepted before it checked once: the
+    public constructor's ``int()`` and bijection check on every token."""
+    if len(tokens) != n:
+        return None
+    try:
+        return Permutation(tuple(int(t) for t in tokens))
+    except ValueError:
+        return None
+
+
+# Token decorations int() accepts or refuses: signs, underscores, leading
+# zeros, decimals, letters, whitespace (also newlines, tabs and a non-breaking
+# space) and a non-ASCII digit.
+_JUNK = "0123456789 +-_.abcxyzE\n\t\u00a0\u0663"
+
+
+def random_tokens(rng: random.Random, n: int) -> list[str]:
+    tokens = [str(c) for c in rng.sample(range(n), n)]
+    for i, token in enumerate(tokens):
+        roll = rng.random()
+        if roll < 0.05:
+            tokens[i] = rng.choice(["+", "-", "0", "00", " ", "\n", "\t", "\u00a0"]) + token
+        elif roll < 0.08:
+            tokens[i] = token + rng.choice([" ", "\n", ".", ".0", "_", "e0", "\u00a0"])
+        elif roll < 0.10 and len(token) > 1:
+            tokens[i] = token[0] + "_" + token[1:]
+        elif roll < 0.12:
+            tokens[i] = "".join(rng.choice(_JUNK) for _ in range(rng.randint(0, 3)))
+        elif roll < 0.14:
+            tokens[i] = str(rng.randint(-2, n + 2))
+        elif roll < 0.50 and i:
+            tokens[i] = " " + token  # the rendered form: ", " between cities
+    roll = rng.random()
+    if roll < 0.1:
+        tokens[rng.randrange(n)] = rng.choice(tokens)  # a repeat
+    elif roll < 0.15:
+        tokens.pop(rng.randrange(n))
+    elif roll < 0.2:
+        tokens.append(rng.choice(tokens))
+    return tokens
+
+
+class TestPermutationFastPaths:
+    """Values a schema builds skip the constructor's check; these pin that
+    they are exactly the values the checked path gives."""
+
+    def test_parse_agrees_with_checked_constructor(self):
+        rng = random.Random(20231019)
+        accepted = rejected = 0
+        for _ in range(4000):
+            n = rng.randint(2, 14)
+            tokens = random_tokens(rng, n)
+            got = PermutationSchema(n).parse(",".join(tokens))
+            want = reference_parse(tokens, n)
+            if want is None:
+                assert got is None, tokens
+                rejected += 1
+                continue
+            assert got == want and hash(got) == hash(want), tokens
+            assert all(type(c) is int for c in got.order)
+            assert got.render() == want.render()
+            accepted += 1
+        # The mix exercises both outcomes heavily.
+        assert accepted > 600 and rejected > 600
+
+    def test_parse_reads_tokens_as_int_does(self):
+        schema = PermutationSchema(3)
+        for text in ("0,1,2", "0, 1, 2", " 2 , 0 ,1 ", "+0,00001,\n2", "0,1_0,2", "0,1,\u0663"):
+            want = reference_parse(text.split(","), 3)
+            assert schema.parse(text) == want
+        assert schema.parse(" 2 , 0 ,1 ") == Permutation((2, 0, 1))
+        assert schema.parse("0,1_0,2") is None  # 10 is not a city of 0..2
+
+    def test_render_matches_join(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 61):
+            order = tuple(int(c) for c in rng.permutation(n))
+            assert Permutation(order).render() == ", ".join(map(str, order))
+        assert Permutation(()).render() == ""
+
+    def test_sampled_and_perturbed_values_hold_plain_ints(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 17, 50):
+            schema = PermutationSchema(n)
+            value = schema.sample(rng)
+            for _ in range(20):
+                for v in (value, schema.perturb(value, rng, 0.1)):
+                    assert all(type(c) is int for c in v.order)
+                    assert v == Permutation(v.order)
+                    assert hash(v) == hash(Permutation(v.order))
+                    assert v.render() == ", ".join(map(str, v.order))
+                value = schema.perturb(value, rng, 0.1)
+
+    def test_trusted_construction_stays_in_permutation_schema(self):
+        """Untrusted text enters only through ``schema.parse`` or the public
+        constructor: ``Permutation._trusted`` is named only in ``core``, and
+        there only by the three schema methods that have checked the order."""
+        callers: set[str] = set()
+
+        class Finder(ast.NodeVisitor):
+            def __init__(self):
+                self.scope: list[str] = []
+
+            def _enter(self, node):
+                self.scope.append(node.name)
+                self.generic_visit(node)
+                self.scope.pop()
+
+            visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+            def visit_Attribute(self, node):
+                if node.attr == "_trusted":
+                    callers.add(".".join(self.scope))
+                self.generic_visit(node)
+
+        sources = sorted(Path(llmize.__file__).parent.glob("*.py"))
+        assert len(sources) > 5
+        for path in sources:
+            text = path.read_text()
+            if path.name != "core.py":
+                assert "_trusted" not in text, path.name
+        Finder().visit(ast.parse((Path(llmize.__file__).parent / "core.py").read_text()))
+        assert callers == {
+            "PermutationSchema.parse",
+            "PermutationSchema.sample",
+            "PermutationSchema.perturb",
+        }
+
+
+class TestSchemaArguments:
+    @pytest.mark.parametrize("n", [4.9, 7.0, "7", True, None, np.int64(7)])
+    def test_permutation_size_must_be_int(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            PermutationSchema(n=n)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["a,b", ",", "x=y", "=", "two words", " a", "a\tb", "a\n", "a\u00a0b", "a\u2003"],
+        ids=["comma", "comma-only", "equals", "equals-only", "space", "leading-space",
+             "tab", "newline", "nbsp", "em-space"],
+    )
+    def test_keyed_key_the_encoding_cannot_carry(self, key):
+        with pytest.raises(ValueError, match="comma, '=' or whitespace"):
+            KeyedScalarsSchema(keys=("ok", key), lower=(0.0, 0.0), upper=(1.0, 1.0))
+
+    def test_keyed_round_trip_for_accepted_keys(self):
+        rng = random.Random(3)
+        # Printable ASCII without whitespace, comma and '=', plus some non-ASCII.
+        alphabet = [chr(c) for c in range(33, 127) if chr(c) not in ",="] + list("éß→λ")
+        values_rng = np.random.default_rng(3)
+        for _ in range(300):
+            keys = list(dict.fromkeys(
+                "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+                for _ in range(rng.randint(1, 4))
+            ))
+            # Bounds the prompt's 6 significant digits carry exactly.
+            lower = [rng.randint(-40, 40) / 4 for _ in keys]
+            upper = [lo + rng.randint(0, 20) / 4 for lo in lower]
+            schema = KeyedScalarsSchema(tuple(keys), tuple(lower), tuple(upper))
+            assert KeyedScalarsSchema.from_description(schema.describe()) == schema, keys
+            value = KeyedScalars(tuple((k, float(values_rng.integers(-999, 999))) for k in keys))
+            assert schema.parse(value.render()) == value, keys
 
 
 class TestHistoryInsert:

@@ -1,6 +1,8 @@
 import gc
 import json
 import math
+import random
+import re
 import time
 import weakref
 
@@ -377,6 +379,67 @@ class TestParseProposal:
                         assert a == pytest.approx(b, rel=1e-5, abs=1e-10)
                 else:
                     assert got == value
+
+
+# The block pattern parse_proposal used before its str.find scan.
+REFERENCE_BLOCK_RE = re.compile(r"<solution>(.*?)</solution>", re.DOTALL)
+
+
+class RecordingSchema:
+    """Accepts every block and keeps its text, so a test sees exactly the
+    blocks ``parse_proposal`` found."""
+
+    def __init__(self):
+        self.blocks: list[str] = []
+
+    def parse(self, text):
+        self.blocks.append(text)
+        return text
+
+
+def scanned_blocks(raw: str) -> list[str]:
+    schema = RecordingSchema()
+    try:
+        parse_proposal(raw, schema)
+    except ZeroCandidatesError:
+        pass
+    return schema.blocks
+
+
+class TestBlockScan:
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "",
+            "no tags",
+            "<solution>0, 1</solution>",
+            "<solution></solution><solution></solution>",
+            "<solution>unclosed",
+            "<solution>a</solution><solution>unclosed",
+            "</solution>close first<solution>a</solution></solution>",
+            "<solution>outer<solution>inner</solution>tail</solution>",
+            "<solution><solution></solution>",
+            "<solution>\n0,\n1\n</solution>\n<solution>2</solution>",
+            "<solution>a</solution<solution>b</solution>",
+            "<solution>a</solution></solution><solution>b</solution>",
+            "<Solution>a</Solution><solution >b</solution>",
+            "<solution>a</solution>" * 3 + "<solution>",
+        ],
+    )
+    def test_matches_reference_regex(self, raw):
+        assert scanned_blocks(raw) == REFERENCE_BLOCK_RE.findall(raw)
+
+    def test_matches_reference_regex_on_random_text(self):
+        rng = random.Random(7)
+        pieces = ["<solution>", "</solution>", "<solution", "solution>", "</", "<", ">",
+                  "\n", "0, 1", "x", "", " ", "</solution", "<sol", "ution>"]
+        found = 0
+        for _ in range(3000):
+            raw = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 20)))
+            want = REFERENCE_BLOCK_RE.findall(raw)
+            assert scanned_blocks(raw) == want, raw
+            found += len(want)
+        assert found > 500
 
 
 class TestClampTag:
