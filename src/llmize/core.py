@@ -76,7 +76,10 @@ def _render_bounds(lo: float, hi: float) -> str:
 _REAL_BOUNDS_RE = re.compile(r"Bounds per position: (.+?)\.(?:\n|$)")
 _BRACKET_PAIR_RE = re.compile(r"\[([^,\]]+),\s*([^\]]+)\]")
 _KEYED_BOUNDS_RE = re.compile(r"Keys and bounds: (.+?)\.(?:\n|$)")
-_KEY_BOUND_RE = re.compile(r"(\S+) in \[([^,\]]+),\s*([^\]]+)\]")
+_KEY_BOUND_RE = re.compile(r"([^\s,]+(?: [^\s,]+)*?) in \[([^,\]]+),\s*([^\]]+)\]")
+# The keys the encoding carries: words of non-space characters other than
+# "," and "=", joined by single spaces.
+_KEY_RE = re.compile(r"[^\s,=]+(?: [^\s,=]+)*")
 
 
 @dataclass(frozen=True)
@@ -154,11 +157,6 @@ class PermutationSchema:
     def _cities(self) -> frozenset[int]:
         return frozenset(range(self.n))
 
-    @cached_property
-    def _city_of_token(self) -> dict[str, int]:
-        # The tokens a rendered order splits into: "7" first, " 7" after.
-        return {t: i for i in range(self.n) for t in (str(i), f" {i}")}
-
     def describe(self) -> str:
         return (
             f"Each solution is a comma-separated ordering of the integers "
@@ -176,14 +174,10 @@ class PermutationSchema:
         tokens = text.split(",")
         if len(tokens) != self.n:
             return None
-        table = self._city_of_token
         try:
-            order = tuple(map(table.__getitem__, tokens))
-        except KeyError:
-            try:
-                order = tuple(map(int, tokens))
-            except ValueError:
-                return None
+            order = tuple(map(int, tokens))
+        except ValueError:
+            return None
         if set(order) != self._cities:
             return None
         return Permutation._trusted(order)
@@ -214,13 +208,14 @@ class KeyedScalarsSchema:
         object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
         if not self.keys:
             raise ValueError("at least one key required")
-        if any(not k for k in self.keys):
-            raise ValueError("keys must be non-empty")
         for k in self.keys:
-            # The encoding splits on commas and "=", and reads keys back from
-            # the prompt as whitespace-free words.
-            if "," in k or "=" in k or any(c.isspace() for c in k):
-                raise ValueError(f"key {k!r} contains a comma, '=' or whitespace")
+            # ``parse`` splits on commas, newlines and "=" and strips the ends
+            # of a key; ``from_description`` reads a key up to " in [".
+            if not _KEY_RE.fullmatch(k) or " in [" in k:
+                raise ValueError(
+                    f"key {k!r} must be words joined by single spaces, "
+                    "without ',', '=' or ' in ['"
+                )
         if len(set(self.keys)) != len(self.keys):
             raise ValueError("keys must be unique")
         if len(self.lower) != len(self.keys) or len(self.upper) != len(self.keys):

@@ -138,16 +138,19 @@ class TestCmdRun:
             ({"kind": "real_vector", "lower": [0], "upper": [True]}, "problem.schema.upper"),
             ({"kind": "real_vector", "lower": [0], "upper": None}, "problem.schema.upper"),
             ({"kind": "real_vector", "lower": [0], "upper": [[1]]}, "problem.schema.upper"),
-            ({"kind": "keyed_scalars", "bounds": {"a,b": [0, 1], "c": [0, 1]}}, "comma"),
-            ({"kind": "keyed_scalars", "bounds": {"x=y": [0, 1]}}, "comma"),
-            ({"kind": "keyed_scalars", "bounds": {"two words": [0, 1]}}, "whitespace"),
-            ({"kind": "keyed_scalars", "bounds": {"tab\there": [0, 1]}}, "whitespace"),
+            ({"kind": "keyed_scalars", "bounds": {"a,b": [0, 1], "c": [0, 1]}}, "'a,b'"),
+            ({"kind": "keyed_scalars", "bounds": {"x=y": [0, 1]}}, "'x=y'"),
+            ({"kind": "keyed_scalars", "bounds": {"two  spaces": [0, 1]}}, "single spaces"),
+            ({"kind": "keyed_scalars", "bounds": {" lead": [0, 1]}}, "single spaces"),
+            ({"kind": "keyed_scalars", "bounds": {"tab\there": [0, 1]}}, "single spaces"),
+            ({"kind": "keyed_scalars", "bounds": {"x in [y": [0, 1]}}, "' in ['"),
         ],
         ids=[
             "n-fraction", "n-string", "n-float", "n-bool",
             "lower-bool", "lower-string", "lower-string-item", "lower-object",
             "upper-bool-item", "upper-null", "upper-nested",
-            "key-comma", "key-equals", "key-space", "key-tab",
+            "key-comma", "key-equals", "key-double-space", "key-leading-space", "key-tab",
+            "key-bound-marker",
         ],
     )
     def test_bad_schema_shape_is_config_error(self, schema, names, tmp_path, capsys):

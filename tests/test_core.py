@@ -230,22 +230,36 @@ class TestSchemaArguments:
 
     @pytest.mark.parametrize(
         "key",
-        ["a,b", ",", "x=y", "=", "two words", " a", "a\tb", "a\n", "a\u00a0b", "a\u2003"],
-        ids=["comma", "comma-only", "equals", "equals-only", "space", "leading-space",
-             "tab", "newline", "nbsp", "em-space"],
+        ["", "a,b", ",", "x=y", "=", " a", "a ", "a  b", "a\tb", "a\n", "a\nb", "a\u00a0b",
+         "a\u2003", "x in [y", "x in [0, 1] y"],
+        ids=["empty", "comma", "comma-only", "equals", "equals-only", "leading-space", "trailing-space",
+             "double-space", "tab", "newline", "inner-newline", "nbsp", "em-space",
+             "bound-marker", "whole-bound"],
     )
     def test_keyed_key_the_encoding_cannot_carry(self, key):
-        with pytest.raises(ValueError, match="comma, '=' or whitespace"):
+        with pytest.raises(ValueError, match="words joined by single spaces"):
             KeyedScalarsSchema(keys=("ok", key), lower=(0.0, 0.0), upper=(1.0, 1.0))
+
+    @pytest.mark.parametrize("key", ["learning rate", "a in b", "x[0]", "in", "a [b]"])
+    def test_keyed_key_with_spaces_or_brackets_round_trips(self, key):
+        schema = KeyedScalarsSchema(keys=(key, "z"), lower=(0.0, -1.0), upper=(1.0, 1.0))
+        assert KeyedScalarsSchema.from_description(schema.describe()) == schema
+        value = KeyedScalars(((key, 0.25), ("z", -0.5)))
+        assert schema.parse(value.render()) == value
 
     def test_keyed_round_trip_for_accepted_keys(self):
         rng = random.Random(3)
-        # Printable ASCII without whitespace, comma and '=', plus some non-ASCII.
+        # Printable ASCII without whitespace, comma and '=', plus some non-ASCII;
+        # a key is one to three such words joined by single spaces.
         alphabet = [chr(c) for c in range(33, 127) if chr(c) not in ",="] + list("éß→λ")
         values_rng = np.random.default_rng(3)
+
+        def word():
+            return "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+
         for _ in range(300):
             keys = list(dict.fromkeys(
-                "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+                " ".join(word() for _ in range(rng.randint(1, 3)))
                 for _ in range(rng.randint(1, 4))
             ))
             # Bounds the prompt's 6 significant digits carry exactly.

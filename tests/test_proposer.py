@@ -545,6 +545,20 @@ class TestPerturbBackend:
             assert 90.0 <= vals["u"] <= 110.0 * 1.0001
             assert 0.18 <= vals["p"] <= 0.22 * 1.0001
 
+    def test_keyed_scalars_keys_with_spaces(self):
+        # The stand-in reads the schema back from the prompt; a key with an
+        # inner space must come back whole.
+        schema = KeyedScalarsSchema.from_bounds({"learning rate": (0.0, 1.0), "u": (32, 512)})
+        spec = ProblemSpec(description="hp", direction=MIN, schema=schema)
+        h = History(capacity=2, direction=MIN)
+        h.insert(ev(KeyedScalars((("learning rate", 0.5), ("u", 100.0))), 5.0))
+        bundle = build_prompt(spec, h, Strategy.OPRO, {}, 3)
+        raw = PerturbBackend(seed=5, step_scale=0.1).propose(bundle, SamplingParams())
+        parsed = parse_proposal(raw, schema)
+        assert len(parsed.candidates) == 3 and parsed.rejected_blocks == 0
+        for cand in parsed.candidates:
+            assert 0.45 <= cand.as_dict()["learning rate"] <= 0.55 * 1.0001
+
     def test_emits_requested_tags(self):
         h = History(capacity=2, direction=MIN)
         h.insert(ev(RealVector((1.0, 1.0)), 2.0))
