@@ -154,11 +154,24 @@ def _check_keys(obj: dict, allowed: set[str], path: str, raw: str) -> None:
             raise ConfigError(f"unknown key '{key}'{where}{_line_of(raw, key)}")
 
 
-def _require(obj: dict, key: str, path: str):
+# Config value kinds by the JSON types they take. true/false load as bool,
+# an int subclass, so types are matched exactly.
+_KINDS = {int: ({int}, "an integer"), float: ({int, float}, "a number"), str: ({str}, "a string")}
+
+
+def _typed(value, kind, path: str, key: str):
+    """``value`` converted by ``kind`` once its JSON type fits the kind."""
+    if kind in _KINDS and type(value) not in _KINDS[kind][0]:
+        where = f"{path}.{key}" if path else key
+        raise ConfigError(f"{where} must be {_KINDS[kind][1]}, got {json.dumps(value)}")
+    return kind(value)
+
+
+def _require(obj: dict, key: str, path: str, kind=None):
     if key not in obj:
         where = f" in {path}" if path else ""
         raise ConfigError(f"missing required key '{key}'{where}")
-    return obj[key]
+    return obj[key] if kind is None else _typed(obj[key], kind, path, key)
 
 
 def _parse_direction(value: str) -> ObjectiveDirection:
@@ -171,8 +184,7 @@ def _parse_direction(value: str) -> ObjectiveDirection:
 
 
 def _all_numbers(items: list) -> bool:
-    # JSON true/false load as bool, which is an int subclass.
-    return {type(v) for v in items} <= {int, float}
+    return {type(v) for v in items} <= _KINDS[float][0]
 
 
 def _numbers(obj: dict, key: str) -> tuple[float, ...]:
@@ -222,10 +234,12 @@ def command_objective(command: list[str], direction: ObjectiveDirection) -> Obje
     return Objective(evaluate=evaluate, direction=direction)
 
 
-def _options(obj: dict, **convert) -> dict:
-    """Converted values of the keys set in ``obj``. Keys that are absent or
-    null are left out, so the receiving function's own defaults apply."""
-    return {k: conv(obj[k]) for k, conv in convert.items() if obj.get(k) is not None}
+def _options(obj: dict, path: str, **kinds) -> dict:
+    """Converted values of the keys set in ``obj`` at ``path``. Absent or null
+    keys are left out, so the receiving function's own defaults apply."""
+    return {
+        k: _typed(obj[k], kind, path, k) for k, kind in kinds.items() if obj.get(k) is not None
+    }
 
 
 def _parse_backend(obj: dict, raw: str):
@@ -238,10 +252,11 @@ def _parse_backend(obj: dict, raw: str):
     kind = _require(obj, "kind", "backend")
     if kind == "perturb":
         return PerturbBackend(
-            seed=int(_require(obj, "seed", "backend")), **_options(obj, step_scale=float)
+            seed=_require(obj, "seed", "backend", int),
+            **_options(obj, "backend", step_scale=float),
         )
     if kind == "scripted":
-        transcript_path = Path(_require(obj, "transcript", "backend"))
+        transcript_path = Path(_require(obj, "transcript", "backend", str))
         try:
             transcripts = json.loads(transcript_path.read_text())
         except OSError as exc:
@@ -255,49 +270,33 @@ def _parse_backend(obj: dict, raw: str):
         return ScriptedBackend(transcripts)
     if kind == "http":
         return HttpChatBackend(
-            model=str(_require(obj, "model", "backend")),
-            **_options(obj, base_url=str, api_key=str, timeout=float),
+            model=_require(obj, "model", "backend", str),
+            **_options(obj, "backend", base_url=str, api_key=str, timeout=float),
         )
     raise ConfigError(f"unknown backend kind {kind!r}")
 
 
+# Each callback block: its factory, then its required and optional keys.
+_CALLBACKS = {
+    "early_stopping": (early_stopping, {"patience": int}, {"min_delta": float}),
+    "target_stop": (target_stop, {"target": float}, {}),
+    "adaptive_sampling": (
+        adaptive_sampling, {"stagnation_window": int, "bump": float}, {"ceiling": float}
+    ),
+}
+
+
 def _parse_callbacks(obj: dict, raw: str) -> list[Callback]:
-    _check_keys(
-        obj, {"early_stopping", "target_stop", "adaptive_sampling"}, "callbacks", raw
-    )
+    _check_keys(obj, set(_CALLBACKS), "callbacks", raw)
     callbacks: list[Callback] = []
-    if "early_stopping" in obj:
-        block = obj["early_stopping"]
-        _check_keys(block, {"patience", "min_delta"}, "callbacks.early_stopping", raw)
-        callbacks.append(
-            early_stopping(
-                patience=int(_require(block, "patience", "callbacks.early_stopping")),
-                **_options(block, min_delta=float),
-            )
-        )
-    if "target_stop" in obj:
-        block = obj["target_stop"]
-        _check_keys(block, {"target"}, "callbacks.target_stop", raw)
-        callbacks.append(
-            target_stop(float(_require(block, "target", "callbacks.target_stop")))
-        )
-    if "adaptive_sampling" in obj:
-        block = obj["adaptive_sampling"]
-        _check_keys(
-            block,
-            {"stagnation_window", "bump", "ceiling"},
-            "callbacks.adaptive_sampling",
-            raw,
-        )
-        callbacks.append(
-            adaptive_sampling(
-                stagnation_window=int(
-                    _require(block, "stagnation_window", "callbacks.adaptive_sampling")
-                ),
-                bump=float(_require(block, "bump", "callbacks.adaptive_sampling")),
-                **_options(block, ceiling=float),
-            )
-        )
+    for name, (make, required, optional) in _CALLBACKS.items():
+        if name in obj:
+            block, path = obj[name], f"callbacks.{name}"
+            _check_keys(block, {*required, *optional}, path, raw)
+            callbacks.append(make(
+                **{k: _require(block, k, path, kind) for k, kind in required.items()},
+                **_options(block, path, **optional),
+            ))
     return callbacks
 
 
@@ -367,12 +366,14 @@ def build_plan(doc: dict, raw: str = "") -> RunPlan:
         sampling_doc, {"model_temperature", "max_output_tokens", "seed"}, "sampling", raw
     )
     sampling = SamplingParams(
-        **_options(sampling_doc, model_temperature=float, max_output_tokens=int, seed=int)
+        **_options(
+            sampling_doc, "sampling", model_temperature=float, max_output_tokens=int, seed=int
+        )
     )
     config = RunConfig(
         sampling=sampling,
         **_options(
-            doc, max_steps=int, batch=int, history_capacity=int, workers=int, rng_seed=int
+            doc, "", max_steps=int, batch=int, history_capacity=int, workers=int, rng_seed=int
         ),
     )
 
@@ -383,10 +384,8 @@ def build_plan(doc: dict, raw: str = "") -> RunPlan:
         if params and doc["benchmark"] != "tsp":
             raise ConfigError("benchmark_params only applies to the tsp benchmark")
         if doc["benchmark"] == "tsp":
-            params = {
-                "instance_seed": int(params.get("seed", config.rng_seed)),
-                **_options(params, n=int),
-            }
+            options = _options(params, "benchmark_params", n=int, seed=int)
+            params = {"instance_seed": options.pop("seed", config.rng_seed), **options}
         try:
             benchmark = bench_mod.get_benchmark(doc["benchmark"], **params)
         except KeyError as exc:
@@ -407,10 +406,10 @@ def build_plan(doc: dict, raw: str = "") -> RunPlan:
         if not isinstance(command, list) or not command:
             raise ConfigError("problem.objective_command must be a non-empty array")
         spec = ProblemSpec(
-            description=str(_require(problem, "description", "problem")),
+            description=_require(problem, "description", "problem", str),
             direction=direction,
             schema=schema,
-            domain_knowledge=problem.get("domain_knowledge"),
+            **_options(problem, "problem", domain_knowledge=str),
         )
         objective = command_objective([str(c) for c in command], direction)
 
@@ -419,22 +418,20 @@ def build_plan(doc: dict, raw: str = "") -> RunPlan:
     seeding_doc = doc.get("seeding", {})
     _check_keys(seeding_doc, {"style", "count", "seed"}, "seeding", raw)
     if benchmark is not None:
-        style = benchmark.seed_style
-        count = benchmark.seed_count
+        style, count = benchmark.seed_style, benchmark.seed_count
+    elif "style" not in seeding_doc:
+        raise ConfigError("seeding.style is required for custom problems")
     else:
-        if "style" not in seeding_doc:
-            raise ConfigError("seeding.style is required for custom problems")
-        style = None
-        count = int(seeding_doc.get("count", config.batch))
+        style, count = None, config.batch
     if "style" in seeding_doc:
         styles = {"grid": SeedStyle.GRID, "uniform": SeedStyle.UNIFORM_RANDOM}
         if seeding_doc["style"] not in styles:
             raise ConfigError("seeding.style must be 'grid' or 'uniform'")
         style = styles[seeding_doc["style"]]
-    if "count" in seeding_doc:
-        count = int(seeding_doc["count"])
-    seed_seed = int(seeding_doc.get("seed", config.rng_seed))
-    seeds = seed_samples(spec.schema, count, seed_seed, style)
+    seeding = _options(seeding_doc, "seeding", count=int, seed=int)
+    seeds = seed_samples(
+        spec.schema, seeding.get("count", count), seeding.get("seed", config.rng_seed), style
+    )
 
     callbacks = _parse_callbacks(doc.get("callbacks", {}), raw)
 
@@ -448,10 +445,12 @@ def build_plan(doc: dict, raw: str = "") -> RunPlan:
     if sa_doc:
         if strategy is not Strategy.HLMSA:
             raise ConfigError("'sa' settings only apply to the hlmsa strategy")
-        sa_doc = {**sa_doc, "sa_temperature": sa_doc.get("initial_temperature")}
-        sa = SaState(
-            **_options(sa_doc, sa_temperature=float, cooling_bounds=tuple, default_cooling=float)
+        options = _options(
+            sa_doc, "sa", initial_temperature=float, cooling_bounds=tuple, default_cooling=float
         )
+        if "initial_temperature" in options:
+            options["sa_temperature"] = options.pop("initial_temperature")
+        sa = SaState(**options)
 
     out_dir = Path(doc.get("output_dir", "."))
     return RunPlan(

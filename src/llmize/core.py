@@ -78,8 +78,9 @@ _BRACKET_PAIR_RE = re.compile(r"\[([^,\]]+),\s*([^\]]+)\]")
 _KEYED_BOUNDS_RE = re.compile(r"Keys and bounds: (.+?)\.(?:\n|$)")
 _KEY_BOUND_RE = re.compile(r"([^\s,]+(?: [^\s,]+)*?) in \[([^,\]]+),\s*([^\]]+)\]")
 # The keys the encoding carries: words of non-space characters other than
-# "," and "=", joined by single spaces.
-_KEY_RE = re.compile(r"[^\s,=]+(?: [^\s,=]+)*")
+# ",", "=", "<" and ">", joined by single spaces. A "<" or ">" could open or
+# close a solution tag inside the block that carries the key.
+_KEY_RE = re.compile(r"[^\s,=<>]+(?: [^\s,=<>]+)*")
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ class KeyedScalarsSchema:
             if not _KEY_RE.fullmatch(k) or " in [" in k:
                 raise ValueError(
                     f"key {k!r} must be words joined by single spaces, "
-                    "without ',', '=' or ' in ['"
+                    "without ',', '=', '<', '>' or ' in ['"
                 )
         if len(set(self.keys)) != len(self.keys):
             raise ValueError("keys must be unique")

@@ -5,9 +5,8 @@ evolutionary (HLMEA) and simulated annealing (HLMSA).
 update history and best, record stats, dispatch callbacks. It takes the
 strategy as a value. The strategies differ in the prompt's strategy block and
 the tags they expect back; annealing adds per-trajectory Metropolis
-acceptance and a model-proposed cooling schedule, confined to one setup block,
-the prompt's trajectory argument and one post-evaluation block.
-``run_opro``, ``run_hlmea`` and ``run_hlmsa`` are one-line shorthands.
+acceptance and a model-proposed cooling schedule, confined to one setup block
+and one post-evaluation block, with ``SaState`` the one carrier of its state.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -169,7 +169,8 @@ def optimize(
     ``initial`` solutions.
 
     ``sa`` seeds the annealing state and applies to HLMSA only (a default
-    ``SaState`` when None); it is mutated during the run.
+    ``SaState`` when None). It is mutated during the run, so callers that
+    keep a reference can observe trajectories and temperature.
     """
     if not initial:
         raise ValueError("initial evaluated solutions required")
@@ -187,7 +188,6 @@ def optimize(
 
     # Annealing setup: one trajectory per batch slot, and worsening magnitudes
     # measured against the seed scores' range, frozen for the whole run.
-    need: int | None = None
     norm_offset, norm_scale = 0.0, 1.0
     if strategy is Strategy.HLMSA:
         sa = sa if sa is not None else SaState()
@@ -195,7 +195,6 @@ def optimize(
             sa.trajectories = [initial[i % len(initial)] for i in range(config.batch)]
         if len(sa.trajectories) != config.batch:
             raise ValueError("need one trajectory per batch slot")
-        need = config.batch
         seed_scores = [e.score for e in initial]
         norm_offset = min(seed_scores)
         norm_scale = max(seed_scores) - norm_offset or 1.0
@@ -208,6 +207,7 @@ def optimize(
         raise ValueError("annealing state only applies to the hlmsa strategy")
 
     rng = np.random.default_rng(config.rng_seed)
+    need = config.batch if sa is not None else None
     sampling = config.sampling
     policy = EvalPolicy(workers=config.workers)
     tags = EXPECTED_TAGS[strategy]
@@ -217,11 +217,7 @@ def optimize(
     termination = Termination(TerminationKind.MAX_STEPS)
 
     for step_index in range(config.max_steps):
-        if sa is None:
-            state, trajectories = {}, None
-        else:
-            state, trajectories = {"sa_temperature": sa.sa_temperature}, sa.trajectories
-        bundle = build_prompt(spec, history, strategy, state, config.batch, trajectories)
+        bundle = build_prompt(spec, history, strategy, config.batch, sa)
         try:
             parsed, calls = _propose_and_parse(
                 backend, bundle, sampling, spec.schema, tags, need
@@ -301,55 +297,6 @@ def optimize(
     )
 
 
-def run_opro(
-    spec: ProblemSpec,
-    objective: Objective,
-    backend: ProposerBackend,
-    config: RunConfig,
-    callbacks: Sequence[Callback] = (),
-    initial: Sequence[EvaluatedSolution] = (),
-) -> OptimizationResult:
-    """Iterative prompting: each step asks for a batch of improvements over
-    the rendered history."""
-    return optimize(Strategy.OPRO, spec, objective, backend, config, callbacks, initial)
-
-
-def run_hlmea(
-    spec: ProblemSpec,
-    objective: Objective,
-    backend: ProposerBackend,
-    config: RunConfig,
-    callbacks: Sequence[Callback] = (),
-    initial: Sequence[EvaluatedSolution] = (),
-) -> OptimizationResult:
-    """Evolutionary variant: the prompt instructs parent selection, crossover,
-    and mutation, and asks for elitism/mutation/crossover rate tags. The rates
-    are logged per step but never enforced; elitism is implicit in the
-    top-K history that feeds each prompt."""
-    return optimize(Strategy.HLMEA, spec, objective, backend, config, callbacks, initial)
-
-
-def run_hlmsa(
-    spec: ProblemSpec,
-    objective: Objective,
-    backend: ProposerBackend,
-    config: RunConfig,
-    callbacks: Sequence[Callback] = (),
-    initial: Sequence[EvaluatedSolution] = (),
-    sa_init: SaState | None = None,
-) -> OptimizationResult:
-    """Simulated-annealing variant over ``batch`` parallel trajectories.
-
-    Candidate i is the proposed neighbor of trajectory i; improving neighbors
-    always replace the trajectory point, worsening ones pass a Metropolis test
-    at the shared temperature. Worsening magnitudes are normalized by the seed
-    scores' range so the default temperature is meaningful across objectives.
-    The cooling rate is parsed from each completion, clamped into the state's
-    cooling bounds (missing or junk tags fall back to the default), and
-    multiplies the temperature after every step. Best-so-far tracks every
-    evaluation whether or not it was accepted.
-
-    ``sa_init`` seeds the annealing state; it is mutated during the run, so
-    callers that keep a reference can observe trajectories and temperature.
-    """
-    return optimize(Strategy.HLMSA, spec, objective, backend, config, callbacks, initial, sa_init)
+run_opro = partial(optimize, Strategy.OPRO)
+run_hlmea = partial(optimize, Strategy.HLMEA)
+run_hlmsa = partial(optimize, Strategy.HLMSA)

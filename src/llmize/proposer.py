@@ -23,7 +23,7 @@ import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Protocol, get_args
+from typing import TYPE_CHECKING, Iterable, Protocol, get_args
 
 import numpy as np
 
@@ -36,8 +36,25 @@ from .core import (
     parse_real,
 )
 
+if TYPE_CHECKING:
+    from .optimizers import SaState
+
 
 class Strategy(Enum):
+    """How each step asks for candidates; ``optimize`` takes it as a value.
+
+    OPRO asks for improvements over the rendered history. HLMEA asks for
+    selection, crossover and mutation, and for elitism, mutation and
+    crossover rate tags that are logged per step but never enforced (elitism
+    is implicit in the top-K history). HLMSA runs one trajectory per batch
+    slot, and candidate i is trajectory i's neighbor: an improvement always
+    replaces the point, a worsening passes a Metropolis test on its magnitude
+    normalized by the seed scores' range. The model's cooling rate, clamped
+    into the state's bounds (the default when missing or junk), multiplies
+    the temperature after every step. Best-so-far tracks every evaluation,
+    accepted or not.
+    """
+
     OPRO = "opro"
     HLMEA = "hlmea"
     HLMSA = "hlmsa"
@@ -90,12 +107,7 @@ def _tag_request(name: str) -> str:
     return f"report it inside <{name}> and </{name}> tags"
 
 
-def _strategy_block(
-    strategy: Strategy,
-    strategy_state: dict[str, float],
-    batch: int,
-    trajectories: list[EvaluatedSolution] | None,
-) -> str:
+def _strategy_block(strategy: Strategy, batch: int, sa: SaState | None) -> str:
     if strategy is Strategy.OPRO:
         return f"Propose {batch} new, distinct solutions better than the best shown."
     if strategy is Strategy.HLMEA:
@@ -110,17 +122,16 @@ def _strategy_block(
             f"Propose {batch} new offspring solutions."
         )
     if strategy is Strategy.HLMSA:
-        if "sa_temperature" not in strategy_state:
-            raise ValueError("HLMSA prompts require sa_temperature in strategy_state")
-        temperature = float(strategy_state["sa_temperature"])
+        if sa is None:
+            raise ValueError("HLMSA prompts require the annealing state")
         lines = [
             f"Act as simulated annealing over {batch} parallel trajectories "
             "sharing one temperature schedule.",
-            f"Current annealing temperature: {temperature}.",
+            f"Current annealing temperature: {float(sa.sa_temperature)}.",
         ]
-        if trajectories:
+        if sa.trajectories:
             lines.append("Current trajectory states:")
-            for i, entry in enumerate(trajectories):
+            for i, entry in enumerate(sa.trajectories):
                 lines.append(f"trajectory {i}: " + entry.text)
         lines.append(
             "For each trajectory, propose one neighboring solution: a modest "
@@ -138,9 +149,8 @@ def build_prompt(
     spec: ProblemSpec,
     history: History,
     strategy: Strategy,
-    strategy_state: dict[str, float],
     batch: int,
-    trajectories: list[EvaluatedSolution] | None = None,
+    sa: SaState | None = None,
 ) -> PromptBundle:
     """Compose the full prompt for one optimization step.
 
@@ -148,6 +158,7 @@ def build_prompt(
     the output-format contract. The user message carries the problem statement,
     optional domain knowledge, the history rendered worst to best, the
     strategy-specific instruction block, and the number of blocks to return.
+    HLMSA requires ``sa``, whose temperature and trajectory points it shows.
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
@@ -169,7 +180,7 @@ def build_prompt(
             "Previously evaluated solutions, ordered from worst to best:\n"
             + "\n".join(map(render_history_line, entries))
         )
-    blocks.append(_strategy_block(strategy, strategy_state, batch, trajectories))
+    blocks.append(_strategy_block(strategy, batch, sa))
     blocks.append(f"Return exactly {batch} solution blocks.")
     return PromptBundle(system_text=system_text, user_text="\n\n".join(blocks))
 

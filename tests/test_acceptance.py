@@ -425,7 +425,7 @@ def test_criterion_11_http_backend_contract(stub_chat_server, monkeypatch):
     h = History(4, MIN)
     for e in initial:
         h.insert(e)
-    bundle = build_prompt(bench.spec, h, Strategy.OPRO, {}, 2)
+    bundle = build_prompt(bench.spec, h, Strategy.OPRO, 2)
     raw = backend.propose(bundle, SamplingParams(model_temperature=0.4, max_output_tokens=256))
     assert raw == body_text  # verbatim passthrough
 

@@ -144,13 +144,14 @@ class TestCmdRun:
             ({"kind": "keyed_scalars", "bounds": {" lead": [0, 1]}}, "single spaces"),
             ({"kind": "keyed_scalars", "bounds": {"tab\there": [0, 1]}}, "single spaces"),
             ({"kind": "keyed_scalars", "bounds": {"x in [y": [0, 1]}}, "' in ['"),
+            ({"kind": "keyed_scalars", "bounds": {"a</solution>": [0, 1]}}, "'<', '>'"),
         ],
         ids=[
             "n-fraction", "n-string", "n-float", "n-bool",
             "lower-bool", "lower-string", "lower-string-item", "lower-object",
             "upper-bool-item", "upper-null", "upper-nested",
             "key-comma", "key-equals", "key-double-space", "key-leading-space", "key-tab",
-            "key-bound-marker",
+            "key-bound-marker", "key-closing-tag",
         ],
     )
     def test_bad_schema_shape_is_config_error(self, schema, names, tmp_path, capsys):
@@ -158,6 +159,35 @@ class TestCmdRun:
         assert run_cli("run", config) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and names in err
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"max_steps": 3.7}, "max_steps"),
+            ({"batch": "4"}, "batch"),
+            ({"history_capacity": True}, "history_capacity"),
+            ({"rng_seed": 2.5}, "rng_seed"),
+            ({"backend": {"kind": "perturb", "seed": 1.9}}, "backend.seed"),
+            ({"seeding": {"count": 2.9}}, "seeding.count"),
+            ({"callbacks": {"early_stopping": {"patience": 2.5}}},
+             "callbacks.early_stopping.patience"),
+            ({"sampling": {"model_temperature": "0.5"}}, "sampling.model_temperature"),
+            ({"backend": {"kind": "perturb", "seed": 1, "step_scale": "0.2"}},
+             "backend.step_scale"),
+            ({"callbacks": {"target_stop": {"target": "7.95"}}}, "callbacks.target_stop.target"),
+        ],
+        ids=[
+            "max-steps-fraction", "batch-string", "history-capacity-bool", "rng-seed-fraction",
+            "backend-seed-fraction", "seeding-count-fraction", "patience-fraction",
+            "model-temperature-string", "step-scale-string", "target-string",
+        ],
+    )
+    def test_mistyped_value_is_config_error(self, overrides, where, tmp_path, capsys):
+        config = write_config(tmp_path / "run.json", output_dir=str(tmp_path / "out"), **overrides)
+        assert run_cli("run", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"{where} must be" in err
+        assert not (tmp_path / "out").exists()
 
     def test_broken_objective_command_aborts(self, tmp_path, capsys):
         config_path = tmp_path / "broken_cmd.json"

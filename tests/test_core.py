@@ -249,9 +249,9 @@ class TestSchemaArguments:
 
     def test_keyed_round_trip_for_accepted_keys(self):
         rng = random.Random(3)
-        # Printable ASCII without whitespace, comma and '=', plus some non-ASCII;
-        # a key is one to three such words joined by single spaces.
-        alphabet = [chr(c) for c in range(33, 127) if chr(c) not in ",="] + list("éß→λ")
+        # Printable ASCII without whitespace, ',', '=', '<' and '>', plus some
+        # non-ASCII; a key is one to three such words joined by single spaces.
+        alphabet = [chr(c) for c in range(33, 127) if chr(c) not in ",=<>"] + list("éß→λ")
         values_rng = np.random.default_rng(3)
 
         def word():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from llmize import (
     run_hlmsa,
     run_opro,
 )
+from llmize import benchmarks, cli, optimizers
 from llmize.benchmarks import convex2d, make_convex_benchmark, seed_samples, SeedStyle
 from conftest import ev
 
@@ -360,3 +362,66 @@ class TestRunHlmsa:
         # candidate scores -18, beating trajectory 0's -10 is false (-18 < -10 improves MIN)
         assert result.best.score == -40.0
         assert result.steps[0].best_of_step == -18.0
+
+
+class TestProbePoints:
+    """The step loop and the CLI reach these layers through module globals,
+    which is where perfbench's traced mode rebinds them to time each layer.
+    A call bound any other way would make that layer's metric read 0."""
+
+    @staticmethod
+    def _count(monkeypatch, counts, module, names):
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            counts[name] = 0
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+    def test_loop_calls_each_layer_through_optimizers(self, monkeypatch):
+        counts = {}
+        self._count(
+            monkeypatch, counts, optimizers,
+            ("build_prompt", "parse_proposal", "evaluate_batch", "update_best",
+             "accept_candidate", "resolve_actions"),
+        )
+        backend = ScriptedBackend([hlmsa_transcript([(1, 1), (2, 2)], cooling=0.9)] * 2)
+        result = run_hlmsa(
+            SPEC, SUM_OBJECTIVE, backend, config(max_steps=2, batch=2), [], seeds((5, 5))
+        )
+        assert len(result.steps) == 2
+        assert counts == {
+            "build_prompt": 2,
+            "parse_proposal": 2,
+            "evaluate_batch": 2,
+            "update_best": 5,  # the seed, then two candidates a step
+            "accept_candidate": 4,
+            "resolve_actions": 2,
+        }
+
+    def test_cli_run_calls_each_layer_through_its_module(self, monkeypatch, tmp_path):
+        counts = {}
+        self._count(
+            monkeypatch, counts, cli, ("evaluate_batch", "dumps_result", "dumps_history_csv")
+        )
+        self._count(monkeypatch, counts, benchmarks, ("get_benchmark",))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "strategy": "hlmsa",
+            "benchmark": "convex2d",
+            "backend": {"kind": "perturb", "seed": 7},
+            "max_steps": 2,
+            "batch": 2,
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert cli.main(["run", str(path)]) == 0
+        assert counts == {
+            "evaluate_batch": 1,  # the seeds
+            "dumps_result": 1,
+            "dumps_history_csv": 1,
+            "get_benchmark": 1,
+        }

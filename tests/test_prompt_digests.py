@@ -25,6 +25,7 @@ from llmize import (
     ProblemSpec,
     RealVector,
     RealVectorSchema,
+    SaState,
     SamplingParams,
     Strategy,
     build_prompt,
@@ -126,11 +127,10 @@ def _prompt(kind: str, strategy: Strategy):
     entries = [EvaluatedSolution(v, s) for v, s in zip(VALUES[kind], SCORES)]
     for entry in entries:
         history.insert(entry)
-    state, trajectories = {}, None
+    sa = None
     if strategy is Strategy.HLMSA:
-        state = {"sa_temperature": 12.345678}
-        trajectories = entries[:3]
-    return build_prompt(spec, history, strategy, state, BATCH[strategy], trajectories)
+        sa = SaState(trajectories=entries[:3], sa_temperature=12.345678)
+    return build_prompt(spec, history, strategy, BATCH[strategy], sa)
 
 
 @pytest.mark.parametrize("kind, strategy", sorted(PROMPT_DIGESTS))

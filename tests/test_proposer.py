@@ -57,14 +57,14 @@ def make_history(scores, direction=MIN, capacity=16, schema_dim=2):
 
 class TestBuildPrompt:
     def test_empty_history_opro(self):
-        bundle = build_prompt(SPEC, History(4, MIN), Strategy.OPRO, {}, 4)
+        bundle = build_prompt(SPEC, History(4, MIN), Strategy.OPRO, 4)
         assert SPEC.description in bundle.user_text
         assert "Propose 4 new, distinct solutions" in bundle.user_text
         assert "Return exactly 4 solution blocks." in bundle.user_text
         assert "solution: " not in bundle.user_text
 
     def test_output_contract_appears_exactly_once(self):
-        bundle = build_prompt(SPEC, make_history([3.0, 1.0]), Strategy.HLMEA, {}, 2)
+        bundle = build_prompt(SPEC, make_history([3.0, 1.0]), Strategy.HLMEA, 2)
         combined = bundle.system_text + bundle.user_text
         assert combined.count(OUTPUT_CONTRACT) == 1
 
@@ -77,7 +77,7 @@ class TestBuildPrompt:
         perms = [(0, 1, 2, 3, 4), (1, 0, 2, 3, 4), (2, 1, 0, 3, 4), (3, 1, 2, 0, 4), (4, 1, 2, 3, 0)]
         for p, s in zip(perms, scores):
             h.insert(ev(Permutation(p), s))
-        bundle = build_prompt(spec, h, Strategy.OPRO, {}, 8)
+        bundle = build_prompt(spec, h, Strategy.OPRO, 8)
         lines = [l for l in bundle.user_text.splitlines() if l.startswith("solution: ")]
         assert len(lines) == 5
         rendered_scores = [float(l.rsplit("score: ", 1)[1]) for l in lines]
@@ -90,16 +90,16 @@ class TestBuildPrompt:
         )
         h = History(capacity=4, direction=ObjectiveDirection.MAXIMIZE)
         h.insert(ev(RealVector((1.0, 1.0, 1.0)), 13.0))
-        bundle = build_prompt(spec, h, Strategy.HLMSA, {"sa_temperature": 1.0}, 3)
+        bundle = build_prompt(spec, h, Strategy.HLMSA, 3, SaState(sa_temperature=1.0))
         assert "temperature" in bundle.user_text
         assert "1.0" in bundle.user_text
 
     def test_hlmsa_requires_temperature_state(self):
         with pytest.raises(ValueError):
-            build_prompt(SPEC, make_history([2.0]), Strategy.HLMSA, {}, 2)
+            build_prompt(SPEC, make_history([2.0]), Strategy.HLMSA, 2)
 
     def test_hlmea_requests_rate_tags(self):
-        bundle = build_prompt(SPEC, make_history([2.0]), Strategy.HLMEA, {}, 2)
+        bundle = build_prompt(SPEC, make_history([2.0]), Strategy.HLMEA, 2)
         for tag in ("elitism_rate", "mutation_rate", "crossover_rate"):
             assert f"inside <{tag}> and </{tag}> tags" in bundle.user_text
 
@@ -107,14 +107,14 @@ class TestBuildPrompt:
         spec = ProblemSpec(
             description="d", direction=MIN, schema=BOX, domain_knowledge="stay feasible"
         )
-        bundle = build_prompt(spec, History(4, MIN), Strategy.OPRO, {}, 1)
+        bundle = build_prompt(spec, History(4, MIN), Strategy.OPRO, 1)
         assert "stay feasible" in bundle.user_text
 
     def test_trajectory_lines_rendered_for_hlmsa(self):
         trajectories = [ev(RealVector((1.0, 2.0)), 9.0), ev(RealVector((3.0, 4.0)), 8.0)]
         bundle = build_prompt(
-            SPEC, make_history([9.0]), Strategy.HLMSA, {"sa_temperature": 0.5}, 2,
-            trajectories=trajectories,
+            SPEC, make_history([9.0]), Strategy.HLMSA, 2,
+            SaState(trajectories=trajectories, sa_temperature=0.5),
         )
         assert "trajectory 0: 1, 2 | score: 9" in bundle.user_text
         assert "trajectory 1: 3, 4 | score: 8" in bundle.user_text
@@ -138,10 +138,13 @@ class TestHistoryLineCache:
         prompts = []
         build = optimizers.build_prompt
 
-        def recording_build(spec, history, strategy, state, batch, trajectories=None):
-            bundle = build(spec, history, strategy, state, batch, trajectories)
-            shown = list(trajectories) if trajectories else []
-            prompts.append((history.entries, shown, bundle, (strategy, state, batch)))
+        def recording_build(spec, history, strategy, batch, sa=None):
+            bundle = build(spec, history, strategy, batch, sa)
+            # The loop mutates ``sa`` after this call: keep what was shown.
+            shown = list(sa.trajectories) if sa is not None else []
+            if sa is not None:
+                sa = SaState(trajectories=shown, sa_temperature=sa.sa_temperature)
+            prompts.append((history.entries, shown, bundle, (strategy, batch, sa)))
             return bundle
 
         monkeypatch.setattr(core, "render_solution", counting_render)
@@ -228,7 +231,7 @@ class TestHistoryLineCache:
         lines = []
         for value in (0.0, -0.0, 0.0):
             h.insert(ev(RealVector((value,)), 1.0))
-            bundle = build_prompt(SPEC, h, Strategy.OPRO, {}, 1)
+            bundle = build_prompt(SPEC, h, Strategy.OPRO, 1)
             lines.append(
                 [l for l in bundle.user_text.splitlines() if l.startswith("solution: ")]
             )
@@ -242,11 +245,11 @@ class TestHistoryLineCache:
         h = History(capacity=1, direction=MIN)
         entry = ev(RealVector((5.0, 5.0)), 10.0)
         h.insert(entry)
-        build_prompt(SPEC, h, Strategy.OPRO, {}, 1)
+        build_prompt(SPEC, h, Strategy.OPRO, 1)
         evicted = weakref.ref(entry)
         del entry
         h.insert(ev(RealVector((1.0, 1.0)), 2.0))
-        build_prompt(SPEC, h, Strategy.OPRO, {}, 1)
+        build_prompt(SPEC, h, Strategy.OPRO, 1)
         gc.collect()
         assert evicted() is None
 
@@ -472,7 +475,6 @@ class TestScriptedBackend:
             ProblemSpec(description="t", direction=MIN, schema=PermutationSchema(3)),
             History(2, MIN),
             Strategy.OPRO,
-            {},
             1,
         )
         params = SamplingParams()
@@ -486,7 +488,7 @@ class TestPerturbBackend:
         h = History(capacity=4, direction=MIN)
         h.insert(ev(RealVector((0.0, 0.0)), 100.0))
         h.insert(ev(RealVector(best), 1.0))
-        return build_prompt(SPEC, h, Strategy.OPRO, {}, batch)
+        return build_prompt(SPEC, h, Strategy.OPRO, batch)
 
     def test_noise_bound(self):
         bundle = self._bundle(best=(3.0, 0.5), batch=2)
@@ -523,7 +525,7 @@ class TestPerturbBackend:
         )
         h = History(capacity=2, direction=MIN)
         h.insert(ev(Permutation((0, 1, 2, 3, 4, 5)), 10.0))
-        bundle = build_prompt(spec, h, Strategy.OPRO, {}, 5)
+        bundle = build_prompt(spec, h, Strategy.OPRO, 5)
         raw = PerturbBackend(seed=1).propose(bundle, SamplingParams())
         parsed = parse_proposal(raw, spec.schema)
         assert len(parsed.candidates) == 5
@@ -538,7 +540,7 @@ class TestPerturbBackend:
         spec = ProblemSpec(description="hp", direction=MIN, schema=schema)
         h = History(capacity=2, direction=MIN)
         h.insert(ev(KeyedScalars((("u", 100.0), ("p", 0.2))), 5.0))
-        bundle = build_prompt(spec, h, Strategy.OPRO, {}, 3)
+        bundle = build_prompt(spec, h, Strategy.OPRO, 3)
         raw = PerturbBackend(seed=5, step_scale=0.1).propose(bundle, SamplingParams())
         for cand in parse_proposal(raw, schema).candidates:
             vals = cand.as_dict()
@@ -552,7 +554,7 @@ class TestPerturbBackend:
         spec = ProblemSpec(description="hp", direction=MIN, schema=schema)
         h = History(capacity=2, direction=MIN)
         h.insert(ev(KeyedScalars((("learning rate", 0.5), ("u", 100.0))), 5.0))
-        bundle = build_prompt(spec, h, Strategy.OPRO, {}, 3)
+        bundle = build_prompt(spec, h, Strategy.OPRO, 3)
         raw = PerturbBackend(seed=5, step_scale=0.1).propose(bundle, SamplingParams())
         parsed = parse_proposal(raw, schema)
         assert len(parsed.candidates) == 3 and parsed.rejected_blocks == 0
@@ -562,13 +564,13 @@ class TestPerturbBackend:
     def test_emits_requested_tags(self):
         h = History(capacity=2, direction=MIN)
         h.insert(ev(RealVector((1.0, 1.0)), 2.0))
-        bundle = build_prompt(SPEC, h, Strategy.HLMSA, {"sa_temperature": 1.0}, 2)
+        bundle = build_prompt(SPEC, h, Strategy.HLMSA, 2, SaState(sa_temperature=1.0))
         raw = PerturbBackend(seed=9).propose(bundle, SamplingParams())
         parsed = parse_proposal(raw, BOX, expected_tags=["cooling_rate"])
         assert parsed.hyperparams["cooling_rate"] == 0.9
 
     def test_requires_history(self):
-        bundle = build_prompt(SPEC, History(2, MIN), Strategy.OPRO, {}, 1)
+        bundle = build_prompt(SPEC, History(2, MIN), Strategy.OPRO, 1)
         with pytest.raises(ValueError):
             PerturbBackend(seed=1).propose(bundle, SamplingParams())
 
@@ -594,7 +596,7 @@ class TestHttpChatBackend:
     def _bundle(self):
         h = History(capacity=2, direction=MIN)
         h.insert(ev(RealVector((1.0, 1.0)), 2.0))
-        return build_prompt(SPEC, h, Strategy.OPRO, {}, 2)
+        return build_prompt(SPEC, h, Strategy.OPRO, 2)
 
     def test_request_shape_and_auth(self, stub_chat_server, monkeypatch):
         monkeypatch.setenv("LLMIZE_API_KEY", "sekrit")
@@ -697,7 +699,7 @@ class TestHttpChatBackend:
         monkeypatch.setenv("LLMIZE_API_KEY", "sekrit")
         elsewhere = stub_chat_server(lambda n: (200, chat_body("x")))
         location = {"Location": elsewhere.url + "/chat/completions"}
-        server = stub_chat_server(lambda n: (status, {}, location))
+        server = stub_chat_server(lambda n: (status, location))
         assert self._fails(server) == status
         assert len(server.requests) == 2
         assert elsewhere.requests == []
