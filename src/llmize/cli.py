@@ -154,16 +154,26 @@ def _check_keys(obj: dict, allowed: set[str], path: str, raw: str) -> None:
             raise ConfigError(f"unknown key '{key}'{where}{_line_of(raw, key)}")
 
 
-# Config value kinds by the JSON types they take. true/false load as bool,
-# an int subclass, so types are matched exactly.
-_KINDS = {int: ({int}, "an integer"), float: ({int, float}, "a number"), str: ({str}, "a string")}
+def _all_numbers(items: list) -> bool:
+    return {type(v) for v in items} <= {int, float}
+
+
+# Config value kinds: a test of the loaded JSON value, and the kind's name.
+# true/false load as bool, an int subclass, so types are matched exactly.
+_KINDS = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: _all_numbers([v]), "a number"),
+    str: (lambda v: type(v) is str, "a string"),
+    tuple: (lambda v: type(v) is list and len(v) == 2 and _all_numbers(v), "a number pair"),
+}
 
 
 def _typed(value, kind, path: str, key: str):
-    """``value`` converted by ``kind`` once its JSON type fits the kind."""
-    if kind in _KINDS and type(value) not in _KINDS[kind][0]:
+    """``value`` converted by ``kind``, one of the ``_KINDS``, once it passes the kind's test."""
+    fits, name = _KINDS[kind]
+    if not fits(value):
         where = f"{path}.{key}" if path else key
-        raise ConfigError(f"{where} must be {_KINDS[kind][1]}, got {json.dumps(value)}")
+        raise ConfigError(f"{where} must be {name}, got {json.dumps(value)}")
     return kind(value)
 
 
@@ -174,17 +184,11 @@ def _require(obj: dict, key: str, path: str, kind=None):
     return obj[key] if kind is None else _typed(obj[key], kind, path, key)
 
 
-def _parse_direction(value: str) -> ObjectiveDirection:
-    try:
-        return ObjectiveDirection(value)
-    except ValueError:
-        raise ConfigError(
-            f"direction must be 'minimize' or 'maximize', got {value!r}"
-        ) from None
-
-
-def _all_numbers(items: list) -> bool:
-    return {type(v) for v in items} <= _KINDS[float][0]
+def _choice(value, choices: dict, where: str):
+    """The entry of ``choices`` that the config string ``value`` names."""
+    if type(value) is not str or value not in choices:
+        raise ConfigError(f"{where} must be one of {', '.join(choices)}; got {json.dumps(value)}")
+    return choices[value]
 
 
 def _numbers(obj: dict, key: str) -> tuple[float, ...]:
@@ -204,13 +208,12 @@ def _parse_schema(obj: dict, raw: str) -> SolutionSchema:
         return PermutationSchema(n=_require(obj, "n", "problem.schema"))
     if kind == "keyed_scalars":
         bounds = _require(obj, "bounds", "problem.schema")
-        if not isinstance(bounds, dict) or not all(
-            isinstance(p, list) and len(p) == 2 and _all_numbers(p) for p in bounds.values()
-        ):
+        if not isinstance(bounds, dict):
             raise ConfigError("problem.schema.bounds must map each key to a [lo, hi] number pair")
-        return KeyedScalarsSchema.from_bounds(
-            {str(k): (float(lo), float(hi)) for k, (lo, hi) in bounds.items()}
-        )
+        return KeyedScalarsSchema.from_bounds({
+            k: tuple(map(float, _typed(p, tuple, "problem.schema.bounds", k)))
+            for k, p in bounds.items()
+        })
     raise ConfigError(f"unknown schema kind {kind!r}")
 
 
@@ -351,12 +354,7 @@ def build_plan(doc: dict, raw: str = "") -> RunPlan:
     """Validate a config document and build the run it describes."""
     _check_keys(doc, _TOP_KEYS, "", raw)
 
-    try:
-        strategy = Strategy(_require(doc, "strategy", ""))
-    except ValueError:
-        raise ConfigError(
-            f"strategy must be one of opro, hlmea, hlmsa; got {doc['strategy']!r}"
-        ) from None
+    strategy = _choice(_require(doc, "strategy", ""), {s.value: s for s in Strategy}, "strategy")
 
     if ("benchmark" in doc) == ("problem" in doc):
         raise ConfigError("exactly one of 'benchmark' or 'problem' is required")
@@ -400,7 +398,10 @@ def build_plan(doc: dict, raw: str = "") -> RunPlan:
             "problem",
             raw,
         )
-        direction = _parse_direction(_require(problem, "direction", "problem"))
+        directions = {d.value: d for d in ObjectiveDirection}
+        direction = _choice(
+            _require(problem, "direction", "problem"), directions, "problem.direction"
+        )
         schema = _parse_schema(_require(problem, "schema", "problem"), raw)
         command = _require(problem, "objective_command", "problem")
         if not isinstance(command, list) or not command:
@@ -425,9 +426,7 @@ def build_plan(doc: dict, raw: str = "") -> RunPlan:
         style, count = None, config.batch
     if "style" in seeding_doc:
         styles = {"grid": SeedStyle.GRID, "uniform": SeedStyle.UNIFORM_RANDOM}
-        if seeding_doc["style"] not in styles:
-            raise ConfigError("seeding.style must be 'grid' or 'uniform'")
-        style = styles[seeding_doc["style"]]
+        style = _choice(seeding_doc["style"], styles, "seeding.style")
     seeding = _options(seeding_doc, "seeding", count=int, seed=int)
     seeds = seed_samples(
         spec.schema, seeding.get("count", count), seeding.get("seed", config.rng_seed), style
@@ -452,7 +451,7 @@ def build_plan(doc: dict, raw: str = "") -> RunPlan:
             options["sa_temperature"] = options.pop("initial_temperature")
         sa = SaState(**options)
 
-    out_dir = Path(doc.get("output_dir", "."))
+    out_dir = Path(_options(doc, "", output_dir=str).get("output_dir", "."))
     return RunPlan(
         strategy, spec, objective, backend, config, callbacks, seeds, sa, out_dir, benchmark
     )

@@ -175,15 +175,26 @@ class TestCmdRun:
             ({"backend": {"kind": "perturb", "seed": 1, "step_scale": "0.2"}},
              "backend.step_scale"),
             ({"callbacks": {"target_stop": {"target": "7.95"}}}, "callbacks.target_stop.target"),
+            ({"strategy": "hlmsa", "sa": {"cooling_bounds": 5}}, "sa.cooling_bounds"),
+            ({"strategy": "hlmsa", "sa": {"cooling_bounds": "ab"}}, "sa.cooling_bounds"),
+            ({"strategy": "hlmsa", "sa": {"cooling_bounds": [0.6]}}, "sa.cooling_bounds"),
+            ({"strategy": "hlmsa", "sa": {"cooling_bounds": [0.6, "0.9"]}}, "sa.cooling_bounds"),
+            ({"strategy": "sgd"}, "strategy"),
+            ({"seeding": {"style": ["grid"]}}, "seeding.style"),
+            ({"output_dir": 5}, "output_dir"),
         ],
         ids=[
             "max-steps-fraction", "batch-string", "history-capacity-bool", "rng-seed-fraction",
             "backend-seed-fraction", "seeding-count-fraction", "patience-fraction",
             "model-temperature-string", "step-scale-string", "target-string",
+            "cooling-bounds-number", "cooling-bounds-string", "cooling-bounds-short",
+            "cooling-bounds-string-item", "strategy-unknown", "seeding-style-array",
+            "output-dir-number",
         ],
     )
     def test_mistyped_value_is_config_error(self, overrides, where, tmp_path, capsys):
-        config = write_config(tmp_path / "run.json", output_dir=str(tmp_path / "out"), **overrides)
+        overrides = {"output_dir": str(tmp_path / "out"), **overrides}
+        config = write_config(tmp_path / "run.json", **overrides)
         assert run_cli("run", config) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"{where} must be" in err

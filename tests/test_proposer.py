@@ -699,7 +699,7 @@ class TestHttpChatBackend:
         monkeypatch.setenv("LLMIZE_API_KEY", "sekrit")
         elsewhere = stub_chat_server(lambda n: (200, chat_body("x")))
         location = {"Location": elsewhere.url + "/chat/completions"}
-        server = stub_chat_server(lambda n: (status, location))
+        server = stub_chat_server(lambda n: (status, {}, location))
         assert self._fails(server) == status
         assert len(server.requests) == 2
         assert elsewhere.requests == []
