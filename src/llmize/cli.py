@@ -5,6 +5,10 @@ document, ``bench`` translates its flags into the same kind of document, and
 ``build_plan`` turns either into a ``RunPlan`` that ``_execute`` evaluates the
 seeds for, hands to ``optimizers.optimize`` and writes artifacts from.
 
+Each config block declares its keys and their kinds once, in one table; the
+kind-tagged blocks, ``_BACKENDS`` and ``_SCHEMAS``, hold one table per kind.
+``_block`` walks a block against its table, refusing any key it does not list.
+
 Exit codes: 0 for a completed run, 1 for usage or configuration errors,
 2 for an aborted run.
 """
@@ -15,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -32,7 +37,6 @@ from .core import (
     PermutationSchema,
     ProblemSpec,
     RealVectorSchema,
-    SolutionSchema,
     SolutionValue,
     TerminationKind,
 )
@@ -134,87 +138,89 @@ def read_history_csv(path: Path) -> list[dict[str, float]]:
 
 
 # ---------------------------------------------------------------------------
-# Config file parsing (strict: unknown keys are rejected by name)
+# Config file parsing: each block's keys are declared once, in one table
 # ---------------------------------------------------------------------------
 
 
-def _line_of(raw: str, key: str) -> str:
-    for i, line in enumerate(raw.splitlines(), start=1):
-        if f'"{key}"' in line:
-            return f" (line {i})"
-    return ""
+def _where(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str, raw: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path or 'config'} must be an object")
-    for key in obj:
-        if key not in allowed:
-            where = f" in {path}" if path else ""
-            raise ConfigError(f"unknown key '{key}'{where}{_line_of(raw, key)}")
+def _finite(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
 
 
-def _all_numbers(items: list) -> bool:
-    return {type(v) for v in items} <= {int, float}
+def _numbers(v) -> bool:
+    return type(v) is list and all(map(_finite, v))
 
 
-# Config value kinds: a test of the loaded JSON value, and the kind's name.
-# true/false load as bool, an int subclass, so types are matched exactly.
+def _pair(v) -> bool:
+    return _numbers(v) and len(v) == 2
+
+
+# Config value kinds: a test of the loaded JSON value, and the kind's name; a
+# value that passes is converted by calling its kind. true/false load as bool,
+# an int subclass, so types are matched exactly, and the NaN and Infinity that
+# Python's json reads are not finite numbers.
 _KINDS = {
     int: (lambda v: type(v) is int, "an integer"),
-    float: (lambda v: _all_numbers([v]), "a number"),
+    float: (_finite, "a finite number"),
     str: (lambda v: type(v) is str, "a string"),
-    tuple: (lambda v: type(v) is list and len(v) == 2 and _all_numbers(v), "a number pair"),
+    dict: (lambda v: type(v) is dict, "an object"),
+    tuple[float, float]: (_pair, "a pair of finite numbers"),
+    list[float]: (_numbers, "an array of finite numbers"),
+    list[str]: (
+        lambda v: type(v) is list and v and all(type(s) is str for s in v),
+        "a non-empty array of strings",
+    ),
+    dict[str, tuple[float, float]]: (
+        lambda v: type(v) is dict and all(map(_pair, v.values())),
+        "an object mapping each key to a finite [lo, hi] number pair",
+    ),
 }
 
 
 def _typed(value, kind, path: str, key: str):
-    """``value`` converted by ``kind``, one of the ``_KINDS``, once it passes the kind's test."""
-    fits, name = _KINDS[kind]
-    if not fits(value):
-        where = f"{path}.{key}" if path else key
-        raise ConfigError(f"{where} must be {name}, got {json.dumps(value)}")
-    return kind(value)
+    """``value`` converted by ``kind`` once it passes the kind's test. ``kind`` is
+    one of the ``_KINDS``, or a dict of choices that yields the entry a string names."""
+    if type(kind) is dict:
+        fits, name = type(value) is str and value in kind, f"one of {', '.join(kind)}"
+        convert = kind.get
+    else:
+        (test, name), convert = _KINDS[kind], kind
+        fits = test(value)
+    if not fits:
+        raise ConfigError(f"{_where(path, key)} must be {name}, got {json.dumps(value)}")
+    return convert(value)
 
 
-def _require(obj: dict, key: str, path: str, kind=None):
-    if key not in obj:
-        where = f" in {path}" if path else ""
-        raise ConfigError(f"missing required key '{key}'{where}")
-    return obj[key] if kind is None else _typed(obj[key], kind, path, key)
+def _block(obj, path: str, required: dict, optional: dict) -> dict:
+    """The keys of the config object ``obj`` at ``path``, each converted by its
+    kind. Unknown keys are refused and required ones must be present; absent or
+    null optional keys are left out, so the receiving function's defaults apply."""
+    if type(obj) is not dict:
+        raise ConfigError(f"{path or 'config'} must be an object, got {json.dumps(obj)}")
+    kinds = {**required, **optional}
+    for key in obj:
+        if key not in kinds:
+            # In a kind-tagged block, ``_tagged`` has already checked the kind.
+            what = f"{path} of kind {obj['kind']}" if "kind" in kinds else path or "the config"
+            raise ConfigError(f"unknown key {_where(path, key)}; {what} takes {', '.join(kinds)}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"missing required key {_where(path, key)}")
+    return {
+        k: _typed(v, kinds[k], path, k) for k, v in obj.items() if v is not None or k in required
+    }
 
 
-def _choice(value, choices: dict, where: str):
-    """The entry of ``choices`` that the config string ``value`` names."""
-    if type(value) is not str or value not in choices:
-        raise ConfigError(f"{where} must be one of {', '.join(choices)}; got {json.dumps(value)}")
-    return choices[value]
-
-
-def _numbers(obj: dict, key: str) -> tuple[float, ...]:
-    items = _require(obj, key, "problem.schema")
-    if not isinstance(items, list) or not _all_numbers(items):
-        raise ConfigError(f"problem.schema.{key} must be an array of numbers")
-    return tuple(items)
-
-
-def _parse_schema(obj: dict, raw: str) -> SolutionSchema:
-    _check_keys(obj, {"kind", "lower", "upper", "n", "bounds"}, "problem.schema", raw)
-    kind = _require(obj, "kind", "problem.schema")
-    if kind == "real_vector":
-        lower, upper = _numbers(obj, "lower"), _numbers(obj, "upper")
-        return RealVectorSchema(dim=len(lower), lower=lower, upper=upper)
-    if kind == "permutation":
-        return PermutationSchema(n=_require(obj, "n", "problem.schema"))
-    if kind == "keyed_scalars":
-        bounds = _require(obj, "bounds", "problem.schema")
-        if not isinstance(bounds, dict):
-            raise ConfigError("problem.schema.bounds must map each key to a [lo, hi] number pair")
-        return KeyedScalarsSchema.from_bounds({
-            k: tuple(map(float, _typed(p, tuple, "problem.schema.bounds", k)))
-            for k, p in bounds.items()
-        })
-    raise ConfigError(f"unknown schema kind {kind!r}")
+def _tagged(obj: dict, path: str, table: dict):
+    """What the kind-tagged block ``obj`` builds: the factory that ``table``
+    holds for its ``kind``, called with the keys that kind reads, and no others."""
+    make, required, optional = _typed(obj.get("kind"), table, path, "kind")
+    options = _block(obj, path, {"kind": str, **required}, optional)
+    del options["kind"]
+    return make(**options)
 
 
 def command_objective(command: list[str], direction: ObjectiveDirection) -> Objective:
@@ -237,49 +243,36 @@ def command_objective(command: list[str], direction: ObjectiveDirection) -> Obje
     return Objective(evaluate=evaluate, direction=direction)
 
 
-def _options(obj: dict, path: str, **kinds) -> dict:
-    """Converted values of the keys set in ``obj`` at ``path``. Absent or null
-    keys are left out, so the receiving function's own defaults apply."""
-    return {
-        k: _typed(obj[k], kind, path, k) for k, kind in kinds.items() if obj.get(k) is not None
-    }
+def _scripted_backend(transcript: str) -> ScriptedBackend:
+    try:
+        transcripts = json.loads(Path(transcript).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read transcript: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"transcript is not valid JSON: {exc}") from None
+    if not isinstance(transcripts, list) or not all(isinstance(t, str) for t in transcripts):
+        raise ConfigError("transcript must be a JSON array of strings")
+    return ScriptedBackend(transcripts)
 
 
-def _parse_backend(obj: dict, raw: str):
-    _check_keys(
-        obj,
-        {"kind", "seed", "step_scale", "transcript", "base_url", "model", "api_key", "timeout"},
-        "backend",
-        raw,
-    )
-    kind = _require(obj, "kind", "backend")
-    if kind == "perturb":
-        return PerturbBackend(
-            seed=_require(obj, "seed", "backend", int),
-            **_options(obj, "backend", step_scale=float),
-        )
-    if kind == "scripted":
-        transcript_path = Path(_require(obj, "transcript", "backend", str))
-        try:
-            transcripts = json.loads(transcript_path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read transcript: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"transcript is not valid JSON: {exc}") from None
-        if not isinstance(transcripts, list) or not all(
-            isinstance(t, str) for t in transcripts
-        ):
-            raise ConfigError("transcript must be a JSON array of strings")
-        return ScriptedBackend(transcripts)
-    if kind == "http":
-        return HttpChatBackend(
-            model=_require(obj, "model", "backend", str),
-            **_options(obj, "backend", base_url=str, api_key=str, timeout=float),
-        )
-    raise ConfigError(f"unknown backend kind {kind!r}")
+def _real_vector(lower: list[float], upper: list[float]) -> RealVectorSchema:
+    return RealVectorSchema(len(lower), lower, upper)
 
 
-# Each callback block: its factory, then its required and optional keys.
+# Each kind of a kind-tagged block, and each callback block: its factory, then
+# its required and optional keys.
+_BACKENDS = {
+    "perturb": (PerturbBackend, {"seed": int}, {"step_scale": float}),
+    "scripted": (_scripted_backend, {"transcript": str}, {}),
+    "http": (HttpChatBackend, {"model": str}, {"base_url": str, "api_key": str, "timeout": float}),
+}
+_SCHEMAS = {
+    "real_vector": (_real_vector, {"lower": list[float], "upper": list[float]}, {}),
+    "permutation": (PermutationSchema, {"n": int}, {}),
+    "keyed_scalars": (
+        KeyedScalarsSchema.from_bounds, {"bounds": dict[str, tuple[float, float]]}, {}
+    ),
+}
 _CALLBACKS = {
     "early_stopping": (early_stopping, {"patience": int}, {"min_delta": float}),
     "target_stop": (target_stop, {"target": float}, {}),
@@ -288,38 +281,23 @@ _CALLBACKS = {
     ),
 }
 
-
-def _parse_callbacks(obj: dict, raw: str) -> list[Callback]:
-    _check_keys(obj, set(_CALLBACKS), "callbacks", raw)
-    callbacks: list[Callback] = []
-    for name, (make, required, optional) in _CALLBACKS.items():
-        if name in obj:
-            block, path = obj[name], f"callbacks.{name}"
-            _check_keys(block, {*required, *optional}, path, raw)
-            callbacks.append(make(
-                **{k: _require(block, k, path, kind) for k, kind in required.items()},
-                **_options(block, path, **optional),
-            ))
-    return callbacks
-
-
-_TOP_KEYS = {
-    "strategy",
-    "benchmark",
-    "benchmark_params",
-    "problem",
-    "backend",
-    "max_steps",
-    "batch",
-    "history_capacity",
-    "workers",
-    "rng_seed",
-    "sampling",
-    "seeding",
-    "callbacks",
-    "sa",
-    "output_dir",
+# The RunConfig fields a document sets at its top level.
+_RUN_SETTINGS = {
+    "max_steps": int, "batch": int, "history_capacity": int, "workers": int, "rng_seed": int
 }
+# The document's required and optional top-level keys.
+_DOCUMENT = (
+    {"strategy": {s.value: s for s in Strategy}, "backend": dict},
+    {
+        "benchmark": str, "benchmark_params": dict, "problem": dict, **_RUN_SETTINGS,
+        "sampling": dict, "seeding": dict, "callbacks": dict, "sa": dict, "output_dir": str,
+    },
+)
+_PROBLEM = (
+    {"description": str, "direction": {d.value: d for d in ObjectiveDirection},
+     "schema": dict, "objective_command": list[str]},
+    {"domain_knowledge": str},
+)
 
 
 @dataclass(frozen=True)
@@ -338,120 +316,87 @@ class RunPlan:
     benchmark: Benchmark | None
 
 
-def _read_run_file(path: Path) -> tuple[dict, str]:
-    """The config document and its raw text (kept for error line numbers)."""
+def _read_run_file(path: Path) -> dict:
     try:
-        raw = path.read_text()
+        return json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    try:
-        return json.loads(raw), raw
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
 
-def build_plan(doc: dict, raw: str = "") -> RunPlan:
+def build_plan(doc: dict) -> RunPlan:
     """Validate a config document and build the run it describes."""
-    _check_keys(doc, _TOP_KEYS, "", raw)
-
-    strategy = _choice(_require(doc, "strategy", ""), {s.value: s for s in Strategy}, "strategy")
-
-    if ("benchmark" in doc) == ("problem" in doc):
+    run = _block(doc, "", *_DOCUMENT)
+    strategy = run["strategy"]
+    if ("benchmark" in run) == ("problem" in run):
         raise ConfigError("exactly one of 'benchmark' or 'problem' is required")
 
-    sampling_doc = doc.get("sampling", {})
-    _check_keys(
-        sampling_doc, {"model_temperature", "max_output_tokens", "seed"}, "sampling", raw
-    )
-    sampling = SamplingParams(
-        **_options(
-            sampling_doc, "sampling", model_temperature=float, max_output_tokens=int, seed=int
-        )
-    )
-    config = RunConfig(
-        sampling=sampling,
-        **_options(
-            doc, "", max_steps=int, batch=int, history_capacity=int, workers=int, rng_seed=int
-        ),
-    )
+    sampling = SamplingParams(**_block(
+        run.get("sampling", {}), "sampling", {},
+        {"model_temperature": float, "max_output_tokens": int, "seed": int},
+    ))
+    config = RunConfig(sampling=sampling, **{k: run[k] for k in _RUN_SETTINGS if k in run})
 
+    params = _block(
+        run.get("benchmark_params", {}), "benchmark_params", {}, {"n": int, "seed": int}
+    )
+    if params and run.get("benchmark") != "tsp":
+        raise ConfigError(
+            f"benchmark_params ({', '.join(params)}) only applies to the tsp benchmark"
+        )
     benchmark: Benchmark | None = None
-    if "benchmark" in doc:
-        params = doc.get("benchmark_params", {})
-        _check_keys(params, {"n", "seed"}, "benchmark_params", raw)
-        if params and doc["benchmark"] != "tsp":
-            raise ConfigError("benchmark_params only applies to the tsp benchmark")
-        if doc["benchmark"] == "tsp":
-            options = _options(params, "benchmark_params", n=int, seed=int)
-            params = {"instance_seed": options.pop("seed", config.rng_seed), **options}
+    if "benchmark" in run:
+        if run["benchmark"] == "tsp":
+            params = {"instance_seed": params.pop("seed", config.rng_seed), **params}
         try:
-            benchmark = bench_mod.get_benchmark(doc["benchmark"], **params)
+            benchmark = bench_mod.get_benchmark(run["benchmark"], **params)
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from None
-        spec = benchmark.spec
-        objective = benchmark.objective
+        spec, objective = benchmark.spec, benchmark.objective
     else:
-        problem = doc["problem"]
-        _check_keys(
-            problem,
-            {"description", "direction", "schema", "domain_knowledge", "objective_command"},
-            "problem",
-            raw,
-        )
-        directions = {d.value: d for d in ObjectiveDirection}
-        direction = _choice(
-            _require(problem, "direction", "problem"), directions, "problem.direction"
-        )
-        schema = _parse_schema(_require(problem, "schema", "problem"), raw)
-        command = _require(problem, "objective_command", "problem")
-        if not isinstance(command, list) or not command:
-            raise ConfigError("problem.objective_command must be a non-empty array")
-        spec = ProblemSpec(
-            description=_require(problem, "description", "problem", str),
-            direction=direction,
-            schema=schema,
-            **_options(problem, "problem", domain_knowledge=str),
-        )
-        objective = command_objective([str(c) for c in command], direction)
+        problem = _block(run["problem"], "problem", *_PROBLEM)
+        schema = _tagged(problem.pop("schema"), "problem.schema", _SCHEMAS)
+        objective = command_objective(problem.pop("objective_command"), problem["direction"])
+        spec = ProblemSpec(schema=schema, **problem)
 
-    backend = _parse_backend(_require(doc, "backend", ""), raw)
+    backend = _tagged(run["backend"], "backend", _BACKENDS)
 
-    seeding_doc = doc.get("seeding", {})
-    _check_keys(seeding_doc, {"style", "count", "seed"}, "seeding", raw)
-    if benchmark is not None:
-        style, count = benchmark.seed_style, benchmark.seed_count
-    elif "style" not in seeding_doc:
-        raise ConfigError("seeding.style is required for custom problems")
-    else:
-        style, count = None, config.batch
-    if "style" in seeding_doc:
-        styles = {"grid": SeedStyle.GRID, "uniform": SeedStyle.UNIFORM_RANDOM}
-        style = _choice(seeding_doc["style"], styles, "seeding.style")
-    seeding = _options(seeding_doc, "seeding", count=int, seed=int)
-    seeds = seed_samples(
-        spec.schema, seeding.get("count", count), seeding.get("seed", config.rng_seed), style
+    seeding = _block(
+        run.get("seeding", {}), "seeding", {},
+        {"style": {"grid": SeedStyle.GRID, "uniform": SeedStyle.UNIFORM_RANDOM},
+         "count": int, "seed": int},
     )
+    if benchmark is not None:
+        seeding = {"style": benchmark.seed_style, "count": benchmark.seed_count, **seeding}
+    elif "style" not in seeding:
+        raise ConfigError("seeding.style is required for custom problems")
+    count, seed = seeding.get("count", config.batch), seeding.get("seed", config.rng_seed)
+    seeds = seed_samples(spec.schema, count, seed, seeding["style"])
 
-    callbacks = _parse_callbacks(doc.get("callbacks", {}), raw)
+    blocks = _block(run.get("callbacks", {}), "callbacks", {}, dict.fromkeys(_CALLBACKS, dict))
+    callbacks: list[Callback] = [
+        make(**_block(blocks[name], f"callbacks.{name}", required, optional))
+        for name, (make, required, optional) in _CALLBACKS.items()
+        if name in blocks
+    ]
 
-    # An hlmsa run without an 'sa' block starts from the default SaState; the
+    # An hlmsa run without 'sa' settings starts from the default SaState; the
     # block's initial_temperature is the state's starting sa_temperature.
-    sa_doc = doc.get("sa", {})
-    _check_keys(
-        sa_doc, {"initial_temperature", "cooling_bounds", "default_cooling"}, "sa", raw
+    options = _block(
+        run.get("sa", {}), "sa", {},
+        {"initial_temperature": float, "cooling_bounds": tuple[float, float],
+         "default_cooling": float},
     )
     sa = None
-    if sa_doc:
+    if options:
         if strategy is not Strategy.HLMSA:
             raise ConfigError("'sa' settings only apply to the hlmsa strategy")
-        options = _options(
-            sa_doc, "sa", initial_temperature=float, cooling_bounds=tuple, default_cooling=float
-        )
         if "initial_temperature" in options:
             options["sa_temperature"] = options.pop("initial_temperature")
         sa = SaState(**options)
 
-    out_dir = Path(_options(doc, "", output_dir=str).get("output_dir", "."))
+    out_dir = Path(run.get("output_dir", "."))
     return RunPlan(
         strategy, spec, objective, backend, config, callbacks, seeds, sa, out_dir, benchmark
     )
@@ -502,7 +447,7 @@ def _execute(plan: RunPlan) -> int:
 def cmd_run(config_path: str) -> int:
     path = Path(config_path)
     try:
-        plan = build_plan(*_read_run_file(path))
+        plan = build_plan(_read_run_file(path))
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error in {path}: {exc}", file=sys.stderr)
         return 1
@@ -521,9 +466,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(exc.args[0], file=sys.stderr)
         return 1
     if args.http_model:
-        backend = {"kind": "http", "model": args.http_model, "base_url": args.http_base_url}
+        backend = {"kind": "http", "model": args.http_model}
     else:
-        backend = {"kind": "perturb", "seed": args.seed, "step_scale": args.step_scale}
+        backend = {"kind": "perturb", "seed": args.seed}
+    # A flag the chosen backend does not read is refused as an unknown key.
+    flags = {"base_url": args.http_base_url, "step_scale": args.step_scale}
+    backend.update((k, v) for k, v in flags.items() if v is not None)
     doc = {
         "strategy": args.strategy,
         "benchmark": args.name,
@@ -534,7 +482,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "rng_seed": args.seed,
         "output_dir": args.out,
     }
-    if args.name == "tsp":
+    if args.n is not None:
         doc["benchmark_params"] = {"n": args.n}
     if defaults.default_target is not None:
         doc["callbacks"] = {"target_stop": {"target": defaults.default_target}}

@@ -58,7 +58,7 @@ def early_stopping(patience: int, min_delta: float = 0.0) -> Callback:
     """
     if patience < 1:
         raise ValueError("patience must be >= 1")
-    if min_delta < 0:
+    if not min_delta >= 0:
         raise ValueError("min_delta must be >= 0")
     state = {"prev": None, "stale": 0}
 
@@ -105,7 +105,7 @@ def adaptive_sampling(
     """
     if stagnation_window < 1:
         raise ValueError("stagnation_window must be >= 1")
-    if bump <= 0:
+    if not bump > 0:
         raise ValueError("bump must be > 0")
     if not 0.0 < ceiling <= 2.0:
         raise ValueError("ceiling must be in (0, 2]")

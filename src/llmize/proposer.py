@@ -329,6 +329,8 @@ class HttpChatBackend:
             raise ValueError(f"base_url (or LLMIZE_BASE_URL) must be an http(s) URL: {resolved!r}")
         if not model:
             raise ValueError("model name required")
+        if not 0 < timeout < math.inf:
+            raise ValueError("timeout must be a finite number of seconds > 0")
         self.base_url = resolved.rstrip("/")
         self.model = model
         self.api_key = api_key
@@ -401,8 +403,8 @@ class PerturbBackend:
     """
 
     def __init__(self, seed: int, step_scale: float = 0.1):
-        if step_scale <= 0:
-            raise ValueError("step_scale must be > 0")
+        if not 0 < step_scale < math.inf:
+            raise ValueError("step_scale must be finite and > 0")
         self.seed = seed
         self.step_scale = step_scale
         self._rng = np.random.default_rng(seed)

@@ -1,9 +1,12 @@
+import inspect
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
+from llmize import cli
 from llmize.cli import HISTORY_CSV_HEADER, main
 
 
@@ -145,6 +148,11 @@ class TestCmdRun:
             ({"kind": "keyed_scalars", "bounds": {"tab\there": [0, 1]}}, "single spaces"),
             ({"kind": "keyed_scalars", "bounds": {"x in [y": [0, 1]}}, "' in ['"),
             ({"kind": "keyed_scalars", "bounds": {"a</solution>": [0, 1]}}, "'<', '>'"),
+            ({"kind": "permutation", "n": 4, "lower": [0]}, "unknown key problem.schema.lower"),
+            ({"kind": "real_vector", "lower": [0], "upper": [1], "n": 1},
+             "unknown key problem.schema.n"),
+            ({"kind": "keyed_scalars", "bounds": {"u": [0, 1]}, "n": 1},
+             "unknown key problem.schema.n"),
         ],
         ids=[
             "n-fraction", "n-string", "n-float", "n-bool",
@@ -152,6 +160,7 @@ class TestCmdRun:
             "upper-bool-item", "upper-null", "upper-nested",
             "key-comma", "key-equals", "key-double-space", "key-leading-space", "key-tab",
             "key-bound-marker", "key-closing-tag",
+            "permutation-lower", "real-vector-n", "keyed-scalars-n",
         ],
     )
     def test_bad_schema_shape_is_config_error(self, schema, names, tmp_path, capsys):
@@ -182,6 +191,17 @@ class TestCmdRun:
             ({"strategy": "sgd"}, "strategy"),
             ({"seeding": {"style": ["grid"]}}, "seeding.style"),
             ({"output_dir": 5}, "output_dir"),
+            ({"backend": {"kind": "perturb", "seed": 1, "step_scale": math.nan}},
+             "backend.step_scale"),
+            ({"backend": {"kind": "perturb", "seed": 1, "step_scale": math.inf}},
+             "backend.step_scale"),
+            ({"callbacks": {"early_stopping": {"patience": 2, "min_delta": math.nan}}},
+             "callbacks.early_stopping.min_delta"),
+            ({"callbacks": {"adaptive_sampling": {"stagnation_window": 2, "bump": math.nan}}},
+             "callbacks.adaptive_sampling.bump"),
+            ({"backend": {"kind": "http", "model": "m1", "base_url": "http://127.0.0.1:9/v1",
+                          "timeout": math.inf}},
+             "backend.timeout"),
         ],
         ids=[
             "max-steps-fraction", "batch-string", "history-capacity-bool", "rng-seed-fraction",
@@ -189,7 +209,8 @@ class TestCmdRun:
             "model-temperature-string", "step-scale-string", "target-string",
             "cooling-bounds-number", "cooling-bounds-string", "cooling-bounds-short",
             "cooling-bounds-string-item", "strategy-unknown", "seeding-style-array",
-            "output-dir-number",
+            "output-dir-number", "step-scale-nan", "step-scale-infinity", "min-delta-nan",
+            "bump-nan", "timeout-infinity",
         ],
     )
     def test_mistyped_value_is_config_error(self, overrides, where, tmp_path, capsys):
@@ -198,6 +219,31 @@ class TestCmdRun:
         assert run_cli("run", config) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"{where} must be" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"backend": {"kind": "perturb", "seed": 1, "model": "m1"}}, "backend.model"),
+            ({"backend": {"kind": "http", "model": "m1", "base_url": "http://127.0.0.1:9/v1",
+                          "step_scale": 0.2}}, "backend.step_scale"),
+            ({"backend": {"kind": "scripted", "transcript": "replies.json", "timeout": 3}},
+             "backend.timeout"),
+            ({"strategy": "hlmsa", "sa": {"seed": 1}}, "sa.seed"),
+        ],
+        ids=["perturb-model", "http-step-scale", "scripted-timeout", "sa-seed"],
+    )
+    def test_key_nothing_reads_is_named_by_path(
+        self, overrides, where, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "replies.json").write_text(json.dumps(["<solution>1, 2</solution>"] * 3))
+        config = write_config(
+            tmp_path / "run.json", max_steps=1, output_dir=str(tmp_path / "out"), **overrides
+        )
+        assert run_cli("run", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"unknown key {where};" in err
         assert not (tmp_path / "out").exists()
 
     def test_broken_objective_command_aborts(self, tmp_path, capsys):
@@ -364,6 +410,21 @@ class TestCmdBench:
         result = json.loads((out / "result.json").read_text())
         assert len(lines) - 1 == len(result["steps"])
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["convex2d", "--n", 5], "benchmark_params (n)"),
+            (["convex2d", "--http-base-url", "http://127.0.0.1:9/v1"], "backend.base_url"),
+            (["tsp", "--http-model", "m1", "--http-base-url", "http://127.0.0.1:9/v1",
+              "--step-scale", 0.5], "backend.step_scale"),
+        ],
+        ids=["n-without-tsp", "base-url-without-model", "step-scale-with-http"],
+    )
+    def test_flag_nothing_reads_is_usage_error(self, flags, named, tmp_path, capsys):
+        assert run_cli("bench", *flags, "--max-steps", 1, "--out", tmp_path / "out") == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_option_values_exit_1(self, tmp_path, capsys):
         assert run_cli("bench", "convex2d", "--batch", 0, "--out", tmp_path) == 1
         assert "batch" in capsys.readouterr().err
@@ -412,3 +473,18 @@ class TestCmdPlot:
         path = self._history(tmp_path, ["0,1.0,1.0,1.0,1.0,,", "1,oops,1.0,1.0,1.0,,"])
         assert run_cli("plot", path, tmp_path / "chart.svg") == 1
         assert "row 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", ["_BACKENDS", "_SCHEMAS", "_CALLBACKS"])
+def test_declared_keys_bind_to_their_factory(table):
+    for make, required, optional in getattr(cli, table).values():
+        inspect.signature(make).bind_partial(**dict.fromkeys({**required, **optional}))
+
+
+def test_readme_configs_build(monkeypatch):
+    monkeypatch.setenv("LLMIZE_BASE_URL", "http://127.0.0.1:9/v1")
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert blocks
+    for block in blocks:
+        cli.build_plan(json.loads(block))

@@ -64,6 +64,10 @@ class TestEarlyStopping:
         with pytest.raises(ValueError):
             early_stopping(patience=1, min_delta=-1.0)
 
+    def test_nan_min_delta_refused(self):
+        with pytest.raises(ValueError, match="min_delta"):
+            early_stopping(patience=1, min_delta=float("nan"))
+
 
 class TestTargetStop:
     def test_minimize_reached(self):
@@ -103,6 +107,11 @@ class TestAdaptiveSampling:
         actions = feed(cb, [10, 10, 10, 10, 10], temperature=1.0)
         fires = [a for a in actions if isinstance(a, SetSamplingTemperature)]
         assert len(fires) == 2  # steps 3 and 5
+
+    @pytest.mark.parametrize("bump", [float("nan"), 0.0, -0.1])
+    def test_bump_must_be_positive(self, bump):
+        with pytest.raises(ValueError, match="bump"):
+            adaptive_sampling(stagnation_window=1, bump=bump)
 
 
 class TestResolveActions:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -406,13 +407,16 @@ class TestProbePoints:
     def test_cli_run_calls_each_layer_through_its_module(self, monkeypatch, tmp_path):
         counts = {}
         self._count(
-            monkeypatch, counts, cli, ("evaluate_batch", "dumps_result", "dumps_history_csv")
+            monkeypatch, counts, cli,
+            ("evaluate_batch", "dumps_result", "dumps_history_csv", "command_objective",
+             "render_history_chart", "render_tour"),
         )
         self._count(monkeypatch, counts, benchmarks, ("get_benchmark",))
         path = tmp_path / "run.json"
         path.write_text(json.dumps({
             "strategy": "hlmsa",
-            "benchmark": "convex2d",
+            "benchmark": "tsp",
+            "benchmark_params": {"n": 5},
             "backend": {"kind": "perturb", "seed": 7},
             "max_steps": 2,
             "batch": 2,
@@ -423,5 +427,29 @@ class TestProbePoints:
             "evaluate_batch": 1,  # the seeds
             "dumps_result": 1,
             "dumps_history_csv": 1,
+            "command_objective": 0,
+            "render_history_chart": 1,
+            "render_tour": 1,
             "get_benchmark": 1,
         }
+
+        counts.update(dict.fromkeys(counts, 0))
+        path.write_text(json.dumps({
+            "strategy": "opro",
+            "problem": {
+                "description": "Minimize the sum.",
+                "direction": "minimize",
+                "schema": {"kind": "real_vector", "lower": [0, 0], "upper": [1, 1]},
+                "objective_command": [
+                    sys.executable, "-c", "print(sum(map(float, input().split(','))))"
+                ],
+            },
+            "backend": {"kind": "perturb", "seed": 7},
+            "max_steps": 1,
+            "batch": 1,
+            "seeding": {"style": "grid", "count": 1},
+            "output_dir": str(tmp_path / "custom"),
+        }))
+        assert cli.main(["run", str(path)]) == 0
+        assert counts["command_objective"] == 1
+        assert counts["get_benchmark"] == 0

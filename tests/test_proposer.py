@@ -585,8 +585,18 @@ class TestPerturbBackend:
         for raw in outputs:
             assert len(parse_proposal(raw, BOX).candidates) == 3
 
+    @pytest.mark.parametrize("step_scale", [math.nan, math.inf, 0.0, -0.1])
+    def test_step_scale_must_be_finite_and_positive(self, step_scale):
+        with pytest.raises(ValueError, match="step_scale"):
+            PerturbBackend(seed=1, step_scale=step_scale)
+
 
 class TestHttpChatBackend:
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, 0.0, -1.0])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            HttpChatBackend(base_url="http://127.0.0.1:9/v1", model="m1", timeout=timeout)
+
     def test_passthrough(self, stub_chat_server):
         server = stub_chat_server(lambda n: (200, chat_body("<solution>1.0, 2.0</solution>")))
         backend = HttpChatBackend(base_url=server.url, model="test-model")
