@@ -298,21 +298,16 @@ def make_convex_benchmark() -> Benchmark:
             "Minimize f(x1, x2) = (x1 - 3)^2 + (x2 + 2)^2 + sin(x1 + x2) + 4 "
             "subject to 0 <= x1 <= 5 and 0 <= x2 <= 5."
         ),
-        direction=ObjectiveDirection.MINIMIZE,
         schema=schema,
         domain_knowledge=(
             "Solutions outside the box receive a penalty of 1e6 added to the "
             "objective, so stay inside the bounds."
         ),
     )
-    objective = Objective(
-        evaluate=lambda v: convex2d(v.values),
-        direction=ObjectiveDirection.MINIMIZE,
-    )
     return Benchmark(
         name="convex2d",
         spec=spec,
-        objective=objective,
+        objective=Objective(lambda v: convex2d(v.values), ObjectiveDirection.MINIMIZE),
         seed_style=SeedStyle.GRID,
         seed_count=4,
         default_steps=60,
@@ -328,21 +323,16 @@ def make_lp_benchmark() -> Benchmark:
             "2*x1 + 3*x2 + x3 <= 15, x1 + 2*x2 + 3*x3 <= 20, "
             "4*x1 + x2 + 2*x3 <= 16, and x1, x2, x3 >= 0."
         ),
-        direction=ObjectiveDirection.MAXIMIZE,
         schema=schema,
         domain_knowledge=(
             "Any violated constraint subtracts a penalty of 1e6 from the "
             "objective value, so feasibility matters more than a large Z."
         ),
     )
-    objective = Objective(
-        evaluate=lambda v: lp3(v.values),
-        direction=ObjectiveDirection.MAXIMIZE,
-    )
     return Benchmark(
         name="lp3",
         spec=spec,
-        objective=objective,
+        objective=Objective(lambda v: lp3(v.values), ObjectiveDirection.MAXIMIZE),
         seed_style=SeedStyle.UNIFORM_RANDOM,
         seed_count=64,
         default_steps=110,
@@ -361,21 +351,16 @@ def make_tsp_benchmark(n: int = 10, instance_seed: int = 0) -> Benchmark:
             "exactly once and returning to the start. Distances are Euclidean. "
             f"City coordinates:\n{coord_lines}"
         ),
-        direction=ObjectiveDirection.MINIMIZE,
         schema=PermutationSchema(n=n),
         domain_knowledge=(
             "Good tours avoid crossing edges; swapping the order of nearby "
             "cities is often a useful refinement."
         ),
     )
-    objective = Objective(
-        evaluate=lambda v: tsp_length(instance, v),
-        direction=ObjectiveDirection.MINIMIZE,
-    )
     return Benchmark(
         name="tsp",
         spec=spec,
-        objective=objective,
+        objective=Objective(lambda v: tsp_length(instance, v), ObjectiveDirection.MINIMIZE),
         seed_style=SeedStyle.UNIFORM_RANDOM,
         seed_count=8,
         default_steps=250,

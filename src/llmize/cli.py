@@ -23,6 +23,7 @@ import math
 import subprocess
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -220,7 +221,21 @@ def _tagged(obj: dict, path: str, table: dict):
     make, required, optional = _typed(obj.get("kind"), table, path, "kind")
     options = _block(obj, path, {"kind": str, **required}, optional)
     del options["kind"]
-    return make(**options)
+    return _construct(make, path, options)
+
+
+def _construct(make, path: str, options: dict, params: dict | None = None):
+    """``make`` called with the keys ``options`` of the block at ``path``, each as the
+    parameter ``params`` names or as itself. Its error "<parameter> must ..." is
+    refused as a config error that names the key's path instead."""
+    keys = {(params or {}).get(k, k): k for k in options}
+    try:
+        return make(**{param: options[key] for param, key in keys.items()})
+    except ValueError as exc:
+        param, must, rest = str(exc).partition(" must ")
+        if not must or param not in keys:
+            raise
+        raise ConfigError(f"{_where(path, keys[param])} must {rest}") from None
 
 
 def command_objective(command: list[str], direction: ObjectiveDirection) -> Objective:
@@ -281,16 +296,16 @@ _CALLBACKS = {
     ),
 }
 
-# The RunConfig fields a document sets at its top level.
-_RUN_SETTINGS = {
-    "max_steps": int, "batch": int, "history_capacity": int, "workers": int, "rng_seed": int
-}
+# The RunConfig and EvalPolicy fields a document sets at its top level.
+_RUN_SETTINGS = {"max_steps": int, "batch": int, "history_capacity": int, "rng_seed": int}
+_EVAL_SETTINGS = {"workers": int}
 # The document's required and optional top-level keys.
 _DOCUMENT = (
     {"strategy": {s.value: s for s in Strategy}, "backend": dict},
     {
         "benchmark": str, "benchmark_params": dict, "problem": dict, **_RUN_SETTINGS,
-        "sampling": dict, "seeding": dict, "callbacks": dict, "sa": dict, "output_dir": str,
+        **_EVAL_SETTINGS, "sampling": dict, "seeding": dict, "callbacks": dict, "sa": dict,
+        "output_dir": str,
     },
 )
 _PROBLEM = (
@@ -332,11 +347,14 @@ def build_plan(doc: dict) -> RunPlan:
     if ("benchmark" in run) == ("problem" in run):
         raise ConfigError("exactly one of 'benchmark' or 'problem' is required")
 
-    sampling = SamplingParams(**_block(
+    sampling = _construct(SamplingParams, "sampling", _block(
         run.get("sampling", {}), "sampling", {},
         {"model_temperature": float, "max_output_tokens": int, "seed": int},
     ))
-    config = RunConfig(sampling=sampling, **{k: run[k] for k in _RUN_SETTINGS if k in run})
+    # The run's one evaluation policy: the seeds and every step share it.
+    evaluation = _construct(EvalPolicy, "", {k: run[k] for k in _EVAL_SETTINGS if k in run})
+    settings = {k: run[k] for k in _RUN_SETTINGS if k in run}
+    config = _construct(partial(RunConfig, sampling=sampling, evaluation=evaluation), "", settings)
 
     params = _block(
         run.get("benchmark_params", {}), "benchmark_params", {}, {"n": int, "seed": int}
@@ -348,17 +366,18 @@ def build_plan(doc: dict) -> RunPlan:
     benchmark: Benchmark | None = None
     if "benchmark" in run:
         if run["benchmark"] == "tsp":
-            params = {"instance_seed": params.pop("seed", config.rng_seed), **params}
+            params.setdefault("seed", config.rng_seed)
         try:
-            benchmark = bench_mod.get_benchmark(run["benchmark"], **params)
+            make = partial(bench_mod.get_benchmark, run["benchmark"])
+            benchmark = _construct(make, "benchmark_params", params, {"seed": "instance_seed"})
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from None
         spec, objective = benchmark.spec, benchmark.objective
     else:
         problem = _block(run["problem"], "problem", *_PROBLEM)
         schema = _tagged(problem.pop("schema"), "problem.schema", _SCHEMAS)
-        objective = command_objective(problem.pop("objective_command"), problem["direction"])
-        spec = ProblemSpec(schema=schema, **problem)
+        objective = command_objective(problem.pop("objective_command"), problem.pop("direction"))
+        spec = _construct(partial(ProblemSpec, schema=schema), "problem", problem)
 
     backend = _tagged(run["backend"], "backend", _BACKENDS)
 
@@ -367,19 +386,19 @@ def build_plan(doc: dict) -> RunPlan:
         {"style": {"grid": SeedStyle.GRID, "uniform": SeedStyle.UNIFORM_RANDOM},
          "count": int, "seed": int},
     )
+    defaults = {"count": config.batch, "seed": config.rng_seed}
     if benchmark is not None:
-        seeding = {"style": benchmark.seed_style, "count": benchmark.seed_count, **seeding}
+        defaults.update(style=benchmark.seed_style, count=benchmark.seed_count)
     elif "style" not in seeding:
         raise ConfigError("seeding.style is required for custom problems")
-    count, seed = seeding.get("count", config.batch), seeding.get("seed", config.rng_seed)
-    seeds = seed_samples(spec.schema, count, seed, seeding["style"])
+    seeds = _construct(partial(seed_samples, spec.schema), "seeding", {**defaults, **seeding})
 
     blocks = _block(run.get("callbacks", {}), "callbacks", {}, dict.fromkeys(_CALLBACKS, dict))
-    callbacks: list[Callback] = [
-        make(**_block(blocks[name], f"callbacks.{name}", required, optional))
-        for name, (make, required, optional) in _CALLBACKS.items()
-        if name in blocks
-    ]
+    callbacks: list[Callback] = []
+    for name, (make, required, optional) in _CALLBACKS.items():
+        if name in blocks:
+            path = f"callbacks.{name}"
+            callbacks.append(_construct(make, path, _block(blocks[name], path, required, optional)))
 
     # An hlmsa run without 'sa' settings starts from the default SaState; the
     # block's initial_temperature is the state's starting sa_temperature.
@@ -392,9 +411,7 @@ def build_plan(doc: dict) -> RunPlan:
     if options:
         if strategy is not Strategy.HLMSA:
             raise ConfigError("'sa' settings only apply to the hlmsa strategy")
-        if "initial_temperature" in options:
-            options["sa_temperature"] = options.pop("initial_temperature")
-        sa = SaState(**options)
+        sa = _construct(SaState, "sa", options, {"initial_temperature": "sa_temperature"})
 
     out_dir = Path(run.get("output_dir", "."))
     return RunPlan(
@@ -408,9 +425,8 @@ def build_plan(doc: dict) -> RunPlan:
 
 
 def _execute(plan: RunPlan) -> int:
-    policy = EvalPolicy(workers=plan.config.workers)
     try:
-        scores = evaluate_batch(plan.objective, plan.seeds, policy)
+        scores = evaluate_batch(plan.objective, plan.seeds, plan.config.evaluation)
     except EvaluationFailed as exc:
         print(f"aborted while evaluating initial samples: {exc}", file=sys.stderr)
         return 2

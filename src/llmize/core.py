@@ -150,9 +150,9 @@ class PermutationSchema:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ValueError(f"permutation size must be an integer, got {self.n!r}")
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
-            raise ValueError("permutation size must be >= 2")
+            raise ValueError("n must be >= 2")
 
     @cached_property
     def _cities(self) -> frozenset[int]:
@@ -356,15 +356,15 @@ def render_solution(value: SolutionValue) -> str:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A problem statement in plain language plus the machine-readable schema.
+    """A problem statement in plain language plus the machine-readable schema:
+    what the prompt renders.
 
     ``description`` is shown to the proposal model verbatim; ``domain_knowledge``
     is an optional free-text block for constraints, heuristics, and rules the
-    model should respect.
+    model should respect. The direction belongs to the ``Objective``.
     """
 
     description: str
-    direction: ObjectiveDirection
     schema: SolutionSchema
     domain_knowledge: str | None = None
 

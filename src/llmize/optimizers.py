@@ -56,11 +56,11 @@ class RunConfig:
     batch: int = 8
     history_capacity: int = 16
     sampling: SamplingParams = SamplingParams()
-    workers: int = 1
+    evaluation: EvalPolicy = field(default_factory=EvalPolicy)
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("max_steps", "batch", "history_capacity", "workers"):
+        for name in ("max_steps", "batch", "history_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -166,7 +166,8 @@ def optimize(
     sa: SaState | None = None,
 ) -> OptimizationResult:
     """Run ``strategy`` for up to ``config.max_steps`` steps from the evaluated
-    ``initial`` solutions.
+    ``initial`` solutions. Candidates are scored under ``config.evaluation``
+    and ranked in ``objective.direction``.
 
     ``sa`` seeds the annealing state and applies to HLMSA only (a default
     ``SaState`` when None). It is mutated during the run, so callers that
@@ -174,11 +175,9 @@ def optimize(
     """
     if not initial:
         raise ValueError("initial evaluated solutions required")
-    if objective.direction is not spec.direction:
-        raise ValueError("objective and problem spec disagree on direction")
 
     started = time.perf_counter()
-    direction = spec.direction
+    direction = objective.direction
     history = History(config.history_capacity, direction)
     best: EvaluatedSolution | None = None
     for entry in initial:
@@ -209,7 +208,6 @@ def optimize(
     rng = np.random.default_rng(config.rng_seed)
     need = config.batch if sa is not None else None
     sampling = config.sampling
-    policy = EvalPolicy(workers=config.workers)
     tags = EXPECTED_TAGS[strategy]
     steps: list[StepStats] = []
     evaluations = 0
@@ -232,7 +230,7 @@ def optimize(
         # and extras are dropped. Other strategies keep every candidate.
         candidates = list(parsed.candidates[:need])
         try:
-            scores = evaluate_batch(objective, candidates, policy)
+            scores = evaluate_batch(objective, candidates, config.evaluation)
         except EvaluationFailed as exc:
             termination = Termination(
                 TerminationKind.ABORTED, f"evaluation failed: {exc}"

@@ -326,9 +326,9 @@ class HttpChatBackend:
         resolved = base_url or os.environ.get("LLMIZE_BASE_URL")
         parts = urllib.parse.urlsplit(resolved or "")
         if parts.scheme not in ("http", "https") or not parts.netloc:
-            raise ValueError(f"base_url (or LLMIZE_BASE_URL) must be an http(s) URL: {resolved!r}")
+            raise ValueError(f"base_url must be an http(s) URL (or set LLMIZE_BASE_URL): {resolved!r}")
         if not model:
-            raise ValueError("model name required")
+            raise ValueError("model must be a non-empty name")
         if not 0 < timeout < math.inf:
             raise ValueError("timeout must be a finite number of seconds > 0")
         self.base_url = resolved.rstrip("/")

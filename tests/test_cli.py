@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from llmize import cli
+from llmize import cli, optimizers
 from llmize.cli import HISTORY_CSV_HEADER, main
+from llmize.evaluation import evaluate_batch
 
 
 def run_cli(*args):
@@ -224,6 +225,48 @@ class TestCmdRun:
     @pytest.mark.parametrize(
         "overrides, where",
         [
+            ({"strategy": "hlmsa", "sa": {"initial_temperature": -1}}, "sa.initial_temperature"),
+            ({"strategy": "hlmsa", "sa": {"default_cooling": 0.3}}, "sa.default_cooling"),
+            ({"seeding": {"count": 0}}, "seeding.count"),
+            ({"sampling": {"model_temperature": 3}}, "sampling.model_temperature"),
+            ({"backend": {"kind": "http", "model": "m1", "base_url": "http://127.0.0.1:9/v1",
+                          "timeout": 0}},
+             "backend.timeout"),
+            ({"callbacks": {"early_stopping": {"patience": 0}}},
+             "callbacks.early_stopping.patience"),
+            ({"backend": {"kind": "http", "model": "", "base_url": "http://127.0.0.1:9/v1"}},
+             "backend.model"),
+            ({"backend": {"kind": "http", "model": "m1", "base_url": "localhost:8000/v1"}},
+             "backend.base_url"),
+            ({"benchmark": "tsp", "benchmark_params": {"n": 1}}, "benchmark_params.n"),
+            ({"benchmark": None, "seeding": {"style": "uniform"},
+              "problem": {"description": "d", "direction": "minimize", "objective_command": ["x"],
+                          "schema": {"kind": "permutation", "n": 1}}},
+             "problem.schema.n"),
+            ({"benchmark": None, "seeding": {"style": "uniform"},
+              "problem": {"description": " ", "direction": "minimize", "objective_command": ["x"],
+                          "schema": {"kind": "permutation", "n": 3}}},
+             "problem.description"),
+            ({"workers": 0}, "workers"),
+        ],
+        ids=[
+            "initial-temperature-negative", "default-cooling-outside-bounds", "seeding-count-zero",
+            "model-temperature-too-high", "timeout-zero", "patience-zero", "model-empty",
+            "base-url-without-scheme", "tsp-n-one", "permutation-n-one", "description-blank",
+            "workers-zero",
+        ],
+    )
+    def test_out_of_range_value_names_its_key(self, overrides, where, tmp_path, capsys):
+        overrides = {"output_dir": str(tmp_path / "out"), **overrides}
+        config = write_config(tmp_path / "run.json", **overrides)
+        assert run_cli("run", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"{where} must" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
             ({"backend": {"kind": "perturb", "seed": 1, "model": "m1"}}, "backend.model"),
             ({"backend": {"kind": "http", "model": "m1", "base_url": "http://127.0.0.1:9/v1",
                           "step_scale": 0.2}}, "backend.step_scale"),
@@ -245,6 +288,28 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"unknown key {where};" in err
         assert not (tmp_path / "out").exists()
+
+    def test_seeds_and_steps_share_one_evaluation_policy(self, tmp_path, monkeypatch):
+        seen = {"seeds": [], "steps": []}
+
+        def recorder(phase):
+            def recording(objective, candidates, policy):
+                seen[phase].append(policy)
+                return evaluate_batch(objective, candidates, policy)
+
+            return recording
+
+        monkeypatch.setattr(cli, "evaluate_batch", recorder("seeds"))
+        monkeypatch.setattr(optimizers, "evaluate_batch", recorder("steps"))
+        config = write_config(
+            tmp_path / "run.json", workers=2, max_steps=2, callbacks={},
+            output_dir=str(tmp_path / "out"),
+        )
+        assert run_cli("run", config) == 0
+        (policy,) = seen["seeds"]
+        assert policy.workers == 2
+        assert len(seen["steps"]) == 2
+        assert all(step is policy for step in seen["steps"])
 
     def test_broken_objective_command_aborts(self, tmp_path, capsys):
         config_path = tmp_path / "broken_cmd.json"
@@ -488,3 +553,13 @@ def test_readme_configs_build(monkeypatch):
     assert blocks
     for block in blocks:
         cli.build_plan(json.loads(block))
+
+
+def test_readme_library_snippet_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    namespace = {}
+    exec(snippet, namespace)
+    assert namespace["result"].steps
+    assert capsys.readouterr().out

@@ -89,7 +89,7 @@ class TestSolutionValues:
     def test_problem_spec_requires_description(self):
         schema = RealVectorSchema(dim=1, lower=(0.0,), upper=(1.0,))
         with pytest.raises(ValueError):
-            ProblemSpec(description="  ", direction=MIN, schema=schema)
+            ProblemSpec(description="  ", schema=schema)
 
 
 def reference_parse(tokens: list[str], n: int) -> Permutation | None:

@@ -189,7 +189,7 @@ def test_best_of_step():
             ]
             result = optimize(
                 Strategy.OPRO,
-                ProblemSpec(description="d", direction=direction, schema=schema),
+                ProblemSpec(description="d", schema=schema),
                 Objective(lambda v: table[int(v.values[0])], direction),
                 ScriptedBackend(script),
                 RunConfig(max_steps=steps, batch=batch, history_capacity=4),

@@ -1,11 +1,14 @@
 import json
 import math
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from llmize import (
+    EvalPolicy,
     Objective,
     ObjectiveDirection,
     PerturbBackend,
@@ -33,7 +36,7 @@ from conftest import ev
 
 MIN = ObjectiveDirection.MINIMIZE
 BOX = RealVectorSchema(dim=2, lower=(0.0, 0.0), upper=(5.0, 5.0))
-SPEC = ProblemSpec(description="Minimize the box objective.", direction=MIN, schema=BOX)
+SPEC = ProblemSpec(description="Minimize the box objective.", schema=BOX)
 
 SUM_OBJECTIVE = Objective(evaluate=lambda v: math.fsum(v.values), direction=MIN)
 
@@ -77,11 +80,6 @@ class TestRunOpro:
         with pytest.raises(ValueError):
             run_opro(SPEC, SUM_OBJECTIVE, ScriptedBackend([]), config(), [], [])
 
-    def test_direction_mismatch_rejected(self):
-        objective = Objective(evaluate=lambda v: 0.0, direction=ObjectiveDirection.MAXIMIZE)
-        with pytest.raises(ValueError):
-            run_opro(SPEC, objective, ScriptedBackend([]), config(), [], seeds((1, 1)))
-
     def test_zero_candidates_retry_then_recover(self):
         backend = ScriptedBackend(["gibberish", "<solution>1, 1</solution>"])
         result = run_opro(SPEC, SUM_OBJECTIVE, backend, config(max_steps=1), [], seeds((3, 3)))
@@ -117,6 +115,40 @@ class TestRunOpro:
         result = run_opro(SPEC, objective, backend, config(), [], seeds((3, 3)))
         assert result.termination.kind is TerminationKind.ABORTED
         assert "sim crashed" in result.termination.message
+
+    def test_evaluation_timeout_on_run_config_reaches_the_loop(self):
+        # A 2 s objective: the step fails at the run's 0.2 s timeout without
+        # waiting for it, or records the substitute score when one is set.
+        release = threading.Event()
+
+        def hung(value):
+            release.wait(2.0)
+            return 0.0
+
+        objective = Objective(evaluate=hung, direction=MIN)
+        block = "<solution>1, 1</solution>"
+        try:
+            policy = EvalPolicy(workers=2, timeout=0.2)
+            started = time.perf_counter()
+            result = optimize(
+                Strategy.OPRO, SPEC, objective, ScriptedBackend([block]),
+                config(max_steps=1, evaluation=policy), initial=seeds((3, 3)),
+            )
+            assert time.perf_counter() - started < 1.0
+            assert result.termination.kind is TerminationKind.ABORTED
+            assert "evaluation timed out" in result.termination.message
+
+            policy = EvalPolicy(workers=2, timeout=0.2, on_error=1e9)
+            result = optimize(
+                Strategy.OPRO, SPEC, objective, ScriptedBackend([block]),
+                config(max_steps=1, evaluation=policy), initial=seeds((3, 3)),
+            )
+            assert result.termination.kind is TerminationKind.MAX_STEPS
+            assert result.evaluations_used == 1
+            assert result.steps[0].best_of_step == 1e9
+            assert result.best.score == 6.0
+        finally:
+            release.set()
 
     def test_evaluation_accounting_with_rejected_blocks(self):
         # Each completion declares 3 blocks, one of which is malformed.

@@ -39,7 +39,6 @@ MAX = ObjectiveDirection.MAXIMIZE
 SPECS = {
     "real_vector": ProblemSpec(
         description="Minimize a three-dimensional test function.",
-        direction=MIN,
         schema=RealVectorSchema(
             dim=3,
             lower=(-1.5e-5, 0.1234567, -100.0),
@@ -49,13 +48,11 @@ SPECS = {
     ),
     "permutation": ProblemSpec(
         description="Find a short tour through six cities.",
-        direction=MIN,
         schema=PermutationSchema(n=6),
         domain_knowledge="Avoid crossing edges.",
     ),
     "keyed_scalars": ProblemSpec(
         description="Maximize throughput over three tuning knobs.",
-        direction=MAX,
         schema=KeyedScalarsSchema.from_bounds(
             {"units": (32, 512), "p_fail": (1e-7, 0.6), "phi": (-3.14159265, 3.14159265)}
         ),
@@ -123,7 +120,7 @@ def _sha(text: str) -> str:
 
 def _prompt(kind: str, strategy: Strategy):
     spec = SPECS[kind]
-    history = History(capacity=8, direction=spec.direction)
+    history = History(capacity=8, direction=MAX if kind == "keyed_scalars" else MIN)
     entries = [EvaluatedSolution(v, s) for v, s in zip(VALUES[kind], SCORES)]
     for entry in entries:
         history.insert(entry)

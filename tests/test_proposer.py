@@ -45,7 +45,7 @@ from conftest import chat_body, ev
 MIN = ObjectiveDirection.MINIMIZE
 
 BOX = RealVectorSchema(dim=2, lower=(0.0, 0.0), upper=(5.0, 5.0))
-SPEC = ProblemSpec(description="Minimize the test box objective.", direction=MIN, schema=BOX)
+SPEC = ProblemSpec(description="Minimize the test box objective.", schema=BOX)
 
 
 def make_history(scores, direction=MIN, capacity=16, schema_dim=2):
@@ -70,7 +70,7 @@ class TestBuildPrompt:
 
     def test_history_lines_ordered_worst_to_best(self):
         spec = ProblemSpec(
-            description="Shortest tour.", direction=MIN, schema=PermutationSchema(n=5)
+            description="Shortest tour.", schema=PermutationSchema(n=5)
         )
         h = History(capacity=8, direction=MIN)
         scores = [310.0, 290.5, 305.2, 288.1, 299.9]
@@ -86,7 +86,7 @@ class TestBuildPrompt:
     def test_hlmsa_echoes_temperature(self):
         lp_schema = RealVectorSchema(dim=3, lower=(0.0,) * 3, upper=(10.0,) * 3)
         spec = ProblemSpec(
-            description="Maximize the LP.", direction=ObjectiveDirection.MAXIMIZE, schema=lp_schema
+            description="Maximize the LP.", schema=lp_schema
         )
         h = History(capacity=4, direction=ObjectiveDirection.MAXIMIZE)
         h.insert(ev(RealVector((1.0, 1.0, 1.0)), 13.0))
@@ -105,7 +105,7 @@ class TestBuildPrompt:
 
     def test_domain_knowledge_included_when_present(self):
         spec = ProblemSpec(
-            description="d", direction=MIN, schema=BOX, domain_knowledge="stay feasible"
+            description="d", schema=BOX, domain_knowledge="stay feasible"
         )
         bundle = build_prompt(spec, History(4, MIN), Strategy.OPRO, 1)
         assert "stay feasible" in bundle.user_text
@@ -472,7 +472,7 @@ class TestScriptedBackend:
     def test_replay_then_exhaustion(self):
         backend = ScriptedBackend(["<solution>1,2,0</solution>"])
         bundle = build_prompt(
-            ProblemSpec(description="t", direction=MIN, schema=PermutationSchema(3)),
+            ProblemSpec(description="t", schema=PermutationSchema(3)),
             History(2, MIN),
             Strategy.OPRO,
             1,
@@ -521,7 +521,7 @@ class TestPerturbBackend:
 
     def test_permutation_neighbors_stay_valid(self):
         spec = ProblemSpec(
-            description="tour", direction=MIN, schema=PermutationSchema(n=6)
+            description="tour", schema=PermutationSchema(n=6)
         )
         h = History(capacity=2, direction=MIN)
         h.insert(ev(Permutation((0, 1, 2, 3, 4, 5)), 10.0))
@@ -537,7 +537,7 @@ class TestPerturbBackend:
 
     def test_keyed_scalars_jitter(self):
         schema = KeyedScalarsSchema.from_bounds({"u": (32, 512), "p": (0.01, 0.6)})
-        spec = ProblemSpec(description="hp", direction=MIN, schema=schema)
+        spec = ProblemSpec(description="hp", schema=schema)
         h = History(capacity=2, direction=MIN)
         h.insert(ev(KeyedScalars((("u", 100.0), ("p", 0.2))), 5.0))
         bundle = build_prompt(spec, h, Strategy.OPRO, 3)
@@ -551,7 +551,7 @@ class TestPerturbBackend:
         # The stand-in reads the schema back from the prompt; a key with an
         # inner space must come back whole.
         schema = KeyedScalarsSchema.from_bounds({"learning rate": (0.0, 1.0), "u": (32, 512)})
-        spec = ProblemSpec(description="hp", direction=MIN, schema=schema)
+        spec = ProblemSpec(description="hp", schema=schema)
         h = History(capacity=2, direction=MIN)
         h.insert(ev(KeyedScalars((("learning rate", 0.5), ("u", 100.0))), 5.0))
         bundle = build_prompt(spec, h, Strategy.OPRO, 3)
