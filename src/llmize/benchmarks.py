@@ -11,9 +11,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .core import (
     ObjectiveDirection,
@@ -26,10 +25,25 @@ from .core import (
     SolutionValue,
 )
 from .evaluation import Objective
+from .rng import Rng
 
 BOX_PENALTY = 1e6
 LP_PENALTY = 1e6
 INVALID_ROUTE_SCORE = 1e9
+
+
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """``num >= 2`` evenly spaced points from ``lo`` to ``hi``, computed with
+    the float operations of ``numpy.linspace``."""
+    div = num - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:  # the span underflowed: scale each index before multiplying
+        points = [i / div * delta + lo for i in range(num)]
+    else:
+        points = [i * step + lo for i in range(num)]
+    points[-1] = hi
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +77,13 @@ def convex2d_oracle(rounds: int = 3, points_per_axis: int = 21) -> tuple[tuple[f
     best_x = (0.0, 0.0)
     best_value = math.inf
     for _ in range(rounds):
-        axes = [np.linspace(lo[i], hi[i], points_per_axis) for i in range(2)]
+        axes = [_linspace(lo[i], hi[i], points_per_axis) for i in range(2)]
         for x1 in axes[0]:
             for x2 in axes[1]:
                 value = convex2d((x1, x2))
                 if value < best_value:
                     best_value = value
-                    best_x = (float(x1), float(x2))
+                    best_x = (x1, x2)
         for i in range(2):
             width = (hi[i] - lo[i]) / 10.0
             lo[i] = max(0.0, best_x[i] - width / 2.0)
@@ -110,36 +124,45 @@ def lp3(x: Sequence[float]) -> float:
     return z - LP_PENALTY
 
 
+def _solve_exact(rows: Sequence[Sequence[Fraction]]) -> list[Fraction] | None:
+    """The solution of the square system whose augmented rows are ``rows``,
+    by Gauss-Jordan elimination in exact arithmetic; None when singular."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col] / m[col][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
 def lp3_oracle() -> tuple[tuple[float, float, float], float]:
     """Exact LP optimum by enumerating vertices of the constraint polytope.
 
     Every choice of three active hyperplanes (resource rows plus coordinate
-    planes) yields a candidate vertex; singular systems and infeasible points
-    are discarded and the best feasible Z wins.
+    planes) yields a candidate vertex, solved in exact rational arithmetic;
+    singular systems and infeasible points are discarded and the best
+    feasible Z wins. The vertex and Z are the floats nearest the exact ones.
     """
-    planes = [(np.array(row), limit) for row, limit in _LP_ROWS]
-    planes += [
-        (np.array([1.0, 0.0, 0.0]), 0.0),
-        (np.array([0.0, 1.0, 0.0]), 0.0),
-        (np.array([0.0, 0.0, 1.0]), 0.0),
-    ]
-    best_x: tuple[float, float, float] | None = None
+    planes = [(*row, limit) for row, limit in _LP_ROWS]
+    planes += [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)]
+    planes = [tuple(map(Fraction, plane)) for plane in planes]
+    best_x: list[Fraction] | None = None
     best_z = -math.inf
     for triple in itertools.combinations(planes, 3):
-        a = np.vstack([row for row, _ in triple])
-        b = np.array([limit for _, limit in triple])
-        try:
-            x = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
+        x = _solve_exact(triple)
+        if x is None or not lp3_feasible(x, tol=1e-9):
             continue
-        if not lp3_feasible(x, tol=1e-9):
-            continue
-        z = float(3.0 * x[0] + 4.0 * x[1] + 6.0 * x[2])
+        z = 3 * x[0] + 4 * x[1] + 6 * x[2]
         if z > best_z:
-            best_z = z
-            best_x = (float(x[0]), float(x[1]), float(x[2]))
+            best_z, best_x = z, x
     assert best_x is not None
-    return best_x, best_z
+    return (float(best_x[0]), float(best_x[1]), float(best_x[2])), float(best_z)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +193,9 @@ def tsp_generate(n: int, seed: int) -> TspInstance:
     from the seed."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    rng = np.random.default_rng(seed)
-    coords = rng.uniform(0.0, 100.0, size=(n, 2))
+    rng = Rng(seed)
     return TspInstance(
-        coordinates=tuple((float(x), float(y)) for x, y in coords),
+        coordinates=tuple((rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)) for _ in range(n)),
         n=n,
         seed=seed,
     )
@@ -255,19 +277,13 @@ def seed_samples(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = Rng(seed)
     if style is SeedStyle.GRID:
         if not isinstance(schema, RealVectorSchema):
             raise ValueError("grid seeding only applies to real vectors")
         per_axis = max(2, round(count ** (1.0 / schema.dim)))
-        axes = [
-            np.linspace(lo, hi, per_axis)
-            for lo, hi in zip(schema.lower, schema.upper)
-        ]
-        return [
-            RealVector(tuple(float(v) for v in point))
-            for point in itertools.product(*axes)
-        ]
+        axes = [_linspace(lo, hi, per_axis) for lo, hi in zip(schema.lower, schema.upper)]
+        return [RealVector(point) for point in itertools.product(*axes)]
     return [schema.sample(rng) for _ in range(count)]
 
 
@@ -341,6 +357,8 @@ def make_lp_benchmark() -> Benchmark:
 
 
 def make_tsp_benchmark(n: int = 10, instance_seed: int = 0) -> Benchmark:
+    if instance_seed < 0:
+        raise ValueError("instance_seed must be >= 0")
     instance = tsp_generate(n, instance_seed)
     coord_lines = "\n".join(
         f"city {i}: ({x:.3f}, {y:.3f})" for i, (x, y) in enumerate(instance.coordinates)

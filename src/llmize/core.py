@@ -26,10 +26,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # numpy loads numpy.random lazily; annotations need only the name
-    from numpy.random import Generator
+from .rng import Rng
 
 
 class ObjectiveDirection(Enum):
@@ -61,11 +59,11 @@ def parse_real(token: str) -> float | None:
 
 
 def _check_bounds(lower: tuple[float, ...], upper: tuple[float, ...]) -> None:
-    for lo, hi in zip(lower, upper):
+    for i, (lo, hi) in enumerate(zip(lower, upper)):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("bounds must be finite")
         if lo > hi:
-            raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
+            raise ValueError(f"lower must be <= upper at position {i} ({lo} > {hi})")
 
 
 def _render_bounds(lo: float, hi: float) -> str:
@@ -131,11 +129,11 @@ class RealVectorSchema:
             return None
         return RealVector(tuple(values))  # type: ignore[arg-type]
 
-    def sample(self, rng: Generator) -> RealVector:
+    def sample(self, rng: Rng) -> RealVector:
         bounds = zip(self.lower, self.upper)
         return RealVector(tuple(float(rng.uniform(lo, hi)) for lo, hi in bounds))
 
-    def perturb(self, value: RealVector, rng: Generator, step_scale: float) -> RealVector:
+    def perturb(self, value: RealVector, rng: Rng, step_scale: float) -> RealVector:
         """Add uniform noise of at most ``step_scale`` times each bound span."""
         spans = [step_scale * (hi - lo) for lo, hi in zip(self.lower, self.upper)]
         noise = [rng.uniform(-m, m) if m > 0 else 0.0 for m in spans]
@@ -183,10 +181,10 @@ class PermutationSchema:
             return None
         return Permutation._trusted(order)
 
-    def sample(self, rng: Generator) -> Permutation:
-        return Permutation._trusted(tuple(rng.permutation(self.n).tolist()))
+    def sample(self, rng: Rng) -> Permutation:
+        return Permutation._trusted(tuple(map(int, rng.permutation(self.n))))
 
-    def perturb(self, value: Permutation, rng: Generator, step_scale: float) -> Permutation:
+    def perturb(self, value: Permutation, rng: Rng, step_scale: float) -> Permutation:
         """Swap one or two random pairs; ``step_scale`` does not apply."""
         order = list(value.order)
         for _ in range(1 + int(rng.integers(2))):
@@ -267,11 +265,11 @@ class KeyedScalarsSchema:
             return None
         return KeyedScalars(tuple((k, found[k]) for k in self.keys))
 
-    def sample(self, rng: Generator) -> KeyedScalars:
+    def sample(self, rng: Rng) -> KeyedScalars:
         bounds = zip(self.keys, self.lower, self.upper)
         return KeyedScalars(tuple((k, float(rng.uniform(lo, hi))) for k, lo, hi in bounds))
 
-    def perturb(self, value: KeyedScalars, rng: Generator, step_scale: float) -> KeyedScalars:
+    def perturb(self, value: KeyedScalars, rng: Rng, step_scale: float) -> KeyedScalars:
         """Scale each value by a uniform factor in ``1 ± step_scale``."""
         return KeyedScalars(
             tuple((k, v * (1.0 + rng.uniform(-step_scale, step_scale))) for k, v in value.pairs)

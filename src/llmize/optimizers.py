@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Sequence
 
-import numpy as np
-
 from .control import Callback, SetSamplingTemperature, StepContext, Stop, resolve_actions
 from .core import (
     EvaluatedSolution,
@@ -46,6 +44,7 @@ from .proposer import (
     clamp_tag,
     parse_proposal,
 )
+from .rng import Rng
 
 logger = logging.getLogger(__name__)
 
@@ -63,6 +62,14 @@ class RunConfig:
         for name in ("max_steps", "batch", "history_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
+
+
+def _check_temperature(sa_temperature: float) -> None:
+    # Written so that NaN fails it too.
+    if not 0.0 < sa_temperature < math.inf:
+        raise ValueError("sa_temperature must be finite and > 0")
 
 
 @dataclass
@@ -80,8 +87,7 @@ class SaState:
     default_cooling: float = 0.92
 
     def __post_init__(self) -> None:
-        if self.sa_temperature <= 0:
-            raise ValueError("sa_temperature must be > 0")
+        _check_temperature(self.sa_temperature)
         lo, hi = self.cooling_bounds
         if not (0.0 < lo < hi < 1.0):
             raise ValueError("cooling_bounds must satisfy 0 < lo < hi < 1")
@@ -94,12 +100,11 @@ def accept_candidate(
     candidate_score: float,
     sa_temperature: float,
     direction: ObjectiveDirection,
-    rng: np.random.Generator,
+    rng: Rng,
 ) -> bool:
     """Metropolis rule: always accept improvements, accept a worsening of
     magnitude d with probability exp(-d / T)."""
-    if sa_temperature <= 0:
-        raise ValueError("sa_temperature must be > 0")
+    _check_temperature(sa_temperature)
     if not (math.isfinite(current_score) and math.isfinite(candidate_score)):
         raise ValueError("scores must be finite")
     delta = direction.goodness(current_score) - direction.goodness(candidate_score)
@@ -109,8 +114,7 @@ def accept_candidate(
 
 
 def cool(sa_temperature: float, alpha: float) -> float:
-    if sa_temperature <= 0:
-        raise ValueError("sa_temperature must be > 0")
+    _check_temperature(sa_temperature)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     return sa_temperature * alpha
@@ -205,7 +209,7 @@ def optimize(
     elif sa is not None:
         raise ValueError("annealing state only applies to the hlmsa strategy")
 
-    rng = np.random.default_rng(config.rng_seed)
+    rng = Rng(config.rng_seed)
     need = config.batch if sa is not None else None
     sampling = config.sampling
     tags = EXPECTED_TAGS[strategy]

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Protocol, get_args
 
-import numpy as np
-
 from .core import (
     EvaluatedSolution,
     History,
@@ -35,6 +33,7 @@ from .core import (
     SolutionValue,
     parse_real,
 )
+from .rng import Rng
 
 if TYPE_CHECKING:
     from .optimizers import SaState
@@ -407,7 +406,7 @@ class PerturbBackend:
             raise ValueError("step_scale must be finite and > 0")
         self.seed = seed
         self.step_scale = step_scale
-        self._rng = np.random.default_rng(seed)
+        self._rng = Rng(seed)
         self._lock = threading.Lock()
 
     def propose(self, bundle: PromptBundle, params: SamplingParams) -> str:

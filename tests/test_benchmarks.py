@@ -53,6 +53,9 @@ class TestConvex2d:
         assert x[0] == pytest.approx(3.473, abs=0.01)
         assert x[1] == pytest.approx(0.0, abs=0.01)
 
+    def test_oracle_is_pinned(self):
+        assert convex2d_oracle() == ((3.4725, 0.0), 7.898354966987269)
+
     def test_x2_gradient_positive_on_box(self):
         # d/dx2 = 2(x2+2) + cos(x1+x2) >= 4 - 1 > 0, so the minimum sits on x2=0.
         for x1 in np.linspace(0, 5, 11):
@@ -80,6 +83,10 @@ class TestLp3:
         assert x[0] == pytest.approx(1.08, abs=1e-2)
         assert x[1] == pytest.approx(2.8, abs=1e-2)
         assert x[2] == pytest.approx(4.44, abs=1e-2)
+
+    def test_oracle_vertex_is_exact(self):
+        # Solved in rational arithmetic, so the floats nearest the true vertex.
+        assert lp3_oracle() == ((1.08, 2.8, 4.44), 41.08)
 
     def test_penalty_never_beats_feasible(self):
         # |Z| <= 130 on the box, so any feasible score dominates any penalized one.
@@ -180,6 +187,17 @@ class TestSeedSamples:
         tuples = {p.values for p in points}
         assert (0.0, 0.0) in tuples and (5.0, 5.0) in tuples
         assert (2.5, 2.5) in tuples
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0.0, 5.0), (-1.3, 7.1), (0.1, 0.7), (2.0, 2.0), (0.0, 5e-324), (-5e-324, 5e-324)]
+    )
+    def test_grid_axes_match_numpy_linspace(self, lo, hi):
+        # The last two spans underflow to a zero step, numpy's special case.
+        schema = RealVectorSchema(dim=2, lower=(lo, 0.0), upper=(hi, 1.0))
+        points = seed_samples(schema, 49, 0, SeedStyle.GRID)
+        axes = [np.linspace(lo, hi, 7).tolist(), np.linspace(0.0, 1.0, 7).tolist()]
+        want = [(a.hex(), b.hex()) for a in axes[0] for b in axes[1]]
+        assert [tuple(v.hex() for v in p.values) for p in points] == want
 
     def test_grid_rejected_for_permutations(self):
         with pytest.raises(ValueError):

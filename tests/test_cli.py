@@ -248,12 +248,21 @@ class TestCmdRun:
                           "schema": {"kind": "permutation", "n": 3}}},
              "problem.description"),
             ({"workers": 0}, "workers"),
+            ({"rng_seed": -1}, "rng_seed"),
+            ({"backend": {"kind": "perturb", "seed": -1}}, "backend.seed"),
+            ({"seeding": {"seed": -1}}, "seeding.seed"),
+            ({"benchmark": "tsp", "benchmark_params": {"seed": -1}}, "benchmark_params.seed"),
+            ({"benchmark": None, "seeding": {"style": "uniform"},
+              "problem": {"description": "d", "direction": "minimize", "objective_command": ["x"],
+                          "schema": {"kind": "real_vector", "lower": [3], "upper": [1]}}},
+             "problem.schema.lower"),
         ],
         ids=[
             "initial-temperature-negative", "default-cooling-outside-bounds", "seeding-count-zero",
             "model-temperature-too-high", "timeout-zero", "patience-zero", "model-empty",
             "base-url-without-scheme", "tsp-n-one", "permutation-n-one", "description-blank",
-            "workers-zero",
+            "workers-zero", "rng-seed-negative", "backend-seed-negative", "seeding-seed-negative",
+            "tsp-seed-negative", "lower-above-upper",
         ],
     )
     def test_out_of_range_value_names_its_key(self, overrides, where, tmp_path, capsys):

@@ -278,6 +278,17 @@ class TestAcceptCandidate:
             accept_candidate(float("nan"), 2.0, 1.0, MIN, rng)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_temperature_is_refused(bad):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="sa_temperature must"):
+        SaState(sa_temperature=bad)
+    with pytest.raises(ValueError, match="sa_temperature must"):
+        accept_candidate(10.0, 11.0, bad, MIN, rng)
+    with pytest.raises(ValueError, match="sa_temperature must"):
+        cool(bad, 0.9)
+
+
 class TestCool:
     def test_single_step(self):
         assert cool(1.0, 0.9) == pytest.approx(0.9)
