@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import math
-import subprocess
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -226,21 +225,25 @@ def _tagged(obj: dict, path: str, table: dict):
 
 def _construct(make, path: str, options: dict, params: dict | None = None):
     """``make`` called with the keys ``options`` of the block at ``path``, each as the
-    parameter ``params`` names or as itself. Its error "<parameter> must ..." is
-    refused as a config error that names the key's path instead."""
+    parameter ``params`` names or as itself. Its error "<parameter> must ..." or
+    "<parameter> <part> must ..." is refused as a config error that names the key's
+    path instead."""
     keys = {(params or {}).get(k, k): k for k in options}
     try:
         return make(**{param: options[key] for param, key in keys.items()})
     except ValueError as exc:
-        param, must, rest = str(exc).partition(" must ")
+        message = str(exc)
+        subject, must, _ = message.partition(" must ")
+        param = subject.split(" ", 1)[0]
         if not must or param not in keys:
             raise
-        raise ConfigError(f"{_where(path, keys[param])} must {rest}") from None
+        raise ConfigError(_where(path, keys[param]) + message[len(param):]) from None
 
 
 def command_objective(command: list[str], direction: ObjectiveDirection) -> Objective:
     """Objective that shells out per candidate: rendered solution on stdin,
     one real number expected on stdout."""
+    import subprocess
 
     def evaluate(value: SolutionValue) -> float:
         proc = subprocess.run(

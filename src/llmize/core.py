@@ -206,7 +206,7 @@ class KeyedScalarsSchema:
         object.__setattr__(self, "lower", tuple(float(v) for v in self.lower))
         object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
         if not self.keys:
-            raise ValueError("at least one key required")
+            raise ValueError("keys must not be empty")
         for k in self.keys:
             # ``parse`` splits on commas, newlines and "=" and strips the ends
             # of a key; ``from_description`` reads a key up to " in [".
@@ -219,12 +219,24 @@ class KeyedScalarsSchema:
             raise ValueError("keys must be unique")
         if len(self.lower) != len(self.keys) or len(self.upper) != len(self.keys):
             raise ValueError("bounds length must equal number of keys")
-        _check_bounds(self.lower, self.upper)
+        for k, lo, hi in zip(self.keys, self.lower, self.upper):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(
+                    f"key {k!r} must have finite bounds with lower <= upper, got [{lo}, {hi}]"
+                )
 
     @classmethod
     def from_bounds(cls, bounds: dict[str, tuple[float, float]]) -> KeyedScalarsSchema:
+        """The schema of a ``{key: (lower, upper)}`` mapping, in its key order.
+
+        Each error names the argument, as in "bounds key 'a' must ...", so a
+        config error can name the key that holds the mapping.
+        """
         keys = tuple(bounds)
-        return cls(keys, tuple(bounds[k][0] for k in keys), tuple(bounds[k][1] for k in keys))
+        try:
+            return cls(keys, tuple(bounds[k][0] for k in keys), tuple(bounds[k][1] for k in keys))
+        except ValueError as exc:
+            raise ValueError(f"bounds {exc}") from None
 
     def describe(self) -> str:
         bounds = ", ".join(

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,6 +88,10 @@ def evaluate_batch(
                     raise EvaluationFailed(i, str(exc)) from exc
                 out.append(policy.on_error)
         return out
+
+    # Only this branch needs a thread pool, so only it loads one.
+    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import TimeoutError as FutureTimeout
 
     # The pool is shut down without waiting: a timed-out evaluation keeps
     # running in its thread, but the caller gets its answer (or the failure)

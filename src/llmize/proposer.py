@@ -11,15 +11,12 @@ render, sample, perturb) lives on its schema and value classes in ``core``.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
 import re
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -298,12 +295,6 @@ class TransportError(Exception):
         self.status = status
 
 
-class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
-    # urllib would resend the bearer token to whatever host a redirect names.
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
-
-
 class HttpChatBackend:
     """Client for a chat-completions endpoint.
 
@@ -313,6 +304,9 @@ class HttpChatBackend:
     ``base_url`` or LLMIZE_BASE_URL. At most one transport retry is made; a
     redirect is a failed attempt, never followed. Proxies come from ``*_proxy``
     variables read at construction; HTTPS uses the system trust store.
+    Construction also loads the standard library's HTTP stack (``http.client``,
+    ``urllib.request``, and through them ``ssl`` and ``email``), which
+    ``import llmize`` leaves out.
     """
 
     def __init__(
@@ -334,9 +328,21 @@ class HttpChatBackend:
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
-        self._opener = urllib.request.build_opener(_RefuseRedirect)
+        from urllib.request import HTTPRedirectHandler, build_opener
+
+        class _RefuseRedirect(HTTPRedirectHandler):
+            # urllib would resend the bearer token to whatever host a redirect names.
+            def redirect_request(self, req, fp, code, msg, headers, newurl):
+                return None
+
+        self._opener = build_opener(_RefuseRedirect)
 
     def propose(self, bundle: PromptBundle, params: SamplingParams) -> str:
+        # Loaded at construction; here the imports only look the modules up.
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+        from urllib.request import Request
+
         payload = {
             "model": self.model,
             "messages": [
@@ -357,14 +363,14 @@ class HttpChatBackend:
         last_error: TransportError | None = None
         for _ in range(2):
             # A fresh Request per attempt: proxy handling rewrites it in place.
-            request = urllib.request.Request(url, data, headers)
+            request = Request(url, data, headers)
             try:
                 with self._opener.open(request, timeout=self.timeout) as response:
                     status, body = response.status, response.read()
-            except urllib.error.HTTPError as exc:
+            except HTTPError as exc:
                 status, body = exc.code, b""
                 exc.close()
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, HTTPException) as exc:
                 last_error = TransportError(f"request failed: {exc}")
                 continue
             if status == 200:

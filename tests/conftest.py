@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import llmize
 from llmize import EvaluatedSolution, ObjectiveDirection
 
 
@@ -87,6 +91,17 @@ def stub_chat_server():
     yield start
     for server in servers:
         server.close()
+
+
+def fresh_python(code: str) -> str:
+    """Stdout of ``code`` run by a new interpreter that imports this llmize, so
+    the modules it finds loaded are the ones ``code`` itself loaded."""
+    src = str(Path(llmize.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
 
 
 def chat_body(content: str) -> dict:

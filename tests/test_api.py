@@ -4,12 +4,14 @@ Like ``test_digests.py``, a deliberate API change must edit this list, so
 additions and removals show up in review.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import llmize
+from conftest import fresh_python
 
 PUBLIC_NAMES = [
     "CallbackAction",
@@ -95,3 +97,30 @@ def test_import_loads_no_http_client_packages():
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert out.stdout.split() == []
+
+
+def test_import_defers_the_http_stack_thread_pool_and_subprocess():
+    """What only some runs use loads on first use: the HTTP/TLS stack when an
+    ``HttpChatBackend`` is constructed, the thread pool in a multi-worker
+    batch, ``subprocess`` in ``command_objective``. Reading
+    ``HttpChatBackend.propose``, as a profiler that wraps it does, loads
+    nothing."""
+    deferred = (
+        "http.client", "urllib.request", "ssl", "email.parser", "concurrent.futures", "subprocess"
+    )
+    code = f"""
+import json, sys
+before = set(sys.modules)
+def added():
+    return [m for m in {deferred!r} if m in set(sys.modules) - before]
+import llmize, llmize.benchmarks, llmize.cli
+print(json.dumps(added()))
+llmize.proposer.HttpChatBackend.propose
+print(json.dumps(added()))
+llmize.proposer.HttpChatBackend(base_url="http://127.0.0.1:9/v1", model="m")
+print(json.dumps(added()))
+"""
+    imported, touched, constructed = map(json.loads, fresh_python(code).splitlines())
+    assert imported == []
+    assert touched == []
+    assert "http.client" in constructed

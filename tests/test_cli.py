@@ -171,6 +171,21 @@ class TestCmdRun:
         assert err.startswith("config error") and names in err
 
     @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ({"a,b": [0, 1]}, "problem.schema.bounds key 'a,b' must be words"),
+            ({"a": [2, 1]}, "problem.schema.bounds key 'a' must have finite bounds"),
+            ({}, "problem.schema.bounds keys must not be empty"),
+        ],
+        ids=["key-comma", "lower-above-upper", "no-keys"],
+    )
+    def test_keyed_scalars_error_names_bounds_key(self, bounds, message, tmp_path, capsys):
+        config = write_keyed_problem(tmp_path / "run.json", bounds)
+        assert run_cli("run", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and message in err
+
+    @pytest.mark.parametrize(
         "overrides, where",
         [
             ({"max_steps": 3.7}, "max_steps"),

@@ -1,3 +1,4 @@
+import json
 import threading
 import time
 
@@ -13,6 +14,7 @@ from llmize import (
     evaluate_batch,
 )
 from llmize.benchmarks import convex2d
+from conftest import fresh_python
 
 MIN = ObjectiveDirection.MINIMIZE
 
@@ -164,3 +166,44 @@ def test_timeout_needs_more_than_one_worker():
         EvalPolicy(timeout=0.2)
     with pytest.raises(ValueError, match="workers"):
         EvalPolicy(workers=1, timeout=5.0)
+
+
+def test_pool_and_command_paths_in_a_fresh_interpreter():
+    """The thread pool and ``subprocess`` load on first use, so every path
+    through them, failures and timeouts included, must find the names it
+    catches in a process that had loaded neither."""
+    code = """
+import json, sys, time
+from llmize import EvalPolicy, EvaluationFailed, Objective, ObjectiveDirection, RealVector
+from llmize import evaluate_batch
+from llmize.cli import command_objective
+MIN = ObjectiveDirection.MINIMIZE
+print(json.dumps([m in sys.modules for m in ("concurrent.futures", "subprocess")]))
+
+def score(v):
+    if v.values[0] == 1.0:
+        time.sleep(0.6)
+    if v.values[0] == 2.0:
+        raise RuntimeError("boom")
+    return v.values[0]
+
+batch = [RealVector((float(i),)) for i in range(4)]
+substitute = EvalPolicy(workers=2, timeout=0.2, on_error=1e9)
+print(json.dumps(evaluate_batch(Objective(score, MIN), batch, substitute)))
+try:
+    evaluate_batch(Objective(score, MIN), batch, EvalPolicy(workers=2, timeout=0.2))
+except EvaluationFailed as exc:
+    print(json.dumps([exc.index, exc.message]))
+double = command_objective([sys.executable, "-c", "print(2 * float(input()))"], MIN)
+fail = command_objective([sys.executable, "-c", "raise SystemExit(3)"], MIN)
+print(json.dumps(evaluate_batch(double, batch[:2], substitute)))
+print(json.dumps(evaluate_batch(fail, batch[:1], EvalPolicy(on_error=1e9))))
+"""
+    lines = [json.loads(line) for line in fresh_python(code).splitlines()]
+    assert lines == [
+        [False, False],
+        [0.0, 1e9, 1e9, 3.0],
+        [1, "evaluation timed out"],
+        [0.0, 2.0],
+        [1e9],
+    ]

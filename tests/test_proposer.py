@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import socket
 import time
 import weakref
 
@@ -751,6 +752,41 @@ class TestHttpChatBackend:
         monkeypatch.setenv("LLMIZE_BASE_URL", url)
         with pytest.raises(ValueError, match="http"):
             HttpChatBackend(model="m1")
+
+    @staticmethod
+    def _no_proxies_and_no_lookups(monkeypatch):
+        """Clear every proxy variable, and refuse to resolve any host but the
+        stubs' address, so a request that skips its proxy fails at once."""
+        for scheme in ("http", "https", "all", "no"):
+            monkeypatch.delenv(f"{scheme}_proxy", raising=False)
+            monkeypatch.delenv(f"{scheme.upper()}_PROXY", raising=False)
+        resolve = socket.getaddrinfo
+
+        def stubs_only(host, *args, **kwargs):
+            if host != "127.0.0.1":
+                raise OSError(f"the test resolves no name, got {host!r}")
+            return resolve(host, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", stubs_only)
+
+    def test_proxy_read_at_construction(self, stub_chat_server, monkeypatch):
+        self._no_proxies_and_no_lookups(monkeypatch)
+        proxy = stub_chat_server(lambda n: (200, chat_body("via proxy")))
+        monkeypatch.setenv("http_proxy", proxy.url)
+        backend = HttpChatBackend(base_url="http://llmize.invalid/v1", model="m1")
+        assert backend.propose(self._bundle(), SamplingParams()) == "via proxy"
+        [request] = proxy.requests
+        assert request["path"] == "http://llmize.invalid/v1/chat/completions"
+
+    def test_proxy_set_after_construction_is_not_used(self, stub_chat_server, monkeypatch):
+        self._no_proxies_and_no_lookups(monkeypatch)
+        server = stub_chat_server(lambda n: (200, chat_body("direct")))
+        proxy = stub_chat_server(lambda n: (200, chat_body("via proxy")))
+        backend = HttpChatBackend(base_url=server.url + "/v1", model="m1")
+        monkeypatch.setenv("http_proxy", proxy.url)
+        assert backend.propose(self._bundle(), SamplingParams()) == "direct"
+        assert [r["path"] for r in server.requests] == ["/v1/chat/completions"]
+        assert proxy.requests == []
 
 
 class TestSamplingParams:
