@@ -11,8 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     ObjectiveDirection,
@@ -26,6 +25,9 @@ from .core import (
 )
 from .evaluation import Objective
 from .rng import Rng
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 BOX_PENALTY = 1e6
 LP_PENALTY = 1e6
@@ -149,6 +151,9 @@ def lp3_oracle() -> tuple[tuple[float, float, float], float]:
     singular systems and infeasible points are discarded and the best
     feasible Z wins. The vertex and Z are the floats nearest the exact ones.
     """
+    # Only the oracle does exact arithmetic, so only it loads ``fractions``.
+    from fractions import Fraction
+
     planes = [(*row, limit) for row, limit in _LP_ROWS]
     planes += [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)]
     planes = [tuple(map(Fraction, plane)) for plane in planes]

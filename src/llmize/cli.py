@@ -240,9 +240,18 @@ def _construct(make, path: str, options: dict, params: dict | None = None):
         raise ConfigError(_where(path, keys[param]) + message[len(param):]) from None
 
 
-def command_objective(command: list[str], direction: ObjectiveDirection) -> Objective:
+def command_objective(
+    command: list[str], direction: ObjectiveDirection, timeout: float | None = None
+) -> Objective:
     """Objective that shells out per candidate: rendered solution on stdin,
-    one real number expected on stdout."""
+    one real number expected on stdout.
+
+    A command still running after ``timeout`` seconds is killed, and its
+    evaluation fails. The kill reaches the command's own process only, so a
+    wrapper script should ``exec`` the program it runs.
+    """
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError("timeout must be a finite number of seconds > 0")
     import subprocess
 
     def evaluate(value: SolutionValue) -> float:
@@ -251,6 +260,7 @@ def command_objective(command: list[str], direction: ObjectiveDirection) -> Obje
             input=value.render(),
             capture_output=True,
             text=True,
+            timeout=timeout,
         )
         if proc.returncode != 0:
             raise RuntimeError(

@@ -58,8 +58,8 @@ def early_stopping(patience: int, min_delta: float = 0.0) -> Callback:
     """
     if patience < 1:
         raise ValueError("patience must be >= 1")
-    if not min_delta >= 0:
-        raise ValueError("min_delta must be >= 0")
+    if not 0 <= min_delta < math.inf:
+        raise ValueError("min_delta must be finite and >= 0")
     state = {"prev": None, "stale": 0}
 
     def callback(ctx: StepContext) -> CallbackAction:
@@ -105,8 +105,8 @@ def adaptive_sampling(
     """
     if stagnation_window < 1:
         raise ValueError("stagnation_window must be >= 1")
-    if not bump > 0:
-        raise ValueError("bump must be > 0")
+    if not 0 < bump < math.inf:
+        raise ValueError("bump must be finite and > 0")
     if not 0.0 < ceiling <= 2.0:
         raise ValueError("ceiling must be in (0, 2]")
     state = {"prev": None, "stale": 0}

@@ -60,8 +60,9 @@ def parse_real(token: str) -> float | None:
 
 def _check_bounds(lower: tuple[float, ...], upper: tuple[float, ...]) -> None:
     for i, (lo, hi) in enumerate(zip(lower, upper)):
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("bounds must be finite")
+        for side, bound in (("lower", lo), ("upper", hi)):
+            if not math.isfinite(bound):
+                raise ValueError(f"{side} must be finite at position {i} ({bound})")
         if lo > hi:
             raise ValueError(f"lower must be <= upper at position {i} ({lo} > {hi})")
 

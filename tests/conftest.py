@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -102,6 +105,46 @@ def fresh_python(code: str) -> str:
         capture_output=True, text=True, check=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src),
     ).stdout
+
+
+def live_processes(marker: str) -> list[int]:
+    """Pids of the live processes that have ``marker`` as one of their
+    arguments, read from ``/proc/*/cmdline``. A process that exited, reaped or
+    not, has no arguments left to match."""
+    pids = []
+    for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+        try:
+            args = cmdline.read_bytes().split(b"\0")
+        except OSError:  # it exited while being read
+            continue
+        if marker.encode() in args:
+            pids.append(int(cmdline.parent.name))
+    return pids
+
+
+_markers = itertools.count()
+
+
+@pytest.fixture
+def process_marker():
+    """An argument unique to this test in this session, for the processes the
+    test starts to carry. At teardown none of them may still be running: one
+    that is gets killed and fails the test. Each is given a second to end,
+    because an aborted multi-worker batch returns while the evaluations
+    already running finish on their own, bounded by their timeout."""
+    if not Path("/proc/self/cmdline").exists():
+        pytest.skip("needs /proc to list processes")
+    marker = f"llmize-test-{os.getpid()}-{next(_markers)}"
+    yield marker
+    deadline = time.monotonic() + 1.0
+    while (left := live_processes(marker)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    for pid in left:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert not left, f"processes outlived their test: {left}"
 
 
 def chat_body(content: str) -> dict:

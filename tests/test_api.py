@@ -102,11 +102,13 @@ def test_import_loads_no_http_client_packages():
 def test_import_defers_the_http_stack_thread_pool_and_subprocess():
     """What only some runs use loads on first use: the HTTP/TLS stack when an
     ``HttpChatBackend`` is constructed, the thread pool in a multi-worker
-    batch, ``subprocess`` in ``command_objective``. Reading
+    batch, ``subprocess`` in ``command_objective``, ``fractions`` in
+    ``lp3_oracle``. Reading
     ``HttpChatBackend.propose``, as a profiler that wraps it does, loads
     nothing."""
     deferred = (
-        "http.client", "urllib.request", "ssl", "email.parser", "concurrent.futures", "subprocess"
+        "http.client", "urllib.request", "ssl", "email.parser", "concurrent.futures", "subprocess",
+        "fractions",
     )
     code = f"""
 import json, sys

@@ -587,3 +587,13 @@ def test_readme_library_snippet_runs(capsys):
     exec(snippet, namespace)
     assert namespace["result"].steps
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_non_finite_real_bound_names_its_key(side):
+    # The config refuses Infinity before the schema sees it; a caller that
+    # builds the block's options some other way still gets the key path.
+    options = {"lower": [0.0], "upper": [1.0]}
+    options[side] = [math.inf if side == "upper" else -math.inf]
+    with pytest.raises(cli.ConfigError, match=f"^problem.schema.{side} must be finite"):
+        cli._construct(cli._real_vector, "problem.schema", options)

@@ -68,6 +68,12 @@ class TestEarlyStopping:
         with pytest.raises(ValueError, match="min_delta"):
             early_stopping(patience=1, min_delta=float("nan"))
 
+    def test_infinite_min_delta_refused(self):
+        # No gain could exceed it, so every run would stop after ``patience``
+        # steps; the config refuses it as well.
+        with pytest.raises(ValueError, match="^min_delta must be finite"):
+            early_stopping(patience=1, min_delta=float("inf"))
+
 
 class TestTargetStop:
     def test_minimize_reached(self):
@@ -112,6 +118,10 @@ class TestAdaptiveSampling:
     def test_bump_must_be_positive(self, bump):
         with pytest.raises(ValueError, match="bump"):
             adaptive_sampling(stagnation_window=1, bump=bump)
+
+    def test_infinite_bump_refused(self):
+        with pytest.raises(ValueError, match="^bump must be finite"):
+            adaptive_sampling(stagnation_window=1, bump=float("inf"))
 
 
 class TestResolveActions:

@@ -82,6 +82,14 @@ class TestSolutionValues:
         with pytest.raises(ValueError, match="finite"):
             KeyedScalarsSchema(keys=("a", "b"), **bounds)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_non_finite_real_bound_names_its_side(self, bad, side):
+        bounds = {"lower": (0.0, 0.0), "upper": (1.0, 1.0)}
+        bounds[side] = (0.0, bad)
+        with pytest.raises(ValueError, match=f"^{side} must be finite at position 1"):
+            RealVectorSchema(dim=2, **bounds)
+
     def test_evaluated_solution_requires_finite_score(self):
         with pytest.raises(ValueError):
             EvaluatedSolution(rv(1), float("inf"))

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import os
+import sys
 import threading
 import time
 
@@ -14,6 +17,7 @@ from llmize import (
     evaluate_batch,
 )
 from llmize.benchmarks import convex2d
+from llmize.cli import command_objective
 from conftest import fresh_python
 
 MIN = ObjectiveDirection.MINIMIZE
@@ -21,6 +25,29 @@ MIN = ObjectiveDirection.MINIMIZE
 
 def vector_objective(fn):
     return Objective(evaluate=lambda v: fn(v.values), direction=MIN)
+
+
+# Echoes its candidate, a single real. A negative one first leaves a file
+# named by the process's pid in the directory argv[1], then hangs.
+SLEEPER = """
+import os, sys, time
+value = float(input())
+if value < 0:
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(30)
+print(value)
+"""
+
+
+def sleeper(pid_dir, marker, timeout):
+    """A command objective that hangs on negative candidates, killed at
+    ``timeout``; its processes carry ``marker``."""
+    command = [sys.executable, "-c", SLEEPER, str(pid_dir), marker]
+    return command_objective(command, MIN, timeout=timeout)
+
+
+def reals(*values):
+    return [RealVector((v,)) for v in values]
 
 
 def test_convex_candidate_value():
@@ -77,42 +104,60 @@ def test_non_finite_score_is_a_failure():
         evaluate_batch(objective, [RealVector((0.0,))], EvalPolicy())
 
 
-def test_timeout_treated_as_failure():
-    def sleepy(values):
-        time.sleep(0.5)
-        return 0.0
-
-    objective = vector_objective(sleepy)
-    with pytest.raises(EvaluationFailed):
-        evaluate_batch(
-            objective, [RealVector((0.0,))], EvalPolicy(workers=2, timeout=0.05)
-        )
+def test_timeout_treated_as_failure(tmp_path, process_marker):
+    # A command killed at its timeout fails like any other evaluation: the
+    # batch aborts, naming the candidate, at one worker and at two.
+    objective = sleeper(tmp_path, process_marker, timeout=0.3)
+    for workers in (1, 2):
+        with pytest.raises(EvaluationFailed, match="timed out") as exc:
+            evaluate_batch(objective, reals(1.0, -1.0), EvalPolicy(workers=workers))
+        assert exc.value.index == 1
 
 
-def test_timeout_bounds_wall_time():
-    # A hung evaluation fails the batch at the timeout; the call does not
-    # wait for the hung thread to finish.
-    release = threading.Event()
-
-    def hung(values):
-        release.wait(2.0)
-        return 0.0
-
-    objective = vector_objective(hung)
-    candidates = [RealVector((0.0,)), RealVector((1.0,))]
-    try:
+def test_timeout_bounds_wall_time(tmp_path, process_marker):
+    # One hung command per worker: each is killed at the timeout, so the batch
+    # takes about one timeout, and its process is gone when the batch returns.
+    for workers in (1, 2):
+        pid_dir = tmp_path / str(workers)
+        pid_dir.mkdir()
+        objective = sleeper(pid_dir, process_marker, timeout=0.5)
+        policy = EvalPolicy(workers=workers, on_error=1e9)
         started = time.perf_counter()
-        with pytest.raises(EvaluationFailed, match="timed out"):
-            evaluate_batch(objective, candidates, EvalPolicy(workers=2, timeout=0.2))
-        assert time.perf_counter() - started < 1.0
-        started = time.perf_counter()
-        out = evaluate_batch(
-            objective, candidates, EvalPolicy(workers=2, timeout=0.2, on_error=1e9)
-        )
-        assert time.perf_counter() - started < 1.0
-        assert out == [1e9, 1e9]
-    finally:
-        release.set()
+        out = evaluate_batch(objective, reals(*[-1.0] * workers, 1.0, 2.0), policy)
+        assert time.perf_counter() - started < 0.5 + 1.0
+        assert out == [1e9] * workers + [1.0, 2.0]
+        pids = [int(name) for name in os.listdir(pid_dir)]
+        assert len(pids) == workers
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_queued_candidate_gets_its_real_score(tmp_path, process_marker, workers):
+    # Each command's clock starts when the command does, so a candidate queued
+    # behind hung ones scores what its command prints.
+    objective = sleeper(tmp_path, process_marker, timeout=0.5)
+    out = evaluate_batch(
+        objective, reals(-1.0, -2.0, 2.0, 3.0, 4.0, 5.0), EvalPolicy(workers, on_error=1e9)
+    )
+    assert out == [1e9, 1e9, 2.0, 3.0, 4.0, 5.0]
+
+
+def test_failing_batches_leave_no_threads(tmp_path, process_marker):
+    # Once a batch returns, its pool's threads end: they do not pile up across
+    # batches whose candidates time out or fail.
+    objective = sleeper(tmp_path, process_marker, timeout=0.2)
+    flaky = vector_objective(lambda values: 1 / values[0])
+    policy = EvalPolicy(workers=2, on_error=1e9)
+    threads = threading.active_count()
+    for _ in range(5):
+        assert evaluate_batch(objective, reals(-1.0, -2.0, 1.0), policy) == [1e9, 1e9, 1.0]
+        assert evaluate_batch(flaky, reals(0.0, 0.0, 2.0), policy) == [1e9, 1e9, 0.5]
+    deadline = time.monotonic() + 1.0
+    while threading.active_count() > threads and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= threads
 
 
 def test_single_worker_matches_sequential():
@@ -150,30 +195,25 @@ def test_policy_validation():
         EvalPolicy(on_error=float("inf"))
 
 
+def test_policy_is_workers_and_on_error():
+    assert [f.name for f in dataclasses.fields(EvalPolicy)] == ["workers", "on_error"]
+
+
 def test_timeout_must_be_finite_and_positive():
-    # Each of these once aborted every threaded batch as "timed out" (or, for
-    # infinity, as an out-of-range wait), whatever the objective did.
+    # Checked when the objective is built, not at its first evaluation.
     for timeout in (0, 0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            EvalPolicy(workers=2, timeout=timeout)
-    assert EvalPolicy(workers=2, timeout=0.05).timeout == 0.05
-    assert EvalPolicy(workers=2).timeout is None
+        with pytest.raises(ValueError, match="^timeout must be a finite number of seconds > 0$"):
+            command_objective(["true"], MIN, timeout=timeout)
+    command_objective(["true"], MIN, timeout=0.05)
+    command_objective(["true"], MIN)
 
 
-def test_timeout_needs_more_than_one_worker():
-    # One worker evaluates in the calling thread, where a timeout cannot act.
-    with pytest.raises(ValueError, match="workers"):
-        EvalPolicy(timeout=0.2)
-    with pytest.raises(ValueError, match="workers"):
-        EvalPolicy(workers=1, timeout=5.0)
-
-
-def test_pool_and_command_paths_in_a_fresh_interpreter():
+def test_pool_and_command_paths_in_a_fresh_interpreter(process_marker):
     """The thread pool and ``subprocess`` load on first use, so every path
-    through them, failures and timeouts included, must find the names it
-    catches in a process that had loaded neither."""
-    code = """
-import json, sys, time
+    through them, failures and command timeouts included, must find the names
+    it catches in a process that had loaded neither."""
+    code = f"""
+import json, sys
 from llmize import EvalPolicy, EvaluationFailed, Objective, ObjectiveDirection, RealVector
 from llmize import evaluate_batch
 from llmize.cli import command_objective
@@ -181,29 +221,37 @@ MIN = ObjectiveDirection.MINIMIZE
 print(json.dumps([m in sys.modules for m in ("concurrent.futures", "subprocess")]))
 
 def score(v):
-    if v.values[0] == 1.0:
-        time.sleep(0.6)
     if v.values[0] == 2.0:
         raise RuntimeError("boom")
     return v.values[0]
 
 batch = [RealVector((float(i),)) for i in range(4)]
-substitute = EvalPolicy(workers=2, timeout=0.2, on_error=1e9)
+substitute = EvalPolicy(workers=2, on_error=1e9)
 print(json.dumps(evaluate_batch(Objective(score, MIN), batch, substitute)))
 try:
-    evaluate_batch(Objective(score, MIN), batch, EvalPolicy(workers=2, timeout=0.2))
+    evaluate_batch(Objective(score, MIN), batch, EvalPolicy(workers=2))
 except EvaluationFailed as exc:
     print(json.dumps([exc.index, exc.message]))
 double = command_objective([sys.executable, "-c", "print(2 * float(input()))"], MIN)
 fail = command_objective([sys.executable, "-c", "raise SystemExit(3)"], MIN)
+hang = command_objective(
+    [sys.executable, "-c", "import time; time.sleep(30)", {process_marker!r}], MIN, timeout=0.3
+)
 print(json.dumps(evaluate_batch(double, batch[:2], substitute)))
 print(json.dumps(evaluate_batch(fail, batch[:1], EvalPolicy(on_error=1e9))))
+print(json.dumps(evaluate_batch(hang, batch[:2], substitute)))
+try:
+    evaluate_batch(hang, batch[:1], EvalPolicy())
+except EvaluationFailed as exc:
+    print(json.dumps([exc.index, "timed out after 0.3 seconds" in exc.message]))
 """
     lines = [json.loads(line) for line in fresh_python(code).splitlines()]
     assert lines == [
         [False, False],
-        [0.0, 1e9, 1e9, 3.0],
-        [1, "evaluation timed out"],
+        [0.0, 1.0, 1e9, 3.0],
+        [2, "boom"],
         [0.0, 2.0],
         [1e9],
+        [1e9, 1e9],
+        [0, True],
     ]

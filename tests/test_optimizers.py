@@ -1,7 +1,6 @@
 import json
 import math
 import sys
-import threading
 import time
 
 import numpy as np
@@ -116,39 +115,30 @@ class TestRunOpro:
         assert result.termination.kind is TerminationKind.ABORTED
         assert "sim crashed" in result.termination.message
 
-    def test_evaluation_timeout_on_run_config_reaches_the_loop(self):
-        # A 2 s objective: the step fails at the run's 0.2 s timeout without
-        # waiting for it, or records the substitute score when one is set.
-        release = threading.Event()
-
-        def hung(value):
-            release.wait(2.0)
-            return 0.0
-
-        objective = Objective(evaluate=hung, direction=MIN)
+    def test_command_timeout_reaches_the_loop(self, process_marker):
+        # A hung objective command is killed at its 0.3 s timeout: the step
+        # aborts, or records the substitute score when one is set.
+        command = [sys.executable, "-c", "import time; time.sleep(30)", process_marker]
+        objective = cli.command_objective(command, MIN, timeout=0.3)
         block = "<solution>1, 1</solution>"
-        try:
-            policy = EvalPolicy(workers=2, timeout=0.2)
-            started = time.perf_counter()
-            result = optimize(
-                Strategy.OPRO, SPEC, objective, ScriptedBackend([block]),
-                config(max_steps=1, evaluation=policy), initial=seeds((3, 3)),
-            )
-            assert time.perf_counter() - started < 1.0
-            assert result.termination.kind is TerminationKind.ABORTED
-            assert "evaluation timed out" in result.termination.message
+        started = time.perf_counter()
+        result = optimize(
+            Strategy.OPRO, SPEC, objective, ScriptedBackend([block]),
+            config(max_steps=1), initial=seeds((3, 3)),
+        )
+        assert time.perf_counter() - started < 0.3 + 1.0
+        assert result.termination.kind is TerminationKind.ABORTED
+        assert "timed out" in result.termination.message
 
-            policy = EvalPolicy(workers=2, timeout=0.2, on_error=1e9)
-            result = optimize(
-                Strategy.OPRO, SPEC, objective, ScriptedBackend([block]),
-                config(max_steps=1, evaluation=policy), initial=seeds((3, 3)),
-            )
-            assert result.termination.kind is TerminationKind.MAX_STEPS
-            assert result.evaluations_used == 1
-            assert result.steps[0].best_of_step == 1e9
-            assert result.best.score == 6.0
-        finally:
-            release.set()
+        policy = EvalPolicy(workers=2, on_error=1e9)
+        result = optimize(
+            Strategy.OPRO, SPEC, objective, ScriptedBackend([block]),
+            config(max_steps=1, evaluation=policy), initial=seeds((3, 3)),
+        )
+        assert result.termination.kind is TerminationKind.MAX_STEPS
+        assert result.evaluations_used == 1
+        assert result.steps[0].best_of_step == 1e9
+        assert result.best.score == 6.0
 
     def test_evaluation_accounting_with_rejected_blocks(self):
         # Each completion declares 3 blocks, one of which is malformed.
