@@ -146,36 +146,37 @@ def _where(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _finite(v) -> bool:
-    return type(v) in (int, float) and math.isfinite(v)
+def _number(v) -> bool:
+    # An integer too large for a float is no number a setting can hold.
+    return type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
 
 
 def _numbers(v) -> bool:
-    return type(v) is list and all(map(_finite, v))
+    return type(v) is list and all(map(_number, v))
 
 
 def _pair(v) -> bool:
     return _numbers(v) and len(v) == 2
 
 
-# Config value kinds: a test of the loaded JSON value, and the kind's name; a
-# value that passes is converted by calling its kind. true/false load as bool,
-# an int subclass, so types are matched exactly, and the NaN and Infinity that
-# Python's json reads are not finite numbers.
+# Config value kinds: a test of the loaded JSON value's shape, and the kind's
+# name; a value that passes is converted by calling its kind. true/false load as
+# bool, an int subclass, so types are matched exactly. Ranges, finiteness among
+# them, are the receiving constructor's to check.
 _KINDS = {
     int: (lambda v: type(v) is int, "an integer"),
-    float: (_finite, "a finite number"),
+    float: (_number, "a number"),
     str: (lambda v: type(v) is str, "a string"),
     dict: (lambda v: type(v) is dict, "an object"),
-    tuple[float, float]: (_pair, "a pair of finite numbers"),
-    list[float]: (_numbers, "an array of finite numbers"),
+    tuple[float, float]: (_pair, "a pair of numbers"),
+    list[float]: (_numbers, "an array of numbers"),
     list[str]: (
         lambda v: type(v) is list and v and all(type(s) is str for s in v),
         "a non-empty array of strings",
     ),
     dict[str, tuple[float, float]]: (
         lambda v: type(v) is dict and all(map(_pair, v.values())),
-        "an object mapping each key to a finite [lo, hi] number pair",
+        "an object mapping each key to a [lo, hi] number pair",
     ),
 }
 
@@ -225,19 +226,20 @@ def _tagged(obj: dict, path: str, table: dict):
 
 def _construct(make, path: str, options: dict, params: dict | None = None):
     """``make`` called with the keys ``options`` of the block at ``path``, each as the
-    parameter ``params`` names or as itself. Its error "<parameter> must ..." or
-    "<parameter> <part> must ..." is refused as a config error that names the key's
-    path instead."""
+    parameter ``params`` names or as itself. Its ``ValueError`` is refused as a config
+    error: one that opens with a parameter ("<parameter> must ...") names that key's
+    path instead, and any other, a rule that spans keys, is prefixed with the block's."""
     keys = {(params or {}).get(k, k): k for k in options}
     try:
         return make(**{param: options[key] for param, key in keys.items()})
     except ValueError as exc:
         message = str(exc)
-        subject, must, _ = message.partition(" must ")
-        param = subject.split(" ", 1)[0]
-        if not must or param not in keys:
-            raise
-        raise ConfigError(_where(path, keys[param]) + message[len(param):]) from None
+        param = message.split(" ", 1)[0]
+        if param in keys:
+            message = _where(path, keys[param]) + message[len(param):]
+        elif path:
+            message = f"{path}: {message}"
+        raise ConfigError(message) from None
 
 
 def command_objective(
@@ -477,7 +479,7 @@ def cmd_run(config_path: str) -> int:
     path = Path(config_path)
     try:
         plan = build_plan(_read_run_file(path))
-    except (ConfigError, ValueError, TypeError) as exc:
+    except ConfigError as exc:
         print(f"config error in {path}: {exc}", file=sys.stderr)
         return 1
     return _execute(plan)
@@ -517,7 +519,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         doc["callbacks"] = {"target_stop": {"target": defaults.default_target}}
     try:
         plan = build_plan(doc)
-    except (ConfigError, ValueError, TypeError) as exc:
+    except ConfigError as exc:
         print(f"invalid benchmark options: {exc}", file=sys.stderr)
         return 1
     return _execute(plan)

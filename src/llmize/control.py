@@ -50,6 +50,23 @@ CallbackAction = Continue | Stop | SetSamplingTemperature
 Callback = Callable[[StepContext], CallbackAction]
 
 
+def _stagnation(min_delta: float) -> Callable[[StepContext], int]:
+    """The count, after each step, of consecutive steps whose best-so-far beat the
+    previous step's by no more than ``min_delta``; the first step counts 0."""
+    prev: float | None = None
+    count = 0
+
+    def step(ctx: StepContext) -> int:
+        nonlocal prev, count
+        best = ctx.stats.best_so_far
+        goodness = ctx.direction.goodness
+        improved = prev is None or goodness(best) - goodness(prev) > min_delta
+        prev, count = best, 0 if improved else count + 1
+        return count
+
+    return step
+
+
 def early_stopping(patience: int, min_delta: float = 0.0) -> Callback:
     """Stop after ``patience`` consecutive steps without improvement.
 
@@ -60,21 +77,11 @@ def early_stopping(patience: int, min_delta: float = 0.0) -> Callback:
         raise ValueError("patience must be >= 1")
     if not 0 <= min_delta < math.inf:
         raise ValueError("min_delta must be finite and >= 0")
-    state = {"prev": None, "stale": 0}
+    stagnation = _stagnation(min_delta)
 
     def callback(ctx: StepContext) -> CallbackAction:
-        best = ctx.stats.best_so_far
-        prev = state["prev"]
-        state["prev"] = best
-        if prev is None:
-            return Continue()
-        goodness = ctx.direction.goodness
-        if goodness(best) - goodness(prev) > min_delta:
-            state["stale"] = 0
-        else:
-            state["stale"] += 1
-            if state["stale"] >= patience:
-                return Stop(TerminationKind.EARLY_STOPPED)
+        if stagnation(ctx) >= patience:
+            return Stop(TerminationKind.EARLY_STOPPED)
         return Continue()
 
     return callback
@@ -99,9 +106,9 @@ def adaptive_sampling(
 ) -> Callback:
     """Raise the model sampling temperature when progress stalls.
 
-    After ``stagnation_window`` steps without improvement, requests
-    ``min(current + bump, ceiling)`` and resets its counter. The counter also
-    resets on any improvement.
+    After each ``stagnation_window`` consecutive steps without improvement,
+    requests ``min(current + bump, ceiling)``; any improvement starts the count
+    again.
     """
     if stagnation_window < 1:
         raise ValueError("stagnation_window must be >= 1")
@@ -109,21 +116,11 @@ def adaptive_sampling(
         raise ValueError("bump must be finite and > 0")
     if not 0.0 < ceiling <= 2.0:
         raise ValueError("ceiling must be in (0, 2]")
-    state = {"prev": None, "stale": 0}
+    stagnation = _stagnation(0.0)
 
     def callback(ctx: StepContext) -> CallbackAction:
-        best = ctx.stats.best_so_far
-        prev = state["prev"]
-        state["prev"] = best
-        if prev is None:
-            return Continue()
-        goodness = ctx.direction.goodness
-        if goodness(best) - goodness(prev) > 0:
-            state["stale"] = 0
-            return Continue()
-        state["stale"] += 1
-        if state["stale"] >= stagnation_window:
-            state["stale"] = 0
+        stale = stagnation(ctx)
+        if stale and stale % stagnation_window == 0:
             return SetSamplingTemperature(min(ctx.stats.sampling_temperature + bump, ceiling))
         return Continue()
 

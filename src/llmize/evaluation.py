@@ -79,13 +79,28 @@ def evaluate_batch(
     if policy.workers == 1:
         return list(map(score, range(len(candidates)), candidates))
 
-    # Only this branch needs a thread pool, so only it loads one. A batch that
-    # aborts returns at once: queued candidates are cancelled, and those
-    # already running finish on their own.
+    # Only this branch needs a thread pool, so only it loads one. Once a
+    # candidate fails the batch, no evaluation starts, and the abort returns
+    # when those already running have ended; the failure is still raised in
+    # candidate order, as the skipped candidates yield None.
     from concurrent.futures import ThreadPoolExecutor
+
+    failed = []
+
+    def score_unless_failed(index: int, candidate: SolutionValue) -> float | None:
+        if failed:
+            return None
+        try:
+            return score(index, candidate)
+        except EvaluationFailed:
+            failed.append(index)
+            raise
 
     pool = ThreadPoolExecutor(max_workers=policy.workers)
     try:
-        return list(pool.map(score, range(len(candidates)), candidates))
+        return list(pool.map(score_unless_failed, range(len(candidates)), candidates))
+    except EvaluationFailed:
+        pool.shutdown(wait=True, cancel_futures=True)
+        raise
     finally:
         pool.shutdown(wait=False, cancel_futures=True)

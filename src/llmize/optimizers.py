@@ -114,10 +114,12 @@ def accept_candidate(
 
 
 def cool(sa_temperature: float, alpha: float) -> float:
+    """``sa_temperature * alpha``, bottoming out at the smallest positive float
+    rather than underflowing to 0; there every worsening is refused."""
     _check_temperature(sa_temperature)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    return sa_temperature * alpha
+    return max(sa_temperature * alpha, math.ulp(0.0))
 
 
 class _AbortRun(Exception):

@@ -1,3 +1,4 @@
+import copy
 import inspect
 import json
 import math
@@ -313,6 +314,14 @@ class TestCmdRun:
         assert err.startswith("config error") and f"unknown key {where};" in err
         assert not (tmp_path / "out").exists()
 
+    def test_a_bug_is_not_reported_as_a_config_error(self, tmp_path, monkeypatch):
+        def broken(doc):
+            raise ValueError("not a config error")
+
+        monkeypatch.setattr(cli, "build_plan", broken)
+        with pytest.raises(ValueError, match="not a config error"):
+            run_cli("run", write_config(tmp_path / "run.json"))
+
     def test_seeds_and_steps_share_one_evaluation_policy(self, tmp_path, monkeypatch):
         seen = {"seeds": [], "steps": []}
 
@@ -518,6 +527,14 @@ class TestCmdBench:
         assert run_cli("bench", "convex2d", "--batch", 0, "--out", tmp_path) == 1
         assert "batch" in capsys.readouterr().err
 
+    def test_a_bug_is_not_reported_as_an_options_error(self, tmp_path, monkeypatch):
+        def broken(doc):
+            raise TypeError("not a config error")
+
+        monkeypatch.setattr(cli, "build_plan", broken)
+        with pytest.raises(TypeError, match="not a config error"):
+            run_cli("bench", "convex2d", "--out", tmp_path)
+
     def test_result_json_round_trips_byte_identical(self, tmp_path):
         out = tmp_path / "b"
         run_cli("bench", "convex2d", "--seed", 3, "--out", out)
@@ -591,9 +608,249 @@ def test_readme_library_snippet_runs(capsys):
 
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_non_finite_real_bound_names_its_key(side):
-    # The config refuses Infinity before the schema sees it; a caller that
-    # builds the block's options some other way still gets the key path.
+    # The schema refuses Infinity, and the config error names the key that
+    # held it, however the block's options were built.
     options = {"lower": [0.0], "upper": [1.0]}
     options[side] = [math.inf if side == "upper" else -math.inf]
     with pytest.raises(cli.ConfigError, match=f"^problem.schema.{side} must be finite"):
         cli._construct(cli._real_vector, "problem.schema", options)
+
+
+# Valid documents that the config-contract tests below alter. BENCH_DOC sets
+# every key of a benchmark run that is not problem- or backend-kind specific.
+BENCH_DOC = {
+    "strategy": "hlmsa",
+    "benchmark": "tsp",
+    "benchmark_params": {"n": 5, "seed": 1},
+    "backend": {"kind": "perturb", "seed": 1, "step_scale": 0.1},
+    "max_steps": 3,
+    "batch": 2,
+    "history_capacity": 4,
+    "rng_seed": 1,
+    "workers": 1,
+    "sampling": {"model_temperature": 1.0, "max_output_tokens": 64, "seed": 1},
+    "seeding": {"count": 2, "seed": 1},
+    "callbacks": {
+        "early_stopping": {"patience": 2, "min_delta": 0.0},
+        "target_stop": {"target": 1.0},
+        "adaptive_sampling": {"stagnation_window": 2, "bump": 0.1, "ceiling": 2.0},
+    },
+    "sa": {"initial_temperature": 1.0, "cooling_bounds": [0.6, 0.95], "default_cooling": 0.8},
+    "output_dir": "out",
+}
+HTTP_DOC = {
+    **BENCH_DOC,
+    "backend": {
+        "kind": "http", "model": "m1", "base_url": "http://127.0.0.1:9/v1", "api_key": "k",
+        "timeout": 5.0,
+    },
+}
+
+
+def problem_doc(schema, style="uniform"):
+    return {
+        "strategy": "opro",
+        "problem": {
+            "description": "d",
+            "domain_knowledge": "k",
+            "direction": "minimize",
+            "schema": schema,
+            "objective_command": ["score", "--fast"],
+        },
+        "backend": {"kind": "perturb", "seed": 1},
+        "seeding": {"style": style, "count": 4, "seed": 1},
+    }
+
+
+REAL_DOC = problem_doc({"kind": "real_vector", "lower": [0, 0], "upper": [1, 1]}, "grid")
+PERMUTATION_DOC = problem_doc({"kind": "permutation", "n": 4})
+KEYED_DOC = problem_doc({"kind": "keyed_scalars", "bounds": {"u": [0, 1], "v": [2, 3]}})
+
+
+def replaced(doc, site, value):
+    """A copy of ``doc`` with the value at ``site``, a tuple of keys and list
+    indices (empty for the whole document), replaced by ``value``."""
+    if not site:
+        return copy.deepcopy(value)
+    doc = copy.deepcopy(doc)
+    target = doc
+    for step in site[:-1]:
+        target = target[step]
+    target[site[-1]] = copy.deepcopy(value)
+    return doc
+
+
+def altered(doc, path, value):
+    return replaced(doc, tuple(path.split(".")), value)
+
+
+def below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def above(x):
+    return math.nextafter(x, math.inf)
+
+
+def same(x):
+    return x
+
+
+# Every numeric config key: the document it is set in, the value that carries
+# one number (the number itself, or a list holding it), and the nearest numbers
+# out of the key's range. A key that takes any finite number has none.
+NUMERIC_KEYS = [
+    ("max_steps", BENCH_DOC, same, [0]),
+    ("batch", BENCH_DOC, same, [0]),
+    ("history_capacity", BENCH_DOC, same, [0]),
+    ("rng_seed", BENCH_DOC, same, [-1]),
+    ("workers", BENCH_DOC, same, [0]),
+    ("benchmark_params.n", BENCH_DOC, same, [1]),
+    ("benchmark_params.seed", BENCH_DOC, same, [-1]),
+    ("sampling.model_temperature", BENCH_DOC, same, [below(0.0), above(2.0)]),
+    ("sampling.max_output_tokens", BENCH_DOC, same, [0]),
+    ("sampling.seed", BENCH_DOC, same, []),  # sent to the model as it is
+    ("seeding.count", BENCH_DOC, same, [0]),
+    ("seeding.seed", BENCH_DOC, same, [-1]),
+    ("sa.initial_temperature", BENCH_DOC, same, [0.0]),
+    ("sa.cooling_bounds", BENCH_DOC, lambda x: [x, 0.95], [0.0]),
+    ("sa.cooling_bounds", BENCH_DOC, lambda x: [0.6, x], [1.0]),
+    ("sa.default_cooling", BENCH_DOC, same, [below(0.6), above(0.95)]),
+    ("backend.seed", BENCH_DOC, same, [-1]),
+    ("backend.step_scale", BENCH_DOC, same, [0.0]),
+    ("backend.timeout", HTTP_DOC, same, [0.0]),
+    ("problem.schema.n", PERMUTATION_DOC, same, [1]),
+    ("problem.schema.lower", REAL_DOC, lambda x: [x, 0], [above(1.0)]),
+    # Only the bound order limits upper: test_bound_order_spans_both_real_vector_keys.
+    ("problem.schema.upper", REAL_DOC, lambda x: [1, x], []),
+    ("problem.schema.bounds", KEYED_DOC, lambda x: {"u": [x, 1], "v": [2, 3]}, [above(1.0)]),
+    ("problem.schema.bounds", KEYED_DOC, lambda x: {"u": [0, 1], "v": [2, x]}, [below(2.0)]),
+    ("callbacks.early_stopping.patience", BENCH_DOC, same, [0]),
+    ("callbacks.early_stopping.min_delta", BENCH_DOC, same, [below(0.0)]),
+    ("callbacks.target_stop.target", BENCH_DOC, same, []),
+    ("callbacks.adaptive_sampling.stagnation_window", BENCH_DOC, same, [0]),
+    ("callbacks.adaptive_sampling.bump", BENCH_DOC, same, [0.0]),
+    ("callbacks.adaptive_sampling.ceiling", BENCH_DOC, same, [0.0, above(2.0)]),
+]
+NUMERIC_KINDS = (int, float, tuple[float, float], list[float], dict[str, tuple[float, float]])
+
+
+def test_numeric_key_table_covers_every_numeric_key():
+    declared = {
+        key for key, kind in {**cli._RUN_SETTINGS, **cli._EVAL_SETTINGS}.items()
+        if kind in NUMERIC_KINDS
+    }
+    for block, table in [("backend", cli._BACKENDS), ("problem.schema", cli._SCHEMAS)] + [
+        (f"callbacks.{name}", {name: entry}) for name, entry in cli._CALLBACKS.items()
+    ]:
+        for _, required, optional in table.values():
+            declared |= {
+                f"{block}.{key}" for key, kind in {**required, **optional}.items()
+                if kind in NUMERIC_KINDS
+            }
+    # The blocks build_plan declares inline.
+    declared |= {
+        "sampling.model_temperature", "sampling.max_output_tokens", "sampling.seed",
+        "seeding.count", "seeding.seed", "benchmark_params.n", "benchmark_params.seed",
+        "sa.initial_temperature", "sa.cooling_bounds", "sa.default_cooling",
+    }
+    assert {path for path, *_ in NUMERIC_KEYS} == declared
+
+
+@pytest.mark.parametrize(
+    "path, doc, value",
+    [
+        pytest.param(path, doc, carry(x), id=f"{path}={carry(x)!r}")
+        for path, doc, carry, out_of_range in NUMERIC_KEYS
+        for x in [math.nan, math.inf, -math.inf, *out_of_range]
+    ],
+)
+def test_non_finite_or_out_of_range_number_names_its_key(path, doc, value):
+    with pytest.raises(cli.ConfigError, match=f"^{re.escape(path)} "):
+        cli.build_plan(altered(doc, path, value))
+
+
+def test_bound_order_spans_both_real_vector_keys():
+    # An upper bound below its lower one breaks one rule over both keys, and
+    # the error names the key that the rule's message opens with.
+    doc = altered(REAL_DOC, "problem.schema.upper", [1, below(0.0)])
+    message = r"^problem\.schema\.lower must be <= upper at position 1 "
+    with pytest.raises(cli.ConfigError, match=message):
+        cli.build_plan(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("backend.step_scale", 10**400),
+        ("sa.initial_temperature", 10**400),
+        ("problem.schema.upper", [1, 10**400]),
+    ],
+    ids=["step-scale", "initial-temperature", "upper"],
+)
+def test_integer_too_large_for_a_float_names_its_key(path, value):
+    doc = REAL_DOC if path.startswith("problem") else BENCH_DOC
+    with pytest.raises(cli.ConfigError, match=f"^{re.escape(path)} must be"):
+        cli.build_plan(altered(doc, path, value))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (problem_doc({"kind": "permutation", "n": 4}, "grid"),
+         "seeding: grid seeding only applies to real vectors"),
+        (altered(REAL_DOC, "problem.schema.upper", [1]),
+         "problem.schema: bounds length must equal dim"),
+        (altered(altered(REAL_DOC, "problem.schema.lower", []), "problem.schema.upper", []),
+         "problem.schema: dim must be >= 1"),
+        ({"strategy": "hlmsa", "benchmark": "convex2d", "backend": {"kind": "perturb", "seed": 1},
+          "sa": {"cooling_bounds": [0.5, 0.6]}},
+         "sa: default_cooling must lie within cooling_bounds"),
+        ({"strategy": "opro", "benchmark": "convex2d", "backend": {"kind": "http", "model": "m1"}},
+         "backend: base_url must be an http(s) URL"),
+    ],
+    ids=["grid-permutation", "bounds-lengths-differ", "bounds-empty", "default-cooling-outside",
+         "http-without-base-url"],
+)
+def test_rule_over_several_keys_names_its_block(doc, message, monkeypatch):
+    monkeypatch.delenv("LLMIZE_BASE_URL", raising=False)
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.build_plan(doc)
+    assert str(exc.value).startswith(message)
+
+
+# Each leaf and each block of a valid document is replaced in turn with each
+# of these. The integers stay small: batch, seeding.count and
+# benchmark_params.n size allocations while the plan is built.
+SWEEP_VALUES = [
+    0, -1, 1.5, math.nan, math.inf, -math.inf, "x", True, None, [], {}, [0.5], [1, 2, 3],
+]
+
+
+def sites(value, path=()):
+    yield path
+    if type(value) is dict:
+        for key, item in value.items():
+            yield from sites(item, path + (key,))
+    elif type(value) is list:
+        for index, item in enumerate(value):
+            yield from sites(item, path + (index,))
+
+
+@pytest.mark.parametrize(
+    "doc", [HTTP_DOC, REAL_DOC, PERMUTATION_DOC, KEYED_DOC],
+    ids=["benchmark-http", "real-vector", "permutation", "keyed-scalars"],
+)
+def test_every_bad_document_is_a_config_error(doc, monkeypatch):
+    monkeypatch.delenv("LLMIZE_BASE_URL", raising=False)
+    assert isinstance(cli.build_plan(doc), cli.RunPlan)
+    escaped = []
+    for site in sites(doc):
+        for value in SWEEP_VALUES:
+            try:
+                assert isinstance(cli.build_plan(replaced(doc, site, value)), cli.RunPlan)
+            except cli.ConfigError:
+                pass
+            except Exception as exc:
+                escaped.append(f"{'.'.join(map(str, site))}={value!r}: {exc!r}")
+    assert escaped == []

@@ -160,6 +160,86 @@ def test_failing_batches_leave_no_threads(tmp_path, process_marker):
     assert threading.active_count() <= threads
 
 
+def test_aborted_batch_returns_after_running_evaluations_end():
+    # Candidate 0 fails at once while candidate 1 runs: candidate 2 never
+    # starts, and the abort waits for candidate 1 to finish.
+    calls = {}
+    lock = threading.Lock()
+
+    def failing_first(values):
+        index = int(values[0])
+        with lock:
+            calls[index] = [time.perf_counter(), None]
+        try:
+            if index == 0:
+                raise RuntimeError("boom")
+            time.sleep(0.3)
+            return values[0]
+        finally:
+            calls[index][1] = time.perf_counter()
+
+    threads = threading.active_count()
+    with pytest.raises(EvaluationFailed) as exc:
+        evaluate_batch(vector_objective(failing_first), reals(0, 1, 2), EvalPolicy(workers=2))
+    returned = time.perf_counter()
+    assert exc.value.index == 0
+    failed_at = calls[0][1]
+    assert all(start <= failed_at for start, _ in calls.values())
+    assert all(end is not None and end <= returned for _, end in calls.values())
+    assert 2 not in calls
+    assert threading.active_count() == threads
+
+
+def test_aborts_under_thread_switching_stress():
+    # More workers than cores, switching threads every microsecond: each abort
+    # reports a candidate that really failed, and returns with none running.
+    running, failed, lock = [0], set(), threading.Lock()
+
+    def flaky(values):
+        with lock:
+            running[0] += 1
+        try:
+            time.sleep(0.0005)
+            if int(values[0]) % 7 == 3:
+                failed.add(int(values[0]))
+                raise RuntimeError("boom")
+            return values[0]
+        finally:
+            with lock:
+                running[0] -= 1
+
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            failed.clear()
+            with pytest.raises(EvaluationFailed) as exc:
+                evaluate_batch(vector_objective(flaky), reals(*range(40)), EvalPolicy(workers=8))
+            assert running[0] == 0
+            assert exc.value.index in failed
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_interrupted_batch_returns_at_once():
+    # Only a failed evaluation is waited for; anything else leaves at once.
+    release = threading.Event()
+
+    def interrupted_first(values):
+        if values[0] == 0:
+            raise KeyboardInterrupt
+        release.wait(5)
+        return values[0]
+
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        evaluate_batch(vector_objective(interrupted_first), reals(0, 1), EvalPolicy(workers=2))
+    assert time.perf_counter() - started < 2.5
+    release.set()
+
+
 def test_single_worker_matches_sequential():
     objective = vector_objective(lambda values: values[0] * 0.1 + 7.3)
     candidates = [RealVector((float(i),)) for i in range(16)]

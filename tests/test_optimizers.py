@@ -292,6 +292,11 @@ class TestCool:
         with pytest.raises(ValueError):
             cool(-1.0, 0.9)
 
+    def test_bottoms_out_at_the_smallest_positive_float(self):
+        coldest = math.ulp(0.0)
+        assert cool(coldest, 0.5) == coldest
+        assert cool(coldest, 0.01) == coldest
+
 
 def hlmsa_transcript(pairs, cooling=None):
     blocks = "".join(f"<solution>{a}, {b}</solution>" for a, b in pairs)
@@ -363,6 +368,30 @@ class TestRunHlmsa:
         )
         temps = [s.sa_temperature for s in result.steps]
         assert all(a > b for a, b in zip(temps, temps[1:]))
+
+    def test_run_outlasts_temperature_underflow(self):
+        # At cooling rate 0.5 a temperature of 1e-300 underflows within ~100
+        # steps; the run stays at the coldest temperature, greedy, to its budget.
+        class HalvingBackend(PerturbBackend):
+            def propose(self, bundle, params):
+                return super().propose(bundle, params).replace(
+                    "<cooling_rate>0.9<", "<cooling_rate>0.5<"
+                )
+
+        bench = make_convex_benchmark()
+        initial = [
+            ev(v, bench.objective.evaluate(v))
+            for v in seed_samples(bench.spec.schema, 4, 1, SeedStyle.GRID)
+        ]
+        sa = SaState(sa_temperature=1e-300)
+        result = run_hlmsa(
+            bench.spec, bench.objective, HalvingBackend(seed=1),
+            config(max_steps=120, batch=4), [], initial, sa,
+        )
+        assert result.termination.kind is TerminationKind.MAX_STEPS
+        assert len(result.steps) == 120
+        assert {s.cooling_rate for s in result.steps} == {0.5}
+        assert sa.sa_temperature == math.ulp(0.0)
 
     def test_short_batch_aborts_after_retry(self):
         backend = ScriptedBackend(
