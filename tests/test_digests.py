@@ -11,6 +11,8 @@ import json
 
 import pytest
 
+from llmize import EvaluatedSolution, PerturbBackend, RunConfig, run_hlmsa
+from llmize.benchmarks import get_benchmark, seed_samples
 from llmize.cli import main
 
 BENCH_DIGESTS = {
@@ -89,6 +91,17 @@ BENCH_DIGESTS = {
     ),
 }
 
+# sha256 of every prompt an hlmsa run sends, in order (PerturbBackend(7),
+# batch 4, K 8, 40 steps, rng_seed 7; tsp has 10 cities, instance seed 7).
+# The stand-in model ignores the trajectories, so the artifacts above hold
+# whichever neighbours the Metropolis test accepts; the prompts' `trajectory i:`
+# lines show them.
+HLMSA_PROMPT_DIGESTS = {
+    "convex2d": "365903d07e9afd85d5006663033988425206121bd2526fb73a2494684685c1d1",
+    "lp3": "7caecec3e66bd8c229fa4af3ef9b11ffe07753cee4ce5cfd1fdf1a5595f23df5",
+    "tsp": "93d350755034da1211bd36b826241f89dcf754c92ec458d1656707d6155e6963",
+}
+
 RUN_DIGESTS = (
     "9555685a19d14ff9a3f759b604b139bb805d76caafa2897c8649356e41e0edf3",
     "e9509eb19f7a6166d8f6b911b14a2c58373bbea2dcf75449913f613450d3f6d1",
@@ -147,3 +160,27 @@ def test_hlmsa_run_config_matches_pinned_digests(tmp_path):
     )
     assert main(["run", str(config)]) == 0
     assert artifact_digests(out) == RUN_DIGESTS
+
+
+class PromptDigest(PerturbBackend):
+    """The stand-in model, hashing each prompt it is sent."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.sha = hashlib.sha256()
+
+    def propose(self, bundle, params):
+        self.sha.update(f"{bundle.system_text}\n\x00\n{bundle.user_text}\n\x00\n".encode())
+        return super().propose(bundle, params)
+
+
+@pytest.mark.parametrize("name", sorted(HLMSA_PROMPT_DIGESTS))
+def test_hlmsa_prompt_sequence_matches_pinned_digest(name):
+    bench = get_benchmark(name, **({"n": 10, "instance_seed": 7} if name == "tsp" else {}))
+    seeds = seed_samples(bench.spec.schema, bench.seed_count, 7, bench.seed_style)
+    initial = [EvaluatedSolution(v, bench.objective.evaluate(v)) for v in seeds]
+    backend = PromptDigest(7)
+    config = RunConfig(max_steps=40, batch=4, history_capacity=8, rng_seed=7)
+    result = run_hlmsa(bench.spec, bench.objective, backend, config, initial=initial)
+    assert len(result.steps) == 40
+    assert backend.sha.hexdigest() == HLMSA_PROMPT_DIGESTS[name]
