@@ -41,14 +41,13 @@ from .core import (
     TerminationKind,
 )
 from .evaluation import EvalPolicy, EvaluationFailed, Objective, evaluate_batch
-from .optimizers import RunConfig, SaState, optimize
+from .optimizers import RunConfig, SaState, Strategy, optimize
 from .proposer import (
     HttpChatBackend,
     PerturbBackend,
     ProposerBackend,
     SamplingParams,
     ScriptedBackend,
-    Strategy,
 )
 from .svg import render_history_chart, render_tour
 
@@ -416,7 +415,7 @@ def build_plan(doc: dict) -> RunPlan:
             callbacks.append(_construct(make, path, _block(blocks[name], path, required, optional)))
 
     # An hlmsa run without 'sa' settings starts from the default SaState; the
-    # block's initial_temperature is the state's starting sa_temperature.
+    # block's initial_temperature is its sa_temperature. Other strategies refuse it.
     options = _block(
         run.get("sa", {}), "sa", {},
         {"initial_temperature": float, "cooling_bounds": tuple[float, float],
@@ -424,9 +423,8 @@ def build_plan(doc: dict) -> RunPlan:
     )
     sa = None
     if options:
-        if strategy is not Strategy.HLMSA:
-            raise ConfigError("'sa' settings only apply to the hlmsa strategy")
-        sa = _construct(SaState, "sa", options, {"initial_temperature": "sa_temperature"})
+        rename = {"initial_temperature": "sa_temperature"}
+        sa = _construct(strategy.state.settings, "sa", options, rename)
 
     out_dir = Path(run.get("output_dir", "."))
     return RunPlan(

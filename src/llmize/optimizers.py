@@ -3,10 +3,10 @@ evolutionary (HLMEA) and simulated annealing (HLMSA).
 
 ``optimize`` is the one step loop: build prompt, propose, parse, evaluate,
 update history and best, record stats, dispatch callbacks. It takes the
-strategy as a value. The strategies differ in the prompt's strategy block and
-the tags they expect back; annealing adds per-trajectory Metropolis
-acceptance and a model-proposed cooling schedule, confined to one setup block
-and one post-evaluation block, with ``SaState`` the one carrier of its state.
+strategy as a value, and the strategy owns all that differs: the prompt's
+strategy block, the tags it expects back, and a per-run state. Only annealing
+keeps one, started from the caller's frozen ``SaState`` settings: a point per
+trajectory, Metropolis acceptance and a model-proposed cooling schedule.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from functools import partial
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .control import Callback, SetSamplingTemperature, StepContext, Stop, resolve_actions
 from .core import (
@@ -32,12 +33,10 @@ from .core import (
 )
 from .evaluation import EvalPolicy, EvaluationFailed, Objective, evaluate_batch
 from .proposer import (
-    EXPECTED_TAGS,
     ParsedProposal,
     ProposerBackend,
     SamplingParams,
     ScriptExhausted,
-    Strategy,
     TransportError,
     ZeroCandidatesError,
     build_prompt,
@@ -72,16 +71,14 @@ def _check_temperature(sa_temperature: float) -> None:
         raise ValueError("sa_temperature must be finite and > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SaState:
-    """Annealing state: one current point per trajectory plus the shared
-    temperature schedule.
-
-    ``trajectories`` may start empty; the run fills it by cycling the initial
-    solutions until there is one point per batch slot.
+    """Annealing settings: the initial temperature, the cooling schedule, and
+    one starting point per trajectory, or none to cycle the initial solutions
+    over the batch slots. A run never changes them.
     """
 
-    trajectories: list[EvaluatedSolution] = field(default_factory=list)
+    trajectories: Sequence[EvaluatedSolution] = ()
     sa_temperature: float = 1.0
     cooling_bounds: tuple[float, float] = (0.5, 0.99)
     default_cooling: float = 0.92
@@ -122,6 +119,130 @@ def cool(sa_temperature: float, alpha: float) -> float:
     return max(sa_temperature * alpha, math.ulp(0.0))
 
 
+def _tag_request(name: str) -> str:
+    return f"report it inside <{name}> and </{name}> tags"
+
+
+def _opro_block(batch: int, sa: SaState | None) -> str:
+    return f"Propose {batch} new, distinct solutions better than the best shown."
+
+
+def _hlmea_block(batch: int, sa: SaState | None) -> str:
+    return (
+        "Act as an evolutionary algorithm. Select parent solutions from the "
+        "evaluated examples above, combine their strongest features as "
+        "crossover, and apply small mutations for exploration. Every proposed "
+        "solution must be unique. "
+        f"Choose an elitism rate and {_tag_request('elitism_rate')}. "
+        f"Choose a mutation rate and {_tag_request('mutation_rate')}. "
+        f"Choose a crossover rate and {_tag_request('crossover_rate')}. "
+        f"Propose {batch} new offspring solutions."
+    )
+
+
+def _hlmsa_block(batch: int, sa: SaState | None) -> str:
+    if sa is None:
+        raise ValueError("HLMSA prompts require the annealing state")
+    lines = [
+        f"Act as simulated annealing over {batch} parallel trajectories "
+        "sharing one temperature schedule.",
+        f"Current annealing temperature: {float(sa.sa_temperature)}.",
+    ]
+    if sa.trajectories:
+        lines.append("Current trajectory states:")
+        for i, entry in enumerate(sa.trajectories):
+            lines.append(f"trajectory {i}: " + entry.text)
+    lines.append(
+        "For each trajectory, propose one neighboring solution: a modest "
+        "change of that trajectory's current solution. The i-th solution "
+        "block is used as the neighbor for trajectory i. Higher temperature "
+        "permits bolder changes; lower temperature calls for careful local "
+        "refinement. Choose a cooling rate strictly between 0 and 1 and "
+        f"{_tag_request('cooling_rate')}."
+    )
+    return "\n".join(lines)
+
+
+class _Stateless:
+    """The run state of a strategy that keeps none, and takes no settings."""
+
+    sa = need = None
+
+    def __init__(self, sa, initial, config, direction) -> None:
+        if sa is not None:
+            self.settings()
+
+    @staticmethod
+    def settings(**values: object) -> NoReturn:
+        raise ValueError("annealing settings only apply to the hlmsa strategy")
+
+    def update(self, evaluated, hyperparams) -> tuple[None, None]:
+        return None, None
+
+
+class _Annealing:
+    """HLMSA's run state: ``sa`` as it stands at this step. Candidate i is
+    trajectory i's neighbor: an improvement always replaces the point, a
+    worsening passes a Metropolis test on its magnitude normalized by the seed
+    scores' range, frozen for the run. The model's cooling rate, clamped into
+    the settings' bounds (the default when missing or junk), then multiplies
+    the temperature."""
+
+    settings = SaState
+
+    def __init__(self, sa, initial, config, direction) -> None:
+        sa = sa or self.settings()
+        trajectories = sa.trajectories or [initial[i % len(initial)] for i in range(config.batch)]
+        if len(trajectories) != config.batch:
+            raise ValueError("need one trajectory per batch slot")
+        self.sa = replace(sa, trajectories=tuple(trajectories))
+        self.need = config.batch
+        self.direction = direction
+        self.rng = Rng(config.rng_seed)
+        seed_scores = [e.score for e in initial]
+        self.offset = min(seed_scores)
+        self.scale = max(seed_scores) - self.offset or 1.0
+        logger.info("annealing score normalization frozen at offset=%r scale=%r",
+                    self.offset, self.scale)
+
+    def update(self, evaluated, hyperparams) -> tuple[float, float]:
+        """Move the trajectories and cool; returns the step's temperature and rate."""
+        sa = self.sa
+        trajectories = list(sa.trajectories)
+        for i, candidate in enumerate(evaluated):
+            current = (trajectories[i].score - self.offset) / self.scale
+            proposed = (candidate.score - self.offset) / self.scale
+            if accept_candidate(current, proposed, sa.sa_temperature, self.direction, self.rng):
+                trajectories[i] = candidate
+        cooling = clamp_tag(hyperparams.get("cooling_rate"), *sa.cooling_bounds, sa.default_cooling)
+        temperature = cool(sa.sa_temperature, cooling)
+        self.sa = replace(sa, trajectories=tuple(trajectories), sa_temperature=temperature)
+        return sa.sa_temperature, cooling
+
+
+class Strategy(Enum):
+    """How each step asks for candidates; ``optimize`` takes it as a value.
+
+    OPRO asks for improvements over the rendered history. HLMEA asks for
+    selection, crossover and mutation, and for elitism, mutation and
+    crossover rate tags that are logged per step but never enforced (elitism
+    is implicit in the top-K history). HLMSA anneals one trajectory per batch
+    slot (``_Annealing``). Best-so-far tracks every evaluation. Each member
+    holds its ``prompt_block(batch, sa)``, the ``tags`` it asks for, and
+    ``state``, its per-run state class; ``state.settings`` builds its ``sa``.
+    """
+
+    def __new__(cls, value, tags, prompt_block, state):
+        member = object.__new__(cls)
+        member._value_, member.tags = value, tags
+        member.prompt_block, member.state = prompt_block, state
+        return member
+
+    OPRO = ("opro", (), _opro_block, _Stateless)
+    HLMEA = ("hlmea", ("elitism_rate", "mutation_rate", "crossover_rate"), _hlmea_block, _Stateless)
+    HLMSA = ("hlmsa", ("cooling_rate",), _hlmsa_block, _Annealing)
+
+
 class _AbortRun(Exception):
     def __init__(self, message: str, calls: int):
         super().__init__(message)
@@ -138,8 +259,8 @@ def _propose_and_parse(
 ) -> tuple[ParsedProposal, int]:
     """One proposal with a single retry on unusable output.
 
-    ``need`` is the minimum candidate count (trajectory alignment for HLMSA);
-    None accepts any non-empty parse.
+    ``need`` is the candidate count the run state takes (one per batch slot
+    when candidate i belongs to slot i); None accepts any non-empty parse.
     """
     calls = 0
     failure = "no candidates"
@@ -175,9 +296,8 @@ def optimize(
     ``initial`` solutions. Candidates are scored under ``config.evaluation``
     and ranked in ``objective.direction``.
 
-    ``sa`` seeds the annealing state and applies to HLMSA only (a default
-    ``SaState`` when None). It is mutated during the run, so callers that
-    keep a reference can observe trajectories and temperature.
+    ``sa`` holds HLMSA's annealing settings (its defaults when None), and
+    the run never changes it; other strategies refuse it.
     """
     if not initial:
         raise ValueError("initial evaluated solutions required")
@@ -191,40 +311,18 @@ def optimize(
         best = update_best(best, entry, direction)
     assert best is not None
 
-    # Annealing setup: one trajectory per batch slot, and worsening magnitudes
-    # measured against the seed scores' range, frozen for the whole run.
-    norm_offset, norm_scale = 0.0, 1.0
-    if strategy is Strategy.HLMSA:
-        sa = sa if sa is not None else SaState()
-        if not sa.trajectories:
-            sa.trajectories = [initial[i % len(initial)] for i in range(config.batch)]
-        if len(sa.trajectories) != config.batch:
-            raise ValueError("need one trajectory per batch slot")
-        seed_scores = [e.score for e in initial]
-        norm_offset = min(seed_scores)
-        norm_scale = max(seed_scores) - norm_offset or 1.0
-        logger.info(
-            "annealing score normalization frozen at offset=%r scale=%r",
-            norm_offset,
-            norm_scale,
-        )
-    elif sa is not None:
-        raise ValueError("annealing state only applies to the hlmsa strategy")
-
-    rng = Rng(config.rng_seed)
-    need = config.batch if sa is not None else None
+    state = strategy.state(sa, initial, config, direction)
     sampling = config.sampling
-    tags = EXPECTED_TAGS[strategy]
     steps: list[StepStats] = []
     evaluations = 0
     proposer_calls = 0
     termination = Termination(TerminationKind.MAX_STEPS)
 
     for step_index in range(config.max_steps):
-        bundle = build_prompt(spec, history, strategy, config.batch, sa)
+        bundle = build_prompt(spec, history, strategy, config.batch, state.sa)
         try:
             parsed, calls = _propose_and_parse(
-                backend, bundle, sampling, spec.schema, tags, need
+                backend, bundle, sampling, spec.schema, strategy.tags, state.need
             )
         except _AbortRun as exc:
             proposer_calls += exc.calls
@@ -232,9 +330,8 @@ def optimize(
             break
         proposer_calls += calls
 
-        # Positional alignment for HLMSA: candidate i belongs to trajectory i,
-        # and extras are dropped. Other strategies keep every candidate.
-        candidates = list(parsed.candidates[:need])
+        # A state that needs one candidate per slot drops the extras.
+        candidates = list(parsed.candidates[: state.need])
         try:
             scores = evaluate_batch(objective, candidates, config.evaluation)
         except EvaluationFailed as exc:
@@ -247,28 +344,7 @@ def optimize(
         for entry in evaluated:
             history.insert(entry)
             best = update_best(best, entry, direction)
-
-        cooling: float | None = None
-        step_sa_temperature: float | None = None
-        if sa is not None:
-            step_sa_temperature = sa.sa_temperature
-            for i, candidate in enumerate(evaluated):
-                accepted = accept_candidate(
-                    (sa.trajectories[i].score - norm_offset) / norm_scale,
-                    (candidate.score - norm_offset) / norm_scale,
-                    sa.sa_temperature,
-                    direction,
-                    rng,
-                )
-                if accepted:
-                    sa.trajectories[i] = candidate
-            cooling = clamp_tag(
-                parsed.hyperparams.get("cooling_rate"),
-                sa.cooling_bounds[0],
-                sa.cooling_bounds[1],
-                sa.default_cooling,
-            )
-            sa.sa_temperature = cool(sa.sa_temperature, cooling)
+        sa_temperature, cooling = state.update(evaluated, parsed.hyperparams)
 
         step_scores = [e.score for e in evaluated]
         stats = StepStats(
@@ -277,7 +353,7 @@ def optimize(
             mean_of_step=sum(step_scores) / len(step_scores),
             best_so_far=best.score,
             sampling_temperature=sampling.model_temperature,
-            sa_temperature=step_sa_temperature,
+            sa_temperature=sa_temperature,
             cooling_rate=cooling,
             hyperparams=dict(parsed.hyperparams),
         )

@@ -19,8 +19,7 @@ import threading
 import urllib.parse
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Protocol, get_args
+from typing import Any, Iterable, Protocol, get_args
 
 from .core import (
     EvaluatedSolution,
@@ -31,37 +30,6 @@ from .core import (
     parse_real,
 )
 from .rng import Rng
-
-if TYPE_CHECKING:
-    from .optimizers import SaState
-
-
-class Strategy(Enum):
-    """How each step asks for candidates; ``optimize`` takes it as a value.
-
-    OPRO asks for improvements over the rendered history. HLMEA asks for
-    selection, crossover and mutation, and for elitism, mutation and
-    crossover rate tags that are logged per step but never enforced (elitism
-    is implicit in the top-K history). HLMSA runs one trajectory per batch
-    slot, and candidate i is trajectory i's neighbor: an improvement always
-    replaces the point, a worsening passes a Metropolis test on its magnitude
-    normalized by the seed scores' range. The model's cooling rate, clamped
-    into the state's bounds (the default when missing or junk), multiplies
-    the temperature after every step. Best-so-far tracks every evaluation,
-    accepted or not.
-    """
-
-    OPRO = "opro"
-    HLMEA = "hlmea"
-    HLMSA = "hlmsa"
-
-
-# Scalar tags each strategy asks the model to report.
-EXPECTED_TAGS: dict[Strategy, tuple[str, ...]] = {
-    Strategy.OPRO: (),
-    Strategy.HLMEA: ("elitism_rate", "mutation_rate", "crossover_rate"),
-    Strategy.HLMSA: ("cooling_rate",),
-}
 
 # Embedded verbatim in every prompt, exactly once.
 OUTPUT_CONTRACT = (
@@ -99,62 +67,21 @@ def render_history_line(entry: EvaluatedSolution) -> str:
     return "solution: " + entry.text
 
 
-def _tag_request(name: str) -> str:
-    return f"report it inside <{name}> and </{name}> tags"
-
-
-def _strategy_block(strategy: Strategy, batch: int, sa: SaState | None) -> str:
-    if strategy is Strategy.OPRO:
-        return f"Propose {batch} new, distinct solutions better than the best shown."
-    if strategy is Strategy.HLMEA:
-        return (
-            "Act as an evolutionary algorithm. Select parent solutions from the "
-            "evaluated examples above, combine their strongest features as "
-            "crossover, and apply small mutations for exploration. Every proposed "
-            "solution must be unique. "
-            f"Choose an elitism rate and {_tag_request('elitism_rate')}. "
-            f"Choose a mutation rate and {_tag_request('mutation_rate')}. "
-            f"Choose a crossover rate and {_tag_request('crossover_rate')}. "
-            f"Propose {batch} new offspring solutions."
-        )
-    if strategy is Strategy.HLMSA:
-        if sa is None:
-            raise ValueError("HLMSA prompts require the annealing state")
-        lines = [
-            f"Act as simulated annealing over {batch} parallel trajectories "
-            "sharing one temperature schedule.",
-            f"Current annealing temperature: {float(sa.sa_temperature)}.",
-        ]
-        if sa.trajectories:
-            lines.append("Current trajectory states:")
-            for i, entry in enumerate(sa.trajectories):
-                lines.append(f"trajectory {i}: " + entry.text)
-        lines.append(
-            "For each trajectory, propose one neighboring solution: a modest "
-            "change of that trajectory's current solution. The i-th solution "
-            "block is used as the neighbor for trajectory i. Higher temperature "
-            "permits bolder changes; lower temperature calls for careful local "
-            "refinement. Choose a cooling rate strictly between 0 and 1 and "
-            f"{_tag_request('cooling_rate')}."
-        )
-        return "\n".join(lines)
-    raise ValueError(f"unknown strategy: {strategy!r}")
-
-
 def build_prompt(
     spec: ProblemSpec,
     history: History,
-    strategy: Strategy,
+    strategy: Any,
     batch: int,
-    sa: SaState | None = None,
+    sa: Any = None,
 ) -> PromptBundle:
     """Compose the full prompt for one optimization step.
 
     The system message carries the assistant role, the solution encoding, and
     the output-format contract. The user message carries the problem statement,
-    optional domain knowledge, the history rendered worst to best, the
-    strategy-specific instruction block, and the number of blocks to return.
-    HLMSA requires ``sa``, whose temperature and trajectory points it shows.
+    optional domain knowledge, the history rendered worst to best, the block
+    that ``strategy`` (an ``llmize.Strategy``) writes from ``batch`` and
+    ``sa``, and the number of blocks to return. HLMSA requires ``sa``, whose
+    temperature and trajectory points it shows.
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
@@ -176,7 +103,7 @@ def build_prompt(
             "Previously evaluated solutions, ordered from worst to best:\n"
             + "\n".join(map(render_history_line, entries))
         )
-    blocks.append(_strategy_block(strategy, batch, sa))
+    blocks.append(strategy.prompt_block(batch, sa))
     blocks.append(f"Return exactly {batch} solution blocks.")
     return PromptBundle(system_text=system_text, user_text="\n\n".join(blocks))
 

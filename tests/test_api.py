@@ -4,6 +4,7 @@ Like ``test_digests.py``, a deliberate API change must edit this list, so
 additions and removals show up in review.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,7 +17,6 @@ from conftest import fresh_python
 PUBLIC_NAMES = [
     "CallbackAction",
     "Continue",
-    "EXPECTED_TAGS",
     "EvalPolicy",
     "EvaluatedSolution",
     "EvaluationFailed",
@@ -79,6 +79,24 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in llmize.__all__:
         assert getattr(llmize, name) is not None, name
+
+
+def test_proposer_imports_nothing_from_optimizers():
+    """The step loop in ``optimizers`` builds on ``proposer``, never the
+    reverse: each strategy hands ``build_prompt`` its own block. Imports under
+    ``TYPE_CHECKING`` count too."""
+    path = Path(llmize.__file__).with_name("proposer.py")
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative to the llmize package
+                module = ".".join(filter(None, ("llmize", module)))
+            imported += [module] + [f"{module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert "llmize.core" in imported
+    assert [m for m in imported if (m + ".").startswith("llmize.optimizers.")] == []
 
 
 def test_import_loads_no_http_client_packages():

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,48 +307,71 @@ def hlmsa_transcript(pairs, cooling=None):
     return blocks
 
 
+class PromptRecorder(ScriptedBackend):
+    """Replays its script and keeps the user text of every prompt it is sent.
+    A run given one step more than the script keeps the prompt that step
+    would send, then stops: the script has run out."""
+
+    def __init__(self, transcripts):
+        super().__init__(transcripts)
+        self.prompts = []
+
+    def propose(self, bundle, params):
+        self.prompts.append(bundle.user_text)
+        return super().propose(bundle, params)
+
+
+def shown_trajectories(prompt):
+    """The points a prompt's `trajectory i:` lines show, in order."""
+    return [
+        tuple(float(x) for x in point.split(", "))
+        for point in re.findall(r"^trajectory \d+: (.*) \| score: ", prompt, re.MULTILINE)
+    ]
+
+
 class TestRunHlmsa:
     def test_improving_candidates_always_replace_trajectories(self):
-        backend = ScriptedBackend([hlmsa_transcript([(1, 1), (2, 2)], cooling=0.9)])
+        backend = PromptRecorder([hlmsa_transcript([(1, 1), (2, 2)], cooling=0.9)])
         sa = SaState(sa_temperature=1e-12)  # effectively greedy
         initial = seeds((5.0, 5.0))
         run_hlmsa(
-            SPEC, SUM_OBJECTIVE, backend, config(max_steps=1, batch=2), [], initial, sa
+            SPEC, SUM_OBJECTIVE, backend, config(max_steps=2, batch=2), [], initial, sa
         )
-        assert [t.solution.values for t in sa.trajectories] == [(1.0, 1.0), (2.0, 2.0)]
+        assert shown_trajectories(backend.prompts[1]) == [(1.0, 1.0), (2.0, 2.0)]
 
     def test_worsening_candidates_rejected_when_cold(self):
-        backend = ScriptedBackend([hlmsa_transcript([(9, 9), (8, 8)], cooling=0.9)])
+        backend = PromptRecorder([hlmsa_transcript([(9, 9), (8, 8)], cooling=0.9)])
         sa = SaState(sa_temperature=1e-12)
         initial = seeds((5.0, 5.0), (1.0, 1.0))
         run_hlmsa(
-            SPEC, SUM_OBJECTIVE, backend, config(max_steps=1, batch=2), [], initial, sa
+            SPEC, SUM_OBJECTIVE, backend, config(max_steps=2, batch=2), [], initial, sa
         )
-        assert [t.solution.values for t in sa.trajectories] == [(5.0, 5.0), (1.0, 1.0)]
+        assert shown_trajectories(backend.prompts[1]) == [(5.0, 5.0), (1.0, 1.0)]
 
     def test_cooling_tag_applied(self):
         backend = ScriptedBackend(
             [
                 hlmsa_transcript([(1, 1)], cooling=0.9),
                 hlmsa_transcript([(1, 2)], cooling=0.9),
+                hlmsa_transcript([(2, 2)], cooling=0.9),
             ]
         )
         sa = SaState(sa_temperature=1.0)
         result = run_hlmsa(
-            SPEC, SUM_OBJECTIVE, backend, config(max_steps=2), [], seeds((5, 5)), sa
+            SPEC, SUM_OBJECTIVE, backend, config(max_steps=3), [], seeds((5, 5)), sa
         )
-        assert [s.sa_temperature for s in result.steps] == [1.0, 0.9]
-        assert [s.cooling_rate for s in result.steps] == [0.9, 0.9]
-        assert sa.sa_temperature == pytest.approx(0.81)
+        assert [s.sa_temperature for s in result.steps[:2]] == [1.0, 0.9]
+        assert [s.cooling_rate for s in result.steps[:2]] == [0.9, 0.9]
+        assert result.steps[2].sa_temperature == pytest.approx(0.81)
 
     def test_missing_tag_uses_default_cooling(self):
-        backend = ScriptedBackend([hlmsa_transcript([(1, 1)])])
+        backend = ScriptedBackend([hlmsa_transcript([(1, 1)]), hlmsa_transcript([(2, 2)])])
         sa = SaState(sa_temperature=1.0, default_cooling=0.92)
         result = run_hlmsa(
-            SPEC, SUM_OBJECTIVE, backend, config(max_steps=1), [], seeds((5, 5)), sa
+            SPEC, SUM_OBJECTIVE, backend, config(max_steps=2), [], seeds((5, 5)), sa
         )
         assert result.steps[0].cooling_rate == 0.92
-        assert sa.sa_temperature == pytest.approx(0.92)
+        assert result.steps[1].sa_temperature == pytest.approx(0.92)
 
     def test_out_of_bounds_tag_clamped(self):
         backend = ScriptedBackend([hlmsa_transcript([(1, 1)], cooling=1.7)])
@@ -391,7 +416,7 @@ class TestRunHlmsa:
         assert result.termination.kind is TerminationKind.MAX_STEPS
         assert len(result.steps) == 120
         assert {s.cooling_rate for s in result.steps} == {0.5}
-        assert sa.sa_temperature == math.ulp(0.0)
+        assert result.steps[-1].sa_temperature == math.ulp(0.0)
 
     def test_short_batch_aborts_after_retry(self):
         backend = ScriptedBackend(
@@ -404,13 +429,41 @@ class TestRunHlmsa:
         assert "need 3" in result.termination.message
 
     def test_extra_candidates_truncated_positionally(self):
-        backend = ScriptedBackend([hlmsa_transcript([(1, 1), (2, 2), (3, 3)], cooling=0.9)])
+        backend = PromptRecorder([hlmsa_transcript([(1, 1), (2, 2), (3, 3)], cooling=0.9)])
         sa = SaState(sa_temperature=1e-12)
         result = run_hlmsa(
-            SPEC, SUM_OBJECTIVE, backend, config(max_steps=1, batch=2), [], seeds((5, 5)), sa
+            SPEC, SUM_OBJECTIVE, backend, config(max_steps=2, batch=2), [], seeds((5, 5)), sa
         )
         assert result.evaluations_used == 2
-        assert [t.solution.values for t in sa.trajectories] == [(1.0, 1.0), (2.0, 2.0)]
+        assert shown_trajectories(backend.prompts[1]) == [(1.0, 1.0), (2.0, 2.0)]
+
+    def test_one_settings_value_starts_equal_runs(self):
+        bench = make_convex_benchmark()
+        initial = [
+            ev(v, bench.objective.evaluate(v))
+            for v in seed_samples(bench.spec.schema, 4, 1, SeedStyle.GRID)
+        ]
+        sa = SaState(sa_temperature=1.0)
+
+        def run(batch):
+            result = run_hlmsa(
+                bench.spec, bench.objective, PerturbBackend(seed=1),
+                config(max_steps=15, batch=batch), [], initial, sa,
+            )
+            return replace(result, wall_time=0.0)
+
+        first = run(4)
+        assert run(4) == first
+        assert first.steps[0].sa_temperature == 1.0
+        assert len(run(2).steps) == 15
+        assert sa == SaState(sa_temperature=1.0)
+
+    def test_trajectory_count_must_match_batch(self):
+        sa = SaState(trajectories=seeds((1, 1), (2, 2)))
+        with pytest.raises(ValueError, match="one trajectory per batch slot"):
+            run_hlmsa(
+                SPEC, SUM_OBJECTIVE, ScriptedBackend([]), config(batch=3), [], seeds((5, 5)), sa
+            )
 
     def test_best_tracks_rejected_evaluations(self):
         # Worsening candidate is rejected by every trajectory but still owns

@@ -141,10 +141,7 @@ class TestHistoryLineCache:
 
         def recording_build(spec, history, strategy, batch, sa=None):
             bundle = build(spec, history, strategy, batch, sa)
-            # The loop mutates ``sa`` after this call: keep what was shown.
             shown = list(sa.trajectories) if sa is not None else []
-            if sa is not None:
-                sa = SaState(trajectories=shown, sa_temperature=sa.sa_temperature)
             prompts.append((history.entries, shown, bundle, (strategy, batch, sa)))
             return bundle
 
