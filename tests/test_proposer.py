@@ -443,6 +443,114 @@ class TestBlockScan:
         assert found > 500
 
 
+def reference_parse(raw, schema, expected_tags=()):
+    """``parse_proposal`` as it read spans when blocks had a ``str.find`` loop
+    of their own and each tag a regex, its last parseable value winning."""
+    candidates, rejected = [], 0
+    start = raw.find("<solution>")
+    while start >= 0:
+        end = raw.find("</solution>", start + len("<solution>"))
+        if end < 0:
+            break
+        value = schema.parse(raw[start + len("<solution>") : end])
+        if value is None:
+            rejected += 1
+        else:
+            candidates.append(value)
+        start = raw.find("<solution>", end + len("</solution>"))
+    if not candidates:
+        raise ZeroCandidatesError(rejected)
+    hyperparams = {}
+    for tag in expected_tags:
+        pattern = re.compile(rf"<{re.escape(tag)}>(.*?)</{re.escape(tag)}>", re.DOTALL)
+        for match in reversed(pattern.findall(raw)):
+            value = core.parse_real(match)
+            if value is not None:
+                hyperparams[tag] = value
+                break
+    return proposer.ParsedProposal(tuple(candidates), hyperparams, rejected)
+
+
+CONTRACT_SCHEMA = RealVectorSchema(dim=1, lower=(0.0,), upper=(1.0,))
+CONTRACT_TAGS = ("cooling_rate", "mutation_rate")
+
+
+def contract_reading(parse, raw):
+    """What ``parse`` makes of ``raw``: the proposal, or the number of
+    malformed blocks it counted before finding none it could use."""
+    try:
+        parsed = parse(raw, CONTRACT_SCHEMA, CONTRACT_TAGS)
+    except ZeroCandidatesError as exc:
+        return ("no candidates", exc.rejected_blocks)
+    return (parsed.candidates, parsed.hyperparams, parsed.rejected_blocks)
+
+
+class TestSpanContract:
+    """``parse_proposal`` keeps the reading of ``reference_parse``: a span runs
+    from an open tag to the first close tag after it, blocks are read in
+    order, and a scalar tag takes its last parseable value."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # An unterminated open tag.
+            "<solution>0.5</solution><solution>0.25",
+            "<solution>0.5</solution><cooling_rate>0.9",
+            "<cooling_rate>0.8</cooling_rate><solution>0.5</solution><cooling_rate>0.9",
+            # An open tag inside a span.
+            "<solution>0.1<solution>0.2</solution>",
+            "<solution>0.5</solution><cooling_rate>0.1<cooling_rate>0.2</cooling_rate>",
+            "<solution><solution>0.3</solution></solution>",
+            # A tag inside a solution block.
+            "<solution><cooling_rate>0.3</cooling_rate></solution><solution>0.5</solution>",
+            "<solution>0.5<mutation_rate>0.1</mutation_rate></solution>",
+            # Repeated tags whose last one is junk.
+            "<solution>0.5</solution><cooling_rate>0.4</cooling_rate>"
+            "<cooling_rate>fast</cooling_rate>",
+            "<solution>0.5</solution><cooling_rate>0.4</cooling_rate>"
+            "<cooling_rate>0.6</cooling_rate><cooling_rate>nan</cooling_rate>",
+            # Empty spans.
+            "<solution></solution><solution>0.5</solution><cooling_rate></cooling_rate>",
+            "<solution></solution>",
+            # CRLF inside spans.
+            "<solution>\r\n0.5\r\n</solution>\r\n<cooling_rate>\r\n0.7\r\n</cooling_rate>",
+            "<solution>0.5\r</solution><mutation_rate>\r\n</mutation_rate>",
+            # <solution> mentioned in prose before the blocks.
+            "Put each answer in <solution> tags.\n<solution>0.5</solution>",
+            "Use <solution> and </solution> tags.\n<solution>0.5</solution>"
+            "<solution>0.25</solution>",
+            "I will write <cooling_rate> last.\n<solution>0.5</solution>"
+            "<cooling_rate>0.95</cooling_rate>",
+        ],
+    )
+    def test_matches_reference_reader(self, raw):
+        assert contract_reading(parse_proposal, raw) == contract_reading(reference_parse, raw)
+
+    def test_matches_reference_reader_on_fuzzed_text(self):
+        # Spans whole or cut, around numbers, junk, CRLF and stray tags.
+        rng = random.Random(17)
+        names = ("solution", "cooling_rate", "mutation_rate")
+        numbers = ("0.5", "0.25", "1", " 0.75 ")
+        bodies = numbers + ("-2e3", "nan", "x", "", "\r\n", "<", "</", "<solution>")
+        forms = ("<{0}>{1}</{0}>",) * 5 + ("<{0}>{1}", "{1}</{0}>", "{1}")
+        outcomes = set()
+        for _ in range(3000):
+            raw = "".join(
+                rng.choice(forms).format(
+                    rng.choice(names), rng.choice(bodies) + rng.choice(numbers * 3 + bodies)
+                )
+                for _ in range(rng.randint(0, 8))
+            )
+            want = contract_reading(reference_parse, raw)
+            assert contract_reading(parse_proposal, raw) == want, raw
+            outcomes.add(
+                "none" if want[0] == "no candidates" else (len(want[1]), want[2] > 0)
+            )
+        # The strings reach every kind of reading: no candidates, and each
+        # tag count with and without a rejected block.
+        assert len(outcomes) == 7, outcomes
+
+
 class TestClampTag:
     def test_in_range_passthrough(self):
         assert clamp_tag(0.9, 0.5, 0.99, 0.92) == 0.9
