@@ -42,6 +42,7 @@ from .proposer import (
     build_prompt,
     clamp_tag,
     parse_proposal,
+    tag_request,
 )
 from .rng import Rng
 
@@ -119,10 +120,6 @@ def cool(sa_temperature: float, alpha: float) -> float:
     return max(sa_temperature * alpha, math.ulp(0.0))
 
 
-def _tag_request(name: str) -> str:
-    return f"report it inside <{name}> and </{name}> tags"
-
-
 def _opro_block(batch: int, sa: SaState | None) -> str:
     return f"Propose {batch} new, distinct solutions better than the best shown."
 
@@ -133,9 +130,9 @@ def _hlmea_block(batch: int, sa: SaState | None) -> str:
         "evaluated examples above, combine their strongest features as "
         "crossover, and apply small mutations for exploration. Every proposed "
         "solution must be unique. "
-        f"Choose an elitism rate and {_tag_request('elitism_rate')}. "
-        f"Choose a mutation rate and {_tag_request('mutation_rate')}. "
-        f"Choose a crossover rate and {_tag_request('crossover_rate')}. "
+        f"Choose an elitism rate and report it {tag_request('elitism_rate')}. "
+        f"Choose a mutation rate and report it {tag_request('mutation_rate')}. "
+        f"Choose a crossover rate and report it {tag_request('crossover_rate')}. "
         f"Propose {batch} new offspring solutions."
     )
 
@@ -158,7 +155,7 @@ def _hlmsa_block(batch: int, sa: SaState | None) -> str:
         "block is used as the neighbor for trajectory i. Higher temperature "
         "permits bolder changes; lower temperature calls for careful local "
         "refinement. Choose a cooling rate strictly between 0 and 1 and "
-        f"{_tag_request('cooling_rate')}."
+        f"report it {tag_request('cooling_rate')}."
     )
     return "\n".join(lines)
 

@@ -7,6 +7,9 @@ Nothing here caches prompt text: each history or trajectory entry carries its
 own rendering (``EvaluatedSolution.text``), made once on first use. Nothing
 here knows a solution kind either: each kind's encoding (describe, parse,
 render, sample, perturb) lives on its schema and value classes in ``core``.
+
+The ``<name>...</name>`` contract is owned here: ``tag_request`` is how a
+prompt asks for each part of an answer, and ``_spans`` reads it back.
 """
 
 from __future__ import annotations
@@ -31,9 +34,15 @@ from .core import (
 )
 from .rng import Rng
 
+
+def tag_request(name: str) -> str:
+    """How a prompt asks for a part of the answer: in a ``<name>`` span."""
+    return f"inside <{name}> and </{name}> tags"
+
+
 # Embedded verbatim in every prompt, exactly once.
 OUTPUT_CONTRACT = (
-    "Return each solution inside <solution> and </solution> tags. "
+    f"Return each solution {tag_request('solution')}. "
     "Inside the tags use only the solution encoding described above, "
     "with no extra text."
 )
@@ -128,16 +137,19 @@ class ParsedProposal:
     rejected_blocks: int
 
 
-_OPEN, _CLOSE = "<solution>", "</solution>"
-
-
-def _parse_tag(raw: str, name: str) -> float | None:
-    pattern = re.compile(rf"<{re.escape(name)}>(.*?)</{re.escape(name)}>", re.DOTALL)
-    for match in reversed(pattern.findall(raw)):
-        value = parse_real(match)
-        if value is not None:
-            return value
-    return None
+def _spans(raw: str, name: str) -> list[str]:
+    """Each ``<name>`` span's text, in order; it ends at the first close tag."""
+    open_tag, close_tag = f"<{name}>", f"</{name}>"
+    spans = []
+    start = raw.find(open_tag)
+    while start >= 0:
+        start += len(open_tag)
+        end = raw.find(close_tag, start)
+        if end < 0:
+            break
+        spans.append(raw[start:end])
+        start = raw.find(open_tag, end + len(close_tag))
+    return spans
 
 
 def parse_proposal(
@@ -147,33 +159,27 @@ def parse_proposal(
 ) -> ParsedProposal:
     """Extract solution blocks and requested scalar tags from raw model text.
 
-    Malformed blocks are counted and skipped; candidates are never fabricated.
-    Out-of-bounds numeric values pass through untouched so the objective's
-    penalty can handle them.
+    Blocks are read in order, and malformed ones are counted and skipped. A
+    scalar tag takes its last parseable value. Out-of-bounds numeric values
+    pass through untouched so the objective's penalty can handle them.
 
     Raises ZeroCandidatesError when no block parses.
     """
     candidates: list[SolutionValue] = []
     rejected = 0
-    # Each block runs from an open tag to the first close tag after it.
-    start = raw.find(_OPEN)
-    while start >= 0:
-        end = raw.find(_CLOSE, start + len(_OPEN))
-        if end < 0:
-            break
-        value = schema.parse(raw[start + len(_OPEN) : end])
+    for block in _spans(raw, "solution"):
+        value = schema.parse(block)
         if value is None:
             rejected += 1
         else:
             candidates.append(value)
-        start = raw.find(_OPEN, end + len(_CLOSE))
     if not candidates:
         raise ZeroCandidatesError(rejected)
     hyperparams: dict[str, float] = {}
     for tag in expected_tags:
-        value = _parse_tag(raw, tag)
-        if value is not None:
-            hyperparams[tag] = value
+        values = [v for v in map(parse_real, _spans(raw, tag)) if v is not None]
+        if values:
+            hyperparams[tag] = values[-1]
     return ParsedProposal(tuple(candidates), hyperparams, rejected)
 
 
@@ -318,7 +324,10 @@ class HttpChatBackend:
 
 _HISTORY_LINE_RE = re.compile(r"^solution: (.*) \| score: (.*)$", re.MULTILINE)
 _BATCH_RE = re.compile(r"Return exactly (\d+) solution blocks\.")
-_TAG_REQUEST_RE = re.compile(r"inside <([^\s<>]+)> and </")
+# The name in each tag_request, written as one.
+_TAG_REQUEST_RE = re.compile(
+    re.escape(tag_request("\0")).replace("\0", r"([^\s<>]+)", 1).replace("\0", r"\1")
+)
 
 _TAG_DEFAULTS = {"cooling_rate": "0.9"}
 _GENERIC_TAG_DEFAULT = "0.5"
@@ -327,11 +336,11 @@ _GENERIC_TAG_DEFAULT = "0.5"
 class PerturbBackend:
     """Deterministic stand-in for a language model.
 
-    Reads the prompt like a model would: it recovers the solution encoding,
-    the history lines, the number of requested blocks, and any requested tags
-    from the bundle text alone, then emits perturbations of the best history
-    entry. Two fresh instances with the same seed produce byte-identical
-    completions for the same bundle sequence.
+    Reads the prompt like a model would: the solution encoding from the system
+    message; the history lines, the number of blocks and the requested tags
+    from the user message. It emits perturbations of the best history entry.
+    Two fresh instances with the same seed produce byte-identical completions
+    for the same bundle sequence.
     """
 
     def __init__(self, seed: int, step_scale: float = 0.1):
@@ -343,24 +352,17 @@ class PerturbBackend:
         self._lock = threading.Lock()
 
     def propose(self, bundle: PromptBundle, params: SamplingParams) -> str:
-        text = f"{bundle.system_text}\n{bundle.user_text}"
-        schema = self._schema_from_prompt(text)
+        schema = self._schema_from_prompt(bundle.system_text)
         best = self._best_history_value(bundle.user_text, schema)
         batch_match = _BATCH_RE.search(bundle.user_text)
         batch = int(batch_match.group(1)) if batch_match else 1
-        # The output contract itself mentions <solution> tags; that is not a
-        # scalar tag request.
-        tags = [
-            t for t in dict.fromkeys(_TAG_REQUEST_RE.findall(text)) if t != "solution"
-        ]
+        tags = dict.fromkeys(_TAG_REQUEST_RE.findall(bundle.user_text))
 
         with self._lock:
             values = [schema.perturb(best, self._rng, self.step_scale) for _ in range(batch)]
-        lines = [f"<solution>{v.render()}</solution>" for v in values]
-        for tag in tags:
-            content = _TAG_DEFAULTS.get(tag, _GENERIC_TAG_DEFAULT)
-            lines.append(f"<{tag}>{content}</{tag}>")
-        return "\n".join(lines)
+        spans = [("solution", v.render()) for v in values]
+        spans += [(tag, _TAG_DEFAULTS.get(tag, _GENERIC_TAG_DEFAULT)) for tag in tags]
+        return "\n".join(f"<{name}>{text}</{name}>" for name, text in spans)
 
     @staticmethod
     def _schema_from_prompt(text: str) -> SolutionSchema:
