@@ -79,10 +79,10 @@ def evaluate_batch(
     if policy.workers == 1:
         return list(map(score, range(len(candidates)), candidates))
 
-    # Only this branch needs a thread pool, so only it loads one. Once a
-    # candidate fails the batch, no evaluation starts, and the abort returns
-    # when those already running have ended; the failure is still raised in
-    # candidate order, as the skipped candidates yield None.
+    # Only this branch loads a thread pool, and a batch returns once its
+    # threads have ended; an interrupt alone leaves at once. After a failure
+    # no evaluation starts, and the abort waits for those running, then raises
+    # the first failure in candidate order, as skipped candidates yield None.
     from concurrent.futures import ThreadPoolExecutor
 
     failed = []
@@ -98,9 +98,9 @@ def evaluate_batch(
 
     pool = ThreadPoolExecutor(max_workers=policy.workers)
     try:
-        return list(pool.map(score_unless_failed, range(len(candidates)), candidates))
-    except EvaluationFailed:
-        pool.shutdown(wait=True, cancel_futures=True)
+        scores = list(pool.map(score_unless_failed, range(len(candidates)), candidates))
+    except BaseException as exc:
+        pool.shutdown(wait=isinstance(exc, EvaluationFailed), cancel_futures=True)
         raise
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+    pool.shutdown(wait=True)
+    return scores

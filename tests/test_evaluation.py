@@ -144,9 +144,18 @@ def test_queued_candidate_gets_its_real_score(tmp_path, process_marker, workers)
     assert out == [1e9, 1e9, 2.0, 3.0, 4.0, 5.0]
 
 
+def test_batch_returns_with_its_pool_threads_ended():
+    objective = vector_objective(lambda values: values[0])
+    policy = EvalPolicy(workers=2)
+    for _ in range(50):
+        threads = threading.active_count()
+        assert evaluate_batch(objective, reals(1.0, 2.0, 3.0), policy) == [1.0, 2.0, 3.0]
+        assert threading.active_count() <= threads
+
+
 def test_failing_batches_leave_no_threads(tmp_path, process_marker):
-    # Once a batch returns, its pool's threads end: they do not pile up across
-    # batches whose candidates time out or fail.
+    # Once a batch returns, its pool's threads have ended: they do not pile
+    # up across batches whose candidates time out or fail.
     objective = sleeper(tmp_path, process_marker, timeout=0.2)
     flaky = vector_objective(lambda values: 1 / values[0])
     policy = EvalPolicy(workers=2, on_error=1e9)
@@ -154,9 +163,6 @@ def test_failing_batches_leave_no_threads(tmp_path, process_marker):
     for _ in range(5):
         assert evaluate_batch(objective, reals(-1.0, -2.0, 1.0), policy) == [1e9, 1e9, 1.0]
         assert evaluate_batch(flaky, reals(0.0, 0.0, 2.0), policy) == [1e9, 1e9, 0.5]
-    deadline = time.monotonic() + 1.0
-    while threading.active_count() > threads and time.monotonic() < deadline:
-        time.sleep(0.01)
     assert threading.active_count() <= threads
 
 
