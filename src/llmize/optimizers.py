@@ -16,7 +16,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 from typing import NoReturn, Sequence
 
 from .control import Callback, SetSamplingTemperature, StepContext, Stop, resolve_actions
@@ -347,7 +347,8 @@ def optimize(
         stats = StepStats(
             step_index=step_index,
             best_of_step=max(step_scores, key=direction.goodness),
-            mean_of_step=sum(step_scores) / len(step_scores),
+            # Left to right, as sum() adds before Python 3.12: same on every version.
+            mean_of_step=reduce(float.__add__, step_scores, 0.0) / len(step_scores),
             best_so_far=best.score,
             sampling_temperature=sampling.model_temperature,
             sa_temperature=sa_temperature,

@@ -197,6 +197,16 @@ class TestRunOpro:
         assert all(a >= b for a, b in zip(series, series[1:]))
         assert result.best.score == series[-1]
 
+    def test_step_mean_adds_left_to_right_on_every_python(self):
+        # From 3.12, sum() compensates and would give (1e16 + 1 - 1e16) / 3;
+        # the artifacts pinned in test_digests need the plain left-to-right sum.
+        blocks = "".join(f"<solution>{x}, 0</solution>" for x in ("1e16", "1", "-1e16"))
+        result = run_opro(
+            SPEC, SUM_OBJECTIVE, ScriptedBackend([blocks]), config(max_steps=1, batch=3), [],
+            seeds((1.0, 1.0)),
+        )
+        assert result.steps[0].mean_of_step == 0.0
+
 
 class TestStrategyEquivalence:
     def test_identical_transcripts_identical_series(self):
