@@ -324,7 +324,7 @@ class HttpChatBackend:
 
 _HISTORY_LINE_RE = re.compile(r"^solution: (.*) \| score: (.*)$", re.MULTILINE)
 _BATCH_RE = re.compile(r"Return exactly (\d+) solution blocks\.")
-# The name in each tag_request, written as one.
+# Finds each tag_request in a prompt and captures its name.
 _TAG_REQUEST_RE = re.compile(
     re.escape(tag_request("\0")).replace("\0", r"([^\s<>]+)", 1).replace("\0", r"\1")
 )
