@@ -159,9 +159,9 @@ def parse_proposal(
 ) -> ParsedProposal:
     """Extract solution blocks and requested scalar tags from raw model text.
 
-    Blocks are read in order, and malformed ones are counted and skipped. A
-    scalar tag takes its last parseable value. Out-of-bounds numeric values
-    pass through untouched so the objective's penalty can handle them.
+    Blocks are read in order; malformed ones are counted and skipped, never
+    fabricated. A scalar tag takes its last parseable value. Out-of-bounds
+    values pass through untouched so the objective's penalty can handle them.
 
     Raises ZeroCandidatesError when no block parses.
     """
