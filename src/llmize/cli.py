@@ -9,8 +9,8 @@ Each config block declares its keys and their kinds once, in one table; the
 kind-tagged blocks, ``_BACKENDS`` and ``_SCHEMAS``, hold one table per kind.
 ``_block`` walks a block against its table, refusing any key it does not list.
 
-Exit codes: 0 for a completed run, 1 for usage or configuration errors,
-2 for an aborted run.
+Exit codes: 0 for a completed run, 1 for usage or configuration errors and
+for an output that cannot be written, 2 for an aborted run.
 """
 
 from __future__ import annotations
@@ -438,6 +438,12 @@ def build_plan(doc: dict) -> RunPlan:
 
 
 def _execute(plan: RunPlan) -> int:
+    out_dir = plan.out_dir
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {out_dir}: {exc.strerror}", file=sys.stderr)
+        return 1
     try:
         scores = evaluate_batch(plan.objective, plan.seeds, plan.config.evaluation)
     except EvaluationFailed as exc:
@@ -450,8 +456,6 @@ def _execute(plan: RunPlan) -> int:
         plan.callbacks, initial, plan.sa,
     )
 
-    out_dir = plan.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "result.json").write_text(dumps_result(result))
     (out_dir / "history.csv").write_text(dumps_history_csv(result))
     if result.steps:
@@ -473,8 +477,8 @@ def _execute(plan: RunPlan) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_run(config_path: str) -> int:
-    path = Path(config_path)
+def cmd_run(args: argparse.Namespace) -> int:
+    path = Path(args.config)
     try:
         plan = build_plan(_read_run_file(path))
     except ConfigError as exc:
@@ -523,16 +527,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return _execute(plan)
 
 
-def cmd_plot(history_csv: str, out_svg: str) -> int:
+def cmd_plot(args: argparse.Namespace) -> int:
     try:
-        rows = read_history_csv(Path(history_csv))
+        rows = read_history_csv(Path(args.history_csv))
     except ConfigError as exc:
-        print(f"bad history CSV {history_csv}: {exc}", file=sys.stderr)
+        print(f"bad history CSV {args.history_csv}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"cannot read {history_csv}: {exc}", file=sys.stderr)
+        print(f"cannot read {args.history_csv}: {exc}", file=sys.stderr)
         return 1
-    Path(out_svg).write_text(render_history_chart(rows))
+    try:
+        Path(args.out_svg).write_text(render_history_chart(rows))
+    except OSError as exc:
+        print(f"cannot write {args.out_svg}: {exc.strerror}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -545,6 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a run described by a JSON config file")
     p_run.add_argument("config", help="path to the run config (JSON)")
+    p_run.set_defaults(handler=cmd_run)
 
     p_bench = sub.add_parser("bench", help="run a built-in benchmark")
     p_bench.add_argument("name", help="benchmark name")
@@ -559,23 +568,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--step-scale", type=float)
     p_bench.add_argument("--http-model", default=None, help="use the HTTP backend with this model")
     p_bench.add_argument("--http-base-url")
-    p_bench.add_argument("--out", default=".", help="output directory")
+    p_bench.add_argument("--out", help="output directory")
+    p_bench.set_defaults(handler=cmd_bench)
 
     p_plot = sub.add_parser("plot", help="render a history CSV as an SVG chart")
     p_plot.add_argument("history_csv")
     p_plot.add_argument("out_svg")
+    p_plot.set_defaults(handler=cmd_plot)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config)
-    if args.command == "bench":
-        return cmd_bench(args)
-    if args.command == "plot":
-        return cmd_plot(args.history_csv, args.out_svg)
-    raise AssertionError("unreachable")
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -128,20 +128,10 @@ def adaptive_sampling(
 
 
 def resolve_actions(actions: list[CallbackAction]) -> CallbackAction:
-    """Merge callback actions: stops dominate, target beats early stop,
-    otherwise the last temperature change wins, otherwise continue."""
-    stop: Stop | None = None
-    set_temp: SetSamplingTemperature | None = None
-    for action in actions:
-        if isinstance(action, Stop):
-            if action.reason is TerminationKind.TARGET_REACHED:
-                stop = action
-            elif stop is None:
-                stop = action
-        elif isinstance(action, SetSamplingTemperature):
-            set_temp = action
-    if stop is not None:
-        return stop
-    if set_temp is not None:
-        return set_temp
-    return Continue()
+    """Merge callback actions: a target stop, else any stop, else the last
+    temperature change, else continue."""
+    stops = [a for a in actions if isinstance(a, Stop)]
+    if stops:
+        return next((s for s in stops if s.reason is TerminationKind.TARGET_REACHED), stops[0])
+    changes = [a for a in actions if isinstance(a, SetSamplingTemperature)]
+    return changes[-1] if changes else Continue()

@@ -240,12 +240,6 @@ class Strategy(Enum):
     HLMSA = ("hlmsa", ("cooling_rate",), _hlmsa_block, _Annealing)
 
 
-class _AbortRun(Exception):
-    def __init__(self, message: str, calls: int):
-        super().__init__(message)
-        self.calls = calls
-
-
 def _propose_and_parse(
     backend: ProposerBackend,
     bundle,
@@ -253,20 +247,19 @@ def _propose_and_parse(
     schema,
     tags: tuple[str, ...],
     need: int | None,
-) -> tuple[ParsedProposal, int]:
-    """One proposal with a single retry on unusable output.
+) -> tuple[ParsedProposal | None, int, str | None]:
+    """One proposal with a single retry on unusable output: the parse, the calls
+    made, and why the run aborts instead, when there is no parse.
 
     ``need`` is the candidate count the run state takes (one per batch slot
     when candidate i belongs to slot i); None accepts any non-empty parse.
     """
-    calls = 0
     failure = "no candidates"
-    for _ in range(2):
-        calls += 1
+    for calls in (1, 2):
         try:
             raw = backend.propose(bundle, sampling)
         except (ScriptExhausted, TransportError) as exc:
-            raise _AbortRun(f"proposal failed: {exc}", calls) from exc
+            return None, calls, f"proposal failed: {exc}"
         try:
             parsed = parse_proposal(raw, schema, tags)
         except ZeroCandidatesError as exc:
@@ -275,8 +268,8 @@ def _propose_and_parse(
         if need is not None and len(parsed.candidates) < need:
             failure = f"parsed {len(parsed.candidates)} candidates, need {need}"
             continue
-        return parsed, calls
-    raise _AbortRun(f"unusable proposal after retry: {failure}", calls)
+        return parsed, calls, None
+    return None, calls, f"unusable proposal after retry: {failure}"
 
 
 def optimize(
@@ -317,15 +310,13 @@ def optimize(
 
     for step_index in range(config.max_steps):
         bundle = build_prompt(spec, history, strategy, config.batch, state.sa)
-        try:
-            parsed, calls = _propose_and_parse(
-                backend, bundle, sampling, spec.schema, strategy.tags, state.need
-            )
-        except _AbortRun as exc:
-            proposer_calls += exc.calls
-            termination = Termination(TerminationKind.ABORTED, str(exc))
-            break
+        parsed, calls, failure = _propose_and_parse(
+            backend, bundle, sampling, spec.schema, strategy.tags, state.need
+        )
         proposer_calls += calls
+        if parsed is None:
+            termination = Termination(TerminationKind.ABORTED, failure)
+            break
 
         # A state that needs one candidate per slot drops the extras.
         candidates = list(parsed.candidates[: state.need])

@@ -9,8 +9,8 @@ from __future__ import annotations
 from .benchmarks import TspInstance
 from .core import Permutation
 
-CHART_SERIES = ("best_so_far", "best_of_step", "mean_of_step")
-_SERIES_COLORS = {
+# The charted series, in drawing and legend order, each with its colour.
+CHART_SERIES = {
     "best_so_far": "#1f77b4",
     "best_of_step": "#2ca02c",
     "mean_of_step": "#ff7f0e",
@@ -37,7 +37,7 @@ def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> 
 def render_history_chart(rows: list[dict[str, float]]) -> str:
     """Line chart of the three per-step score series over step_index.
 
-    Each row needs step_index plus the three series named in CHART_SERIES.
+    Each row needs step_index plus the series CHART_SERIES names.
     """
     if not rows:
         raise ValueError("at least one row required")
@@ -64,22 +64,19 @@ def render_history_chart(rows: list[dict[str, float]]) -> str:
         f'<text x="{plot_left - 4}" y="{plot_bottom + 4}" text-anchor="end" font-size="11">{_fmt(y_lo)}</text>',
         f'<text x="{plot_left - 4}" y="{plot_top + 4}" text-anchor="end" font-size="11">{_fmt(y_hi)}</text>',
     ]
-    for series in CHART_SERIES:
+    for series, color in CHART_SERIES.items():
         points = " ".join(
             f"{_fmt(_scale(row['step_index'], x_lo, x_hi, plot_left, plot_right))},"
             f"{_fmt(_scale(row[series], y_lo, y_hi, plot_bottom, plot_top))}"
             for row in rows
         )
-        parts.append(
-            f'<polyline fill="none" stroke="{_SERIES_COLORS[series]}" '
-            f'stroke-width="1.5" points="{points}"/>'
-        )
-    for i, series in enumerate(CHART_SERIES):
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
+    for i, (series, color) in enumerate(CHART_SERIES.items()):
         ly = plot_top + 14 + i * 18
         lx = plot_right + 12
         parts.append(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-            f'stroke="{_SERIES_COLORS[series]}" stroke-width="1.5"/>'
+            f'stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
             f'<text x="{lx + 24}" y="{ly}" font-size="12">{series}</text>'

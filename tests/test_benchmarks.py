@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,11 @@ class TestLp3:
     def test_penalty_branch(self):
         assert lp3((10.0, 10.0, 10.0)) == pytest.approx(130.0 - 1e6)
 
+    @pytest.mark.parametrize("x", [(), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+    def test_wrong_length_is_refused(self, x):
+        with pytest.raises(ValueError, match="^lp3 expects exactly 3 values$"):
+            lp3(x)
+
     def test_feasibility_helper(self):
         assert lp3_feasible((1.08, 2.8, 4.44), tol=1e-9)
         assert not lp3_feasible((-0.1, 0.0, 0.0))
@@ -97,6 +103,20 @@ class TestTsp:
     def test_generate_is_deterministic(self):
         assert tsp_generate(10, 5) == tsp_generate(10, 5)
         assert tsp_generate(10, 5) != tsp_generate(10, 6)
+
+    @pytest.mark.parametrize(
+        "coordinates, n, message",
+        [
+            (((0.0, 0.0),), 1, "need n >= 2 coordinates"),
+            (((0.0, 0.0), (1.0, 1.0)), 3, "need n >= 2 coordinates"),
+            (((0.0, 0.0), (100.5, 1.0)), 2, "coordinates must lie in"),
+            (((0.0, -0.5), (1.0, 1.0)), 2, "coordinates must lie in"),
+        ],
+        ids=["one-city", "n-mismatch", "x-above-100", "y-below-0"],
+    )
+    def test_instance_is_checked(self, coordinates, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            TspInstance(coordinates=coordinates, n=n, seed=0)
 
     def test_two_city_tour(self):
         inst = tsp_generate(2, 3)

@@ -10,6 +10,7 @@ import pytest
 from llmize import cli, optimizers
 from llmize.cli import HISTORY_CSV_HEADER, main
 from llmize.evaluation import evaluate_batch
+from llmize.svg import render_history_chart
 
 
 def run_cli(*args):
@@ -314,6 +315,66 @@ class TestCmdRun:
         assert err.startswith("config error") and f"unknown key {where};" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "transcript, message",
+        [
+            (None, "cannot read transcript: "),
+            ('["<solution>1, 2</solution>",', "transcript is not valid JSON: "),
+            ('["<solution>1, 2</solution>", 3]', "transcript must be a JSON array of strings"),
+        ],
+        ids=["unreadable", "invalid-json", "not-strings"],
+    )
+    def test_bad_transcript_is_config_error(self, transcript, message, tmp_path, capsys):
+        path = tmp_path / "replies.json"
+        if transcript is not None:
+            path.write_text(transcript)
+        config = write_config(
+            tmp_path / "run.json", backend={"kind": "scripted", "transcript": str(path)},
+            output_dir=str(tmp_path / "out"),
+        )
+        assert run_cli("run", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_benchmark_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path / "run.json", benchmark="nosuch")
+        assert run_cli("run", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "unknown benchmark 'nosuch'" in err
+        for name in ("convex2d", "lp3", "tsp"):
+            assert name in err
+
+    def test_output_dir_that_cannot_be_made_fails_before_any_evaluation(
+        self, tmp_path, capsys
+    ):
+        # The objective appends a line to ``calls`` each time it scores a candidate.
+        calls = tmp_path / "calls.txt"
+        count = "import sys; open(sys.argv[1], 'a').write('x\\n'); print(float(input()))"
+        problem = {
+            "description": "d",
+            "direction": "minimize",
+            "schema": {"kind": "real_vector", "lower": [0.0], "upper": [1.0]},
+            "objective_command": ["python3", "-c", count, str(calls)],
+        }
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        out = blocker / "out"
+        settings = dict(
+            benchmark=None, problem=problem, seeding={"style": "uniform", "count": 2},
+            max_steps=1, batch=1, callbacks={},
+        )
+        config = write_config(tmp_path / "run.json", output_dir=str(out), **settings)
+        assert run_cli("run", config) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot create output directory {out}: ")
+        assert captured.out == ""
+        assert not calls.exists()
+        # The same run with a directory it can make scores the seeds and the step.
+        config = write_config(tmp_path / "run.json", output_dir=str(tmp_path / "out"), **settings)
+        assert run_cli("run", config) == 0
+        assert calls.read_text() == "x\n" * 3
+
     def test_a_bug_is_not_reported_as_a_config_error(self, tmp_path, monkeypatch):
         def broken(doc):
             raise ValueError("not a config error")
@@ -523,6 +584,26 @@ class TestCmdBench:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_output_dir_that_cannot_be_made_fails_before_any_evaluation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        batches = []
+
+        def counting(objective, candidates, policy):
+            batches.append(len(candidates))
+            return evaluate_batch(objective, candidates, policy)
+
+        monkeypatch.setattr(cli, "evaluate_batch", counting)
+        monkeypatch.setattr(optimizers, "evaluate_batch", counting)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        out = blocker / "out"
+        assert run_cli("bench", "convex2d", "--max-steps", 1, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot create output directory {out}: ")
+        assert captured.out == ""
+        assert batches == []
+
     def test_invalid_option_values_exit_1(self, tmp_path, capsys):
         assert run_cli("bench", "convex2d", "--batch", 0, "--out", tmp_path) == 1
         assert "batch" in capsys.readouterr().err
@@ -579,6 +660,41 @@ class TestCmdPlot:
         path = self._history(tmp_path, ["0,1.0,1.0,1.0,1.0,,", "1,oops,1.0,1.0,1.0,,"])
         assert run_cli("plot", path, tmp_path / "chart.svg") == 1
         assert "row 3" in capsys.readouterr().err
+
+    def test_chart_needs_a_row(self):
+        with pytest.raises(ValueError, match="^at least one row required$"):
+            render_history_chart([])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty CSV"),
+            (HISTORY_CSV_HEADER + "\n", "no data rows"),
+            (HISTORY_CSV_HEADER + "\n0,1.0,1.0\n", "row 2: expected 7 fields, got 3"),
+        ],
+        ids=["empty", "header-only", "short-row"],
+    )
+    def test_bad_csv_named(self, text, message, tmp_path, capsys):
+        path = tmp_path / "history.csv"
+        path.write_text(text)
+        assert run_cli("plot", path, tmp_path / "chart.svg") == 1
+        assert capsys.readouterr().err == f"bad history CSV {path}: {message}\n"
+        assert not (tmp_path / "chart.svg").exists()
+
+    def test_missing_csv_is_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.csv"
+        assert run_cli("plot", path, tmp_path / "chart.svg") == 1
+        assert capsys.readouterr().err.startswith(f"cannot read {path}: ")
+        assert not (tmp_path / "chart.svg").exists()
+
+    def test_unwritable_chart_is_error(self, tmp_path, capsys):
+        path = self._history(tmp_path, ["0,5.0,6.0,5.0,1.0,,"])
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        out = blocker / "chart.svg"
+        assert run_cli("plot", path, out) == 1
+        assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
+        assert blocker.read_text() == "a regular file\n"
 
 
 @pytest.mark.parametrize("table", ["_BACKENDS", "_SCHEMAS", "_CALLBACKS"])

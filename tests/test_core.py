@@ -255,6 +255,28 @@ class TestSchemaArguments:
         value = KeyedScalars(((key, 0.25), ("z", -0.5)))
         assert schema.parse(value.render()) == value
 
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            (RealVectorSchema, "Bounds per position: none."),
+            (KeyedScalarsSchema, "Keys and bounds: none."),
+        ],
+        ids=["real-vector", "keyed-scalars"],
+    )
+    def test_bounds_marker_without_pairs_is_refused(self, kind, text):
+        with pytest.raises(ValueError, match="^no (keyed )?bounds found in prompt encoding$"):
+            kind.from_description(text)
+
+    @pytest.mark.parametrize("lower, upper", [((0.0,), (1.0, 1.0)), ((0.0, 0.0), (1.0,))])
+    def test_keyed_bounds_must_match_the_keys(self, lower, upper):
+        with pytest.raises(ValueError, match="^bounds length must equal number of keys$"):
+            KeyedScalarsSchema(keys=("a", "b"), lower=lower, upper=upper)
+
+    def test_keyed_value_must_be_a_number(self):
+        schema = KeyedScalarsSchema(keys=("a", "b"), lower=(0.0, 0.0), upper=(1.0, 1.0))
+        assert schema.parse("a=0.5, b=high") is None
+        assert schema.parse("a=0.5, b=0.25") == KeyedScalars((("a", 0.5), ("b", 0.25)))
+
     def test_keyed_round_trip_for_accepted_keys(self):
         rng = random.Random(3)
         # Printable ASCII without whitespace, ',', '=', '<' and '>', plus some
@@ -280,6 +302,11 @@ class TestSchemaArguments:
 
 
 class TestHistoryInsert:
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_capacity_must_be_positive(self, capacity):
+        with pytest.raises(ValueError, match="^capacity must be >= 1$"):
+            History(capacity, MIN)
+
     def test_keeps_two_smallest_under_minimize(self):
         h = History(capacity=2, direction=MIN)
         h.insert(ev(rv(1), 10.0))

@@ -156,7 +156,7 @@ def test_batch_returns_with_its_pool_threads_ended():
 def test_failing_batches_leave_no_threads(tmp_path, process_marker):
     # Once a batch returns, its pool's threads have ended: they do not pile
     # up across batches whose candidates time out or fail.
-    objective = sleeper(tmp_path, process_marker, timeout=0.2)
+    objective = sleeper(tmp_path, process_marker, timeout=0.5)
     flaky = vector_objective(lambda values: 1 / values[0])
     policy = EvalPolicy(workers=2, on_error=1e9)
     threads = threading.active_count()

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -63,6 +64,10 @@ class TestBuildPrompt:
         assert "Propose 4 new, distinct solutions" in bundle.user_text
         assert "Return exactly 4 solution blocks." in bundle.user_text
         assert "solution: " not in bundle.user_text
+
+    def test_batch_must_be_positive(self):
+        with pytest.raises(ValueError, match="^batch must be >= 1$"):
+            build_prompt(SPEC, make_history([1.0]), Strategy.OPRO, 0)
 
     def test_output_contract_appears_exactly_once(self):
         bundle = build_prompt(SPEC, make_history([3.0, 1.0]), Strategy.HLMEA, 2)
@@ -680,6 +685,19 @@ class TestPerturbBackend:
         with pytest.raises(ValueError):
             PerturbBackend(seed=1).propose(bundle, SamplingParams())
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"system_text": "Propose good solutions."}, "recognizable solution encoding"),
+            ({"user_text": "solution: 1, 2, 3 | score: 1"}, "unparseable history line: '1, 2, 3'"),
+        ],
+        ids=["no-encoding", "unparseable-history"],
+    )
+    def test_unreadable_prompt_is_refused(self, change, message):
+        bundle = dataclasses.replace(self._bundle(), **change)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PerturbBackend(seed=1).propose(bundle, SamplingParams())
+
     def test_concurrent_calls_stay_valid(self):
         import concurrent.futures
 
@@ -771,6 +789,15 @@ class TestHttpChatBackend:
         backend = HttpChatBackend(base_url=server.url, model="m1")
         with pytest.raises(TransportError):
             backend.propose(self._bundle(), SamplingParams())
+
+    @pytest.mark.parametrize("content", [None, 7, ["<solution>1, 1</solution>"]])
+    def test_non_text_content_is_transport_error(self, content, stub_chat_server):
+        server = stub_chat_server(lambda n: (200, {"choices": [{"message": {"content": content}}]}))
+        backend = HttpChatBackend(base_url=server.url, model="m1")
+        with pytest.raises(TransportError, match="^completion content is not text$") as exc:
+            backend.propose(self._bundle(), SamplingParams())
+        assert exc.value.status == 200
+        assert len(server.requests) == 1
 
     def _fails(self, server, **kwargs):
         backend = HttpChatBackend(base_url=server.url, model="m1", **kwargs)

@@ -79,6 +79,18 @@ def test_choice_refuses_what_it_would_draw_unlike_numpy():
         Rng(3).choice(10, size=2, replace=True)
 
 
+@pytest.mark.parametrize("high", [0, -1, 2**63 + 1])
+def test_integers_refuses_an_empty_or_too_wide_range(high):
+    with pytest.raises(ValueError, match=r"^high must be in \[1, 2\*\*63\]$"):
+        Rng(3).integers(high)
+
+
+@pytest.mark.parametrize("size", [-1, 6])
+def test_choice_refuses_a_size_outside_the_population(size):
+    with pytest.raises(ValueError, match=r"^size must be in \[0, n\]$"):
+        Rng(3).choice(5, size=size, replace=False)
+
+
 def test_zero_range_consumes_no_draw():
     # integers(1) has range 0; choice(2, size=2) starts Floyd's algorithm at range 0.
     plain = Rng(5)
