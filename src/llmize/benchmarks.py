@@ -178,15 +178,17 @@ def lp3_oracle() -> tuple[tuple[float, float, float], float]:
 @dataclass(frozen=True)
 class TspInstance:
     coordinates: tuple[tuple[float, float], ...]
-    n: int
-    seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 2 or len(self.coordinates) != self.n:
+        if self.n < 2:
             raise ValueError("need n >= 2 coordinates")
         for x, y in self.coordinates:
             if not (0.0 <= x <= 100.0 and 0.0 <= y <= 100.0):
                 raise ValueError("coordinates must lie in [0, 100]^2")
+
+    @property
+    def n(self) -> int:
+        return len(self.coordinates)
 
 
 class InstanceTooLarge(Exception):
@@ -200,9 +202,7 @@ def tsp_generate(n: int, seed: int) -> TspInstance:
         raise ValueError("n must be >= 2")
     rng = Rng(seed)
     return TspInstance(
-        coordinates=tuple((rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)) for _ in range(n)),
-        n=n,
-        seed=seed,
+        tuple((rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)) for _ in range(n))
     )
 
 
@@ -265,7 +265,7 @@ def tsp_bruteforce(instance: TspInstance) -> tuple[Permutation, float]:
 
 class SeedStyle(Enum):
     GRID = "grid"
-    UNIFORM_RANDOM = "uniform_random"
+    UNIFORM_RANDOM = "uniform"
 
 
 def seed_samples(
@@ -302,7 +302,6 @@ class Benchmark:
     """A registered problem with its seeding recipe, plus the step budget and
     stop target that ``llmize bench`` runs it with."""
 
-    name: str
     spec: ProblemSpec
     objective: Objective
     seed_style: SeedStyle
@@ -326,7 +325,6 @@ def make_convex_benchmark() -> Benchmark:
         ),
     )
     return Benchmark(
-        name="convex2d",
         spec=spec,
         objective=Objective(lambda v: convex2d(v.values), ObjectiveDirection.MINIMIZE),
         seed_style=SeedStyle.GRID,
@@ -351,7 +349,6 @@ def make_lp_benchmark() -> Benchmark:
         ),
     )
     return Benchmark(
-        name="lp3",
         spec=spec,
         objective=Objective(lambda v: lp3(v.values), ObjectiveDirection.MAXIMIZE),
         seed_style=SeedStyle.UNIFORM_RANDOM,
@@ -381,7 +378,6 @@ def make_tsp_benchmark(n: int = 10, instance_seed: int = 0) -> Benchmark:
         ),
     )
     return Benchmark(
-        name="tsp",
         spec=spec,
         objective=Objective(lambda v: tsp_length(instance, v), ObjectiveDirection.MINIMIZE),
         seed_style=SeedStyle.UNIFORM_RANDOM,
@@ -391,14 +387,15 @@ def make_tsp_benchmark(n: int = 10, instance_seed: int = 0) -> Benchmark:
     )
 
 
-BENCHMARK_NAMES = ("convex2d", "lp3", "tsp")
+_BENCHMARKS = {
+    "convex2d": make_convex_benchmark,
+    "lp3": make_lp_benchmark,
+    "tsp": make_tsp_benchmark,
+}
+BENCHMARK_NAMES = tuple(_BENCHMARKS)
 
 
 def get_benchmark(name: str, **params) -> Benchmark:
-    if name == "convex2d":
-        return make_convex_benchmark()
-    if name == "lp3":
-        return make_lp_benchmark()
-    if name == "tsp":
-        return make_tsp_benchmark(**params)
-    raise KeyError(f"unknown benchmark {name!r}; known: {', '.join(BENCHMARK_NAMES)}")
+    if name not in _BENCHMARKS:
+        raise KeyError(f"unknown benchmark {name!r}; known: {', '.join(BENCHMARK_NAMES)}")
+    return _BENCHMARKS[name](**params)

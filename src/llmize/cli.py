@@ -55,6 +55,7 @@ HISTORY_CSV_HEADER = (
     "step_index,best_of_step,mean_of_step,best_so_far,"
     "sampling_temperature,sa_temperature,cooling_rate"
 )
+_HISTORY_FIELDS = HISTORY_CSV_HEADER.split(",")
 
 class ConfigError(Exception):
     pass
@@ -95,15 +96,14 @@ def _csv_cell(value: float | None) -> str:
 def dumps_history_csv(result: OptimizationResult) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    fields = HISTORY_CSV_HEADER.split(",")
-    writer.writerow(fields)
+    writer.writerow(_HISTORY_FIELDS)
     for s in result.steps:
         row = vars(s)
-        writer.writerow([_csv_cell(row[f]) for f in fields])
+        writer.writerow([_csv_cell(row[f]) for f in _HISTORY_FIELDS])
     return out.getvalue()
 
 
-def read_history_csv(path: Path) -> list[dict[str, float]]:
+def read_history_csv(path: Path) -> list[dict[str, float | None]]:
     """Parse a history CSV back into chart rows, strictly."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -111,24 +111,20 @@ def read_history_csv(path: Path) -> list[dict[str, float]]:
             header = next(reader)
         except StopIteration:
             raise ConfigError("empty CSV") from None
-        if header != HISTORY_CSV_HEADER.split(","):
+        if header != _HISTORY_FIELDS:
             raise ConfigError(
                 f"header mismatch: expected {HISTORY_CSV_HEADER!r}, got {','.join(header)!r}"
             )
-        rows: list[dict[str, float]] = []
+        rows: list[dict[str, float | None]] = []
         for lineno, raw in enumerate(reader, start=2):
             try:
-                if len(raw) != 7:
-                    raise ValueError(f"expected 7 fields, got {len(raw)}")
-                rows.append(
-                    {
-                        "step_index": int(raw[0]),
-                        "best_of_step": float(raw[1]),
-                        "mean_of_step": float(raw[2]),
-                        "best_so_far": float(raw[3]),
-                        "sampling_temperature": float(raw[4]),
-                    }
-                )
+                if len(raw) != len(_HISTORY_FIELDS):
+                    raise ValueError(f"expected {len(_HISTORY_FIELDS)} fields, got {len(raw)}")
+                step_index, *scores, sa_temperature, cooling_rate = raw
+                values = [int(step_index), *map(float, scores)]
+                # Only hlmsa fills the last two cells; other strategies leave them blank.
+                values += [float(c) if c else None for c in (sa_temperature, cooling_rate)]
+                rows.append(dict(zip(_HISTORY_FIELDS, values)))
             except ValueError as exc:
                 raise ConfigError(f"row {lineno}: {exc}") from None
     if not rows:
@@ -397,8 +393,7 @@ def build_plan(doc: dict) -> RunPlan:
 
     seeding = _block(
         run.get("seeding", {}), "seeding", {},
-        {"style": {"grid": SeedStyle.GRID, "uniform": SeedStyle.UNIFORM_RANDOM},
-         "count": int, "seed": int},
+        {"style": {s.value: s for s in SeedStyle}, "count": int, "seed": int},
     )
     defaults = {"count": config.batch, "seed": config.rng_seed}
     if benchmark is not None:
@@ -458,12 +453,17 @@ def _execute(plan: RunPlan) -> int:
 
     (out_dir / "result.json").write_text(dumps_result(result))
     (out_dir / "history.csv").write_text(dumps_history_csv(result))
-    if result.steps:
-        rows = [vars(s) for s in result.steps]
-        (out_dir / "plot.svg").write_text(render_history_chart(rows))
     instance = plan.benchmark and plan.benchmark.tsp_instance
-    if instance is not None:
-        (out_dir / "tour.svg").write_text(render_tour(instance, result.best.solution))
+    charts = {
+        "plot.svg": result.steps and render_history_chart([vars(s) for s in result.steps]),
+        "tour.svg": instance and render_tour(instance, result.best.solution),
+    }
+    # A chart this run does not draw is removed, so none is left from an earlier run.
+    for name, svg in charts.items():
+        if svg:
+            (out_dir / name).write_text(svg)
+        else:
+            (out_dir / name).unlink(missing_ok=True)
 
     print(
         f"best={result.best.score!r} steps={len(result.steps)} "

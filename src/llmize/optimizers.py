@@ -221,12 +221,13 @@ class Strategy(Enum):
     """How each step asks for candidates; ``optimize`` takes it as a value.
 
     OPRO asks for improvements over the rendered history. HLMEA asks for
-    selection, crossover and mutation, and for elitism, mutation and
-    crossover rate tags that are logged per step but never enforced (elitism
-    is implicit in the top-K history). HLMSA anneals one trajectory per batch
-    slot (``_Annealing``). Best-so-far tracks every evaluation. Each member
-    holds its ``prompt_block(batch, sa)``, the ``tags`` it asks for, and
-    ``state``, its per-run state class; ``state.settings`` builds its ``sa``.
+    selection, crossover and mutation, and for elitism, mutation and crossover
+    rate tags that each step records in its ``hyperparams`` but nothing
+    enforces (elitism is implicit in the top-K history). HLMSA anneals one
+    trajectory per batch slot (``_Annealing``). Best-so-far tracks every
+    evaluation. Each member holds its ``prompt_block(batch, sa)``, the ``tags``
+    it asks for, and ``state``, its per-run state class; ``state.settings``
+    builds its ``sa``.
     """
 
     def __new__(cls, value, tags, prompt_block, state):

@@ -261,19 +261,21 @@ class HttpChatBackend:
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
-        from urllib.request import HTTPRedirectHandler, build_opener
+        from urllib.request import HTTPErrorProcessor, build_opener
 
-        class _RefuseRedirect(HTTPRedirectHandler):
-            # urllib would resend the bearer token to whatever host a redirect names.
-            def redirect_request(self, req, fp, code, msg, headers, newurl):
-                return None
+        class _EveryStatus(HTTPErrorProcessor):
+            # Hands every response back for ``propose`` to read its status. No error
+            # handler runs, so no redirect is followed: the token goes to base_url only.
+            def http_response(self, request, response):
+                return response
 
-        self._opener = build_opener(_RefuseRedirect)
+            https_response = http_response
+
+        self._opener = build_opener(_EveryStatus)
 
     def propose(self, bundle: PromptBundle, params: SamplingParams) -> str:
         # Loaded at construction; here the imports only look the modules up.
         from http.client import HTTPException
-        from urllib.error import HTTPError
         from urllib.request import Request
 
         payload = {
@@ -299,10 +301,9 @@ class HttpChatBackend:
             request = Request(url, data, headers)
             try:
                 with self._opener.open(request, timeout=self.timeout) as response:
-                    status, body = response.status, response.read()
-            except HTTPError as exc:
-                status, body = exc.code, b""
-                exc.close()
+                    # An error reply fails on its status alone; its body is never read.
+                    status = response.status
+                    body = response.read() if status == 200 else b""
             except (OSError, HTTPException) as exc:
                 last_error = TransportError(f"request failed: {exc}")
                 continue
@@ -346,7 +347,6 @@ class PerturbBackend:
     def __init__(self, seed: int, step_scale: float = 0.1):
         if not 0 < step_scale < math.inf:
             raise ValueError("step_scale must be finite and > 0")
-        self.seed = seed
         self.step_scale = step_scale
         self._rng = Rng(seed)
         self._lock = threading.Lock()

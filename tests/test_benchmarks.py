@@ -25,9 +25,7 @@ from llmize.benchmarks import (
     tsp_length,
 )
 
-SQUARE = TspInstance(
-    coordinates=((0.0, 0.0), (0.0, 10.0), (10.0, 10.0), (10.0, 0.0)), n=4, seed=0
-)
+SQUARE = TspInstance(((0.0, 0.0), (0.0, 10.0), (10.0, 10.0), (10.0, 0.0)))
 
 
 class TestConvex2d:
@@ -105,18 +103,17 @@ class TestTsp:
         assert tsp_generate(10, 5) != tsp_generate(10, 6)
 
     @pytest.mark.parametrize(
-        "coordinates, n, message",
+        "coordinates, message",
         [
-            (((0.0, 0.0),), 1, "need n >= 2 coordinates"),
-            (((0.0, 0.0), (1.0, 1.0)), 3, "need n >= 2 coordinates"),
-            (((0.0, 0.0), (100.5, 1.0)), 2, "coordinates must lie in"),
-            (((0.0, -0.5), (1.0, 1.0)), 2, "coordinates must lie in"),
+            (((0.0, 0.0),), "need n >= 2 coordinates"),
+            (((0.0, 0.0), (100.5, 1.0)), "coordinates must lie in"),
+            (((0.0, -0.5), (1.0, 1.0)), "coordinates must lie in"),
         ],
-        ids=["one-city", "n-mismatch", "x-above-100", "y-below-0"],
+        ids=["one-city", "x-above-100", "y-below-0"],
     )
-    def test_instance_is_checked(self, coordinates, n, message):
+    def test_instance_is_checked(self, coordinates, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            TspInstance(coordinates=coordinates, n=n, seed=0)
+            TspInstance(coordinates)
 
     def test_two_city_tour(self):
         inst = tsp_generate(2, 3)

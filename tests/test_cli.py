@@ -88,6 +88,22 @@ class TestCmdRun:
         assert run_cli("run", config) == 2
         assert "termination=aborted" in capsys.readouterr().out
 
+    def test_reused_output_directory_keeps_no_stale_chart(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("bench", "tsp", "--n", 7, "--max-steps", 5, "--out", out) == 0
+        assert (out / "plot.svg").exists() and (out / "tour.svg").exists()
+        transcript = tmp_path / "script.json"
+        transcript.write_text(json.dumps(["junk"]))
+        config = write_config(
+            tmp_path / "run.json",
+            backend={"kind": "scripted", "transcript": str(transcript)},
+            callbacks={},
+            output_dir=str(out),
+        )
+        assert run_cli("run", config) == 2
+        assert json.loads((out / "result.json").read_text())["steps"] == []
+        assert sorted(p.name for p in out.iterdir()) == ["history.csv", "result.json"]
+
     def test_missing_config_exit_1(self, tmp_path, capsys):
         assert run_cli("run", tmp_path / "absent.json") == 1
 
@@ -671,8 +687,16 @@ class TestCmdPlot:
             ("", "empty CSV"),
             (HISTORY_CSV_HEADER + "\n", "no data rows"),
             (HISTORY_CSV_HEADER + "\n0,1.0,1.0\n", "row 2: expected 7 fields, got 3"),
+            (
+                HISTORY_CSV_HEADER + "\n0,1.0,1.0,1.0,1.0,abc,0.9\n",
+                "row 2: could not convert string to float: 'abc'",
+            ),
+            (
+                HISTORY_CSV_HEADER + "\n0,1.0,1.0,1.0,1.0,,xyz\n",
+                "row 2: could not convert string to float: 'xyz'",
+            ),
         ],
-        ids=["empty", "header-only", "short-row"],
+        ids=["empty", "header-only", "short-row", "junk-sa-temperature", "junk-cooling-rate"],
     )
     def test_bad_csv_named(self, text, message, tmp_path, capsys):
         path = tmp_path / "history.csv"
@@ -680,6 +704,12 @@ class TestCmdPlot:
         assert run_cli("plot", path, tmp_path / "chart.svg") == 1
         assert capsys.readouterr().err == f"bad history CSV {path}: {message}\n"
         assert not (tmp_path / "chart.svg").exists()
+
+    def test_replotting_a_runs_history_redraws_its_chart(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("bench", "tsp", "--n", 7, "--strategy", "hlmsa", "--out", out) == 0
+        assert run_cli("plot", out / "history.csv", tmp_path / "chart.svg") == 0
+        assert (tmp_path / "chart.svg").read_bytes() == (out / "plot.svg").read_bytes()
 
     def test_missing_csv_is_error(self, tmp_path, capsys):
         path = tmp_path / "absent.csv"

@@ -294,6 +294,21 @@ def test_timeout_must_be_finite_and_positive():
     command_objective(["true"], MIN)
 
 
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        ("import sys; sys.stderr.write('bad'); sys.exit(3)", "objective command exited 3: bad"),
+        ("print('seven')", "could not convert string to float: 'seven'"),
+    ],
+    ids=["exit-status", "not-a-number"],
+)
+def test_command_failure_message(program, message):
+    objective = command_objective([sys.executable, "-c", program], MIN)
+    with pytest.raises(EvaluationFailed) as exc:
+        evaluate_batch(objective, reals(1.0), EvalPolicy())
+    assert exc.value.message == message
+
+
 def test_pool_and_command_paths_in_a_fresh_interpreter(process_marker):
     """The thread pool and ``subprocess`` load on first use, so every path
     through them, failures and command timeouts included, must find the names
