@@ -312,7 +312,7 @@ class Benchmark:
 
 
 def make_convex_benchmark() -> Benchmark:
-    schema = RealVectorSchema(dim=2, lower=(0.0, 0.0), upper=(5.0, 5.0))
+    schema = RealVectorSchema(lower=(0.0, 0.0), upper=(5.0, 5.0))
     spec = ProblemSpec(
         description=(
             "Minimize f(x1, x2) = (x1 - 3)^2 + (x2 + 2)^2 + sin(x1 + x2) + 4 "
@@ -335,7 +335,7 @@ def make_convex_benchmark() -> Benchmark:
 
 
 def make_lp_benchmark() -> Benchmark:
-    schema = RealVectorSchema(dim=3, lower=(0.0, 0.0, 0.0), upper=(10.0, 10.0, 10.0))
+    schema = RealVectorSchema(lower=(0.0, 0.0, 0.0), upper=(10.0, 10.0, 10.0))
     spec = ProblemSpec(
         description=(
             "Maximize Z = 3*x1 + 4*x2 + 6*x3 subject to "

@@ -280,10 +280,6 @@ def _scripted_backend(transcript: str) -> ScriptedBackend:
     return ScriptedBackend(transcripts)
 
 
-def _real_vector(lower: list[float], upper: list[float]) -> RealVectorSchema:
-    return RealVectorSchema(len(lower), lower, upper)
-
-
 # Each kind of a kind-tagged block, and each callback block: its factory, then
 # its required and optional keys.
 _BACKENDS = {
@@ -292,11 +288,9 @@ _BACKENDS = {
     "http": (HttpChatBackend, {"model": str}, {"base_url": str, "api_key": str, "timeout": float}),
 }
 _SCHEMAS = {
-    "real_vector": (_real_vector, {"lower": list[float], "upper": list[float]}, {}),
+    "real_vector": (RealVectorSchema, {"lower": list[float], "upper": list[float]}, {}),
     "permutation": (PermutationSchema, {"n": int}, {}),
-    "keyed_scalars": (
-        KeyedScalarsSchema.from_bounds, {"bounds": dict[str, tuple[float, float]]}, {}
-    ),
+    "keyed_scalars": (KeyedScalarsSchema, {"bounds": dict[str, tuple[float, float]]}, {}),
 }
 _CALLBACKS = {
     "early_stopping": (early_stopping, {"patience": int}, {"min_delta": float}),

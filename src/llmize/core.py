@@ -11,6 +11,10 @@ encoding is the contract between prompt and parser, and it lives here. A
 schema describes its kind for the prompt (``describe``, read back by
 ``from_description``), parses a solution block (``parse``), and draws values
 (``sample``, ``perturb``); a value renders itself (``render``, ``to_json``).
+Each schema's one constructor takes exactly what its config block holds
+(``RealVectorSchema(lower, upper)``, ``PermutationSchema(n)``,
+``KeyedScalarsSchema(bounds)``), and each of its errors opens with the
+parameter at fault, so that a config error names the key.
 
 A schema validates a value once, where it enters. The public constructors
 check their arguments; the permutations that ``parse``, ``sample`` and
@@ -26,6 +30,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 from .rng import Rng
 
@@ -90,18 +96,21 @@ class RealVectorSchema:
     fall outside it (objectives penalize infeasibility).
     """
 
-    dim: int
     lower: tuple[float, ...]
     upper: tuple[float, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lower", tuple(float(v) for v in self.lower))
         object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if len(self.lower) != self.dim or len(self.upper) != self.dim:
-            raise ValueError("bounds length must equal dim")
+        if not self.lower:
+            raise ValueError("lower must not be empty")
+        if len(self.upper) != len(self.lower):
+            raise ValueError(f"upper must have {len(self.lower)} bounds, one per lower bound")
         _check_bounds(self.lower, self.upper)
+
+    @property
+    def dim(self) -> int:
+        return len(self.lower)
 
     def describe(self) -> str:
         bounds = ", ".join(map(_render_bounds, self.lower, self.upper))
@@ -119,7 +128,7 @@ class RealVectorSchema:
         if not pairs:
             raise ValueError("no bounds found in prompt encoding")
         lower, upper = zip(*pairs)
-        return cls(dim=len(pairs), lower=lower, upper=upper)
+        return cls(lower, upper)
 
     def parse(self, text: str) -> RealVector | None:
         tokens = text.split(",")
@@ -196,54 +205,43 @@ class PermutationSchema:
 
 @dataclass(frozen=True)
 class KeyedScalarsSchema:
-    """Named scalars, each with its own finite bounds, in a fixed key order."""
+    """Named scalars: ``bounds`` maps each key to its finite ``(lower, upper)``
+    pair, in the key order that values and the prompt follow. Each error opens
+    with ``bounds``, so a config error can name the key that holds the mapping.
+    """
 
-    keys: tuple[str, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
+    bounds: Mapping[str, tuple[float, float]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "keys", tuple(str(k) for k in self.keys))
-        object.__setattr__(self, "lower", tuple(float(v) for v in self.lower))
-        object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
-        if not self.keys:
-            raise ValueError("keys must not be empty")
-        for k in self.keys:
+        if not self.bounds:
+            raise ValueError("bounds keys must not be empty")
+        bounds = {}
+        for k, (lo, hi) in self.bounds.items():
             # ``parse`` splits on commas, newlines and "=" and strips the ends
             # of a key; ``from_description`` reads a key up to " in [".
             if not _KEY_RE.fullmatch(k) or " in [" in k:
                 raise ValueError(
-                    f"key {k!r} must be words joined by single spaces, "
+                    f"bounds key {k!r} must be words joined by single spaces, "
                     "without ',', '=', '<', '>' or ' in ['"
                 )
-        if len(set(self.keys)) != len(self.keys):
-            raise ValueError("keys must be unique")
-        if len(self.lower) != len(self.keys) or len(self.upper) != len(self.keys):
-            raise ValueError("bounds length must equal number of keys")
-        for k, lo, hi in zip(self.keys, self.lower, self.upper):
+            lo, hi = bounds[k] = float(lo), float(hi)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError(
-                    f"key {k!r} must have finite bounds with lower <= upper, got [{lo}, {hi}]"
+                    f"bounds key {k!r} must have finite bounds with lower <= upper, "
+                    f"got [{lo}, {hi}]"
                 )
+        object.__setattr__(self, "bounds", MappingProxyType(bounds))
 
-    @classmethod
-    def from_bounds(cls, bounds: dict[str, tuple[float, float]]) -> KeyedScalarsSchema:
-        """The schema of a ``{key: (lower, upper)}`` mapping, in its key order.
+    # Key order is part of the schema, though a mapping's == ignores it.
+    def __eq__(self, other: object) -> bool:
+        items = list(self.bounds.items())
+        return type(other) is KeyedScalarsSchema and items == list(other.bounds.items())
 
-        Each error names the argument, as in "bounds key 'a' must ...", so a
-        config error can name the key that holds the mapping.
-        """
-        keys = tuple(bounds)
-        try:
-            return cls(keys, tuple(bounds[k][0] for k in keys), tuple(bounds[k][1] for k in keys))
-        except ValueError as exc:
-            raise ValueError(f"bounds {exc}") from None
+    def __hash__(self) -> int:
+        return hash(tuple(self.bounds.items()))
 
     def describe(self) -> str:
-        bounds = ", ".join(
-            f"{k} in {_render_bounds(lo, hi)}"
-            for k, lo, hi in zip(self.keys, self.lower, self.upper)
-        )
+        bounds = ", ".join(f"{k} in {_render_bounds(*b)}" for k, b in self.bounds.items())
         return (
             "Each solution is a comma-separated list of key=value assignments, "
             f"exactly one per key. Keys and bounds: {bounds}."
@@ -257,8 +255,7 @@ class KeyedScalarsSchema:
         triples = _KEY_BOUND_RE.findall(match.group(1))
         if not triples:
             raise ValueError("no keyed bounds found in prompt encoding")
-        keys, lower, upper = zip(*triples)
-        return cls(keys=keys, lower=lower, upper=upper)
+        return cls({k: (lo, hi) for k, lo, hi in triples})
 
     def parse(self, text: str) -> KeyedScalars | None:
         """Assignments split on commas or newlines, in any key order."""
@@ -268,19 +265,19 @@ class KeyedScalarsSchema:
                 continue
             key, sep, raw = part.partition("=")
             key = key.strip()
-            if not sep or key not in self.keys or key in found:
+            if not sep or key not in self.bounds or key in found:
                 return None
             value = parse_real(raw)
             if value is None:
                 return None
             found[key] = value
-        if len(found) != len(self.keys):
+        if len(found) != len(self.bounds):
             return None
-        return KeyedScalars(tuple((k, found[k]) for k in self.keys))
+        return KeyedScalars(tuple((k, found[k]) for k in self.bounds))
 
     def sample(self, rng: Rng) -> KeyedScalars:
-        bounds = zip(self.keys, self.lower, self.upper)
-        return KeyedScalars(tuple((k, float(rng.uniform(lo, hi))) for k, lo, hi in bounds))
+        bounds = self.bounds.items()
+        return KeyedScalars(tuple((k, float(rng.uniform(lo, hi))) for k, (lo, hi) in bounds))
 
     def perturb(self, value: KeyedScalars, rng: Rng, step_scale: float) -> KeyedScalars:
         """Scale each value by a uniform factor in ``1 ± step_scale``."""

@@ -226,16 +226,16 @@ def _random_value(rng, schema):
     if isinstance(schema, PermutationSchema):
         return Permutation(tuple(int(v) for v in rng.permutation(schema.n)))
     return KeyedScalars(
-        tuple((k, float(rng.uniform(lo, hi))) for k, lo, hi in zip(schema.keys, schema.lower, schema.upper))
+        tuple((k, float(rng.uniform(lo, hi))) for k, (lo, hi) in schema.bounds.items())
     )
 
 
 def test_criterion_07_parser_suite():
     rng = np.random.default_rng(7)
     schemas = [
-        RealVectorSchema(dim=3, lower=(-1e6,) * 3, upper=(1e6,) * 3),
+        RealVectorSchema(lower=(-1e6,) * 3, upper=(1e6,) * 3),
         PermutationSchema(n=9),
-        KeyedScalarsSchema.from_bounds({"u": (32, 512), "p": (0, 0.6), "eta": (1e-4, 1e-1)}),
+        KeyedScalarsSchema({"u": (32, 512), "p": (0, 0.6), "eta": (1e-4, 1e-1)}),
     ]
     for schema in schemas:
         for _ in range(1000):
@@ -252,7 +252,7 @@ def test_criterion_07_parser_suite():
             else:
                 assert candidate == value
 
-    box = RealVectorSchema(dim=2, lower=(0.0, 0.0), upper=(5.0, 5.0))
+    box = RealVectorSchema(lower=(0.0, 0.0), upper=(5.0, 5.0))
     adversarial = [
         # (text, valid blocks, total blocks)
         ("Reasoning... <solution>1, 2</solution> done. <solution>3, 4</solution>", 2, 2),

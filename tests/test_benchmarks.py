@@ -198,7 +198,7 @@ class TestTsp:
 
 class TestSeedSamples:
     def test_grid_lattice_includes_corners(self):
-        schema = RealVectorSchema(dim=2, lower=(0.0, 0.0), upper=(5.0, 5.0))
+        schema = RealVectorSchema(lower=(0.0, 0.0), upper=(5.0, 5.0))
         points = seed_samples(schema, 9, 0, SeedStyle.GRID)
         assert len(points) == 9
         tuples = {p.values for p in points}
@@ -210,7 +210,7 @@ class TestSeedSamples:
     )
     def test_grid_axes_match_numpy_linspace(self, lo, hi):
         # The last two spans underflow to a zero step, numpy's special case.
-        schema = RealVectorSchema(dim=2, lower=(lo, 0.0), upper=(hi, 1.0))
+        schema = RealVectorSchema(lower=(lo, 0.0), upper=(hi, 1.0))
         points = seed_samples(schema, 49, 0, SeedStyle.GRID)
         axes = [np.linspace(lo, hi, 7).tolist(), np.linspace(0.0, 1.0, 7).tolist()]
         want = [(a.hex(), b.hex()) for a in axes[0] for b in axes[1]]
@@ -229,7 +229,7 @@ class TestSeedSamples:
             assert sorted(p.order) == list(range(10))
 
     def test_keyed_scalars_within_bounds(self):
-        schema = KeyedScalarsSchema.from_bounds(
+        schema = KeyedScalarsSchema(
             {"u": (32, 512), "p": (0, 0.6), "eta": (1e-4, 1e-1)}
         )
         for sample in seed_samples(schema, 20, 4, SeedStyle.UNIFORM_RANDOM):
@@ -239,7 +239,7 @@ class TestSeedSamples:
             assert 1e-4 <= values["eta"] <= 1e-1
 
     def test_real_vectors_within_bounds(self):
-        schema = RealVectorSchema(dim=3, lower=(0.0, 0.0, 0.0), upper=(10.0, 10.0, 10.0))
+        schema = RealVectorSchema(lower=(0.0, 0.0, 0.0), upper=(10.0, 10.0, 10.0))
         for sample in seed_samples(schema, 30, 8, SeedStyle.UNIFORM_RANDOM):
             assert all(0.0 <= v <= 10.0 for v in sample.values)
 

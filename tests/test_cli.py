@@ -759,7 +759,7 @@ def test_non_finite_real_bound_names_its_key(side):
     options = {"lower": [0.0], "upper": [1.0]}
     options[side] = [math.inf if side == "upper" else -math.inf]
     with pytest.raises(cli.ConfigError, match=f"^problem.schema.{side} must be finite"):
-        cli._construct(cli._real_vector, "problem.schema", options)
+        cli._construct(cli.RealVectorSchema, "problem.schema", options)
 
 
 # Valid documents that the config-contract tests below alter. BENCH_DOC sets
@@ -946,9 +946,9 @@ def test_integer_too_large_for_a_float_names_its_key(path, value):
         (problem_doc({"kind": "permutation", "n": 4}, "grid"),
          "seeding: grid seeding only applies to real vectors"),
         (altered(REAL_DOC, "problem.schema.upper", [1]),
-         "problem.schema: bounds length must equal dim"),
+         "problem.schema.upper must have 2 bounds, one per lower bound"),
         (altered(altered(REAL_DOC, "problem.schema.lower", []), "problem.schema.upper", []),
-         "problem.schema: dim must be >= 1"),
+         "problem.schema.lower must not be empty"),
         ({"strategy": "hlmsa", "benchmark": "convex2d", "backend": {"kind": "perturb", "seed": 1},
           "sa": {"cooling_bounds": [0.5, 0.6]}},
          "sa: default_cooling must lie within cooling_bounds"),

@@ -178,7 +178,7 @@ def test_adaptive_sampling():
 
 def test_best_of_step():
     rng = np.random.default_rng(7)
-    schema = RealVectorSchema(dim=1, lower=(0.0,), upper=(1.0,))
+    schema = RealVectorSchema(lower=(0.0,), upper=(1.0,))
     for direction in DIRECTIONS:
         for _ in range(20):
             batch, steps = int(rng.integers(1, 7)), 12

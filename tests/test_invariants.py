@@ -44,7 +44,7 @@ FLIPPED = {MIN: MAX, MAX: MIN}
 
 
 def _keyed_problem():
-    schema = KeyedScalarsSchema.from_bounds({"units": (0.0, 10.0), "learning rate": (0.0, 1.0)})
+    schema = KeyedScalarsSchema({"units": (0.0, 10.0), "learning rate": (0.0, 1.0)})
     spec = ProblemSpec(description="Maximize the validation score.", schema=schema)
 
     def score(value):

@@ -36,7 +36,7 @@ from llmize.benchmarks import convex2d, make_convex_benchmark, seed_samples, See
 from conftest import ev
 
 MIN = ObjectiveDirection.MINIMIZE
-BOX = RealVectorSchema(dim=2, lower=(0.0, 0.0), upper=(5.0, 5.0))
+BOX = RealVectorSchema(lower=(0.0, 0.0), upper=(5.0, 5.0))
 SPEC = ProblemSpec(description="Minimize the box objective.", schema=BOX)
 
 SUM_OBJECTIVE = Objective(evaluate=lambda v: math.fsum(v.values), direction=MIN)

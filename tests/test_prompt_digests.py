@@ -40,7 +40,6 @@ SPECS = {
     "real_vector": ProblemSpec(
         description="Minimize a three-dimensional test function.",
         schema=RealVectorSchema(
-            dim=3,
             lower=(-1.5e-5, 0.1234567, -100.0),
             upper=(4.99999, 123456.789, 2.0 / 3.0),
         ),
@@ -53,7 +52,7 @@ SPECS = {
     ),
     "keyed_scalars": ProblemSpec(
         description="Maximize throughput over three tuning knobs.",
-        schema=KeyedScalarsSchema.from_bounds(
+        schema=KeyedScalarsSchema(
             {"units": (32, 512), "p_fail": (1e-7, 0.6), "phi": (-3.14159265, 3.14159265)}
         ),
         domain_knowledge="Keep p_fail small.",

@@ -46,7 +46,7 @@ from conftest import chat_body, ev
 
 MIN = ObjectiveDirection.MINIMIZE
 
-BOX = RealVectorSchema(dim=2, lower=(0.0, 0.0), upper=(5.0, 5.0))
+BOX = RealVectorSchema(lower=(0.0, 0.0), upper=(5.0, 5.0))
 SPEC = ProblemSpec(description="Minimize the test box objective.", schema=BOX)
 
 
@@ -90,7 +90,7 @@ class TestBuildPrompt:
         assert rendered_scores == sorted(scores, reverse=True)
 
     def test_hlmsa_echoes_temperature(self):
-        lp_schema = RealVectorSchema(dim=3, lower=(0.0,) * 3, upper=(10.0,) * 3)
+        lp_schema = RealVectorSchema(lower=(0.0,) * 3, upper=(10.0,) * 3)
         spec = ProblemSpec(
             description="Maximize the LP.", schema=lp_schema
         )
@@ -347,7 +347,7 @@ class TestParseProposal:
             parse_proposal(raw, BOX)
 
     def test_keyed_scalars_block(self):
-        schema = KeyedScalarsSchema.from_bounds(
+        schema = KeyedScalarsSchema(
             {"u": (32, 512), "p": (0, 0.6), "eta": (1e-4, 1e-1)}
         )
         parsed = parse_proposal("<solution>u=256, p=0.3, eta=0.001</solution>", schema)
@@ -372,7 +372,7 @@ class TestParseProposal:
             BOX,
             BOX,
             PermutationSchema(n=4),
-            KeyedScalarsSchema.from_bounds({"u": (32, 512), "p": (0, 0.6)}),
+            KeyedScalarsSchema({"u": (32, 512), "p": (0, 0.6)}),
         ]
         for value, schema in zip(values, schemas):
             # Each kind reads back its own encoding sentence and block text.
@@ -476,7 +476,7 @@ def reference_parse(raw, schema, expected_tags=()):
     return proposer.ParsedProposal(tuple(candidates), hyperparams, rejected)
 
 
-CONTRACT_SCHEMA = RealVectorSchema(dim=1, lower=(0.0,), upper=(1.0,))
+CONTRACT_SCHEMA = RealVectorSchema(lower=(0.0,), upper=(1.0,))
 CONTRACT_TAGS = ("cooling_rate", "mutation_rate")
 
 
@@ -647,7 +647,7 @@ class TestPerturbBackend:
             assert moved <= 4
 
     def test_keyed_scalars_jitter(self):
-        schema = KeyedScalarsSchema.from_bounds({"u": (32, 512), "p": (0.01, 0.6)})
+        schema = KeyedScalarsSchema({"u": (32, 512), "p": (0.01, 0.6)})
         spec = ProblemSpec(description="hp", schema=schema)
         h = History(capacity=2, direction=MIN)
         h.insert(ev(KeyedScalars((("u", 100.0), ("p", 0.2))), 5.0))
@@ -661,7 +661,7 @@ class TestPerturbBackend:
     def test_keyed_scalars_keys_with_spaces(self):
         # The stand-in reads the schema back from the prompt; a key with an
         # inner space must come back whole.
-        schema = KeyedScalarsSchema.from_bounds({"learning rate": (0.0, 1.0), "u": (32, 512)})
+        schema = KeyedScalarsSchema({"learning rate": (0.0, 1.0), "u": (32, 512)})
         spec = ProblemSpec(description="hp", schema=schema)
         h = History(capacity=2, direction=MIN)
         h.insert(ev(KeyedScalars((("learning rate", 0.5), ("u", 100.0))), 5.0))
