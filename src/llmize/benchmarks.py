@@ -263,6 +263,12 @@ def tsp_bruteforce(instance: TspInstance) -> tuple[Permutation, float]:
 # ---------------------------------------------------------------------------
 
 
+# The most seeds a run starts from, and the most points a grid lays. On a
+# 2-vCPU Xeon VM, drawing uniform 2-d seeds took 0.75 s for 10**5 of them and
+# 2.5 s for 3 * 10**5.
+MAX_SEEDS = 100_000
+
+
 class SeedStyle(Enum):
     GRID = "grid"
     UNIFORM_RANDOM = "uniform"
@@ -278,15 +284,21 @@ def seed_samples(
 
     Grid style lays an axis-aligned lattice of roughly ``count`` points over
     real-vector bounds (corners included); uniform style draws ``count``
-    values with ``schema.sample``.
+    values with ``schema.sample``. Either way at most ``MAX_SEEDS``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > MAX_SEEDS:
+        raise ValueError(f"count must be <= {MAX_SEEDS}")
     rng = Rng(seed)
     if style is SeedStyle.GRID:
         if not isinstance(schema, RealVectorSchema):
             raise ValueError("grid seeding only applies to real vectors")
         per_axis = max(2, round(count ** (1.0 / schema.dim)))
+        if per_axis**schema.dim > MAX_SEEDS:
+            raise ValueError(
+                f"grid seeding lays {per_axis}^{schema.dim} points, more than {MAX_SEEDS}"
+            )
         axes = [_linspace(lo, hi, per_axis) for lo, hi in zip(schema.lower, schema.upper)]
         return [RealVector(point) for point in itertools.product(*axes)]
     return [schema.sample(rng) for _ in range(count)]
@@ -361,6 +373,7 @@ def make_lp_benchmark() -> Benchmark:
 def make_tsp_benchmark(n: int = 10, instance_seed: int = 0) -> Benchmark:
     if instance_seed < 0:
         raise ValueError("instance_seed must be >= 0")
+    schema = PermutationSchema(n=n)  # refuses a size before any city is drawn
     instance = tsp_generate(n, instance_seed)
     coord_lines = "\n".join(
         f"city {i}: ({x:.3f}, {y:.3f})" for i, (x, y) in enumerate(instance.coordinates)
@@ -371,7 +384,7 @@ def make_tsp_benchmark(n: int = 10, instance_seed: int = 0) -> Benchmark:
             "exactly once and returning to the start. Distances are Euclidean. "
             f"City coordinates:\n{coord_lines}"
         ),
-        schema=PermutationSchema(n=n),
+        schema=schema,
         domain_knowledge=(
             "Good tours avoid crossing edges; swapping the order of nearby "
             "cities is often a useful refinement."

@@ -20,7 +20,9 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -272,11 +274,11 @@ def _scripted_backend(transcript: str) -> ScriptedBackend:
     try:
         transcripts = json.loads(Path(transcript).read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read transcript: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"transcript is not valid JSON: {exc}") from None
+        raise ValueError(f"cannot read transcript: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"transcript is not valid JSON: {exc}") from None
     if not isinstance(transcripts, list) or not all(isinstance(t, str) for t in transcripts):
-        raise ConfigError("transcript must be a JSON array of strings")
+        raise ValueError("transcript must be a JSON array of strings")
     return ScriptedBackend(transcripts)
 
 
@@ -342,6 +344,10 @@ def _read_run_file(path: Path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # Text that is not UTF-8, an integer of more digits than Python
+        # converts, or nesting deeper than the parser recurses.
+        raise ConfigError(f"unreadable JSON: {exc}") from None
 
 
 def build_plan(doc: dict) -> RunPlan:
@@ -426,6 +432,30 @@ def build_plan(doc: dict) -> RunPlan:
 # ---------------------------------------------------------------------------
 
 
+def _write_files(files: dict[Path, str | None]) -> int:
+    """Write each file whole, or remove it when its text is None: 0 when all
+    are done, else 1 after printing ``cannot write <path>: <reason>`` for the
+    first that cannot be.
+
+    A text goes to a temporary file beside its target, which then replaces the
+    target, so a failed or interrupted write leaves the earlier file whole.
+    """
+    for path, text in files.items():
+        temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            if text is None:
+                path.unlink(missing_ok=True)
+            else:
+                temporary.write_text(text)
+                os.replace(temporary, path)
+        except OSError as exc:
+            with suppress(OSError):
+                temporary.unlink()
+            print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
+            return 1
+    return 0
+
+
 def _execute(plan: RunPlan) -> int:
     out_dir = plan.out_dir
     try:
@@ -445,20 +475,16 @@ def _execute(plan: RunPlan) -> int:
         plan.callbacks, initial, plan.sa,
     )
 
-    (out_dir / "result.json").write_text(dumps_result(result))
-    (out_dir / "history.csv").write_text(dumps_history_csv(result))
     instance = plan.benchmark and plan.benchmark.tsp_instance
-    charts = {
-        "plot.svg": result.steps and render_history_chart([vars(s) for s in result.steps]),
-        "tour.svg": instance and render_tour(instance, result.best.solution),
-    }
+    steps = [vars(s) for s in result.steps]
     # A chart this run does not draw is removed, so none is left from an earlier run.
-    for name, svg in charts.items():
-        if svg:
-            (out_dir / name).write_text(svg)
-        else:
-            (out_dir / name).unlink(missing_ok=True)
-
+    if _write_files({
+        out_dir / "result.json": dumps_result(result),
+        out_dir / "history.csv": dumps_history_csv(result),
+        out_dir / "plot.svg": render_history_chart(steps) if steps else None,
+        out_dir / "tour.svg": render_tour(instance, result.best.solution) if instance else None,
+    }):
+        return 1
     print(
         f"best={result.best.score!r} steps={len(result.steps)} "
         f"termination={result.termination.kind.value}"
@@ -524,18 +550,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     try:
         rows = read_history_csv(Path(args.history_csv))
-    except ConfigError as exc:
+    except (ConfigError, ValueError, csv.Error) as exc:
+        # ValueError: text that is not UTF-8; csv.Error: a field over csv's size limit.
         print(f"bad history CSV {args.history_csv}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"cannot read {args.history_csv}: {exc}", file=sys.stderr)
         return 1
-    try:
-        Path(args.out_svg).write_text(render_history_chart(rows))
-    except OSError as exc:
-        print(f"cannot write {args.out_svg}: {exc.strerror}", file=sys.stderr)
-        return 1
-    return 0
+    return _write_files({Path(args.out_svg): render_history_chart(rows)})
 
 
 def _build_parser() -> argparse.ArgumentParser:

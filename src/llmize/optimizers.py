@@ -49,6 +49,11 @@ from .rng import Rng
 logger = logging.getLogger(__name__)
 
 
+# The most candidates one step asks for. On a 2-vCPU Xeon VM, the stand-in
+# model's reply to one convex2d prompt took 0.12 s at 10**4 and 1.2 s at 10**5.
+MAX_BATCH = 10_000
+
+
 @dataclass(frozen=True)
 class RunConfig:
     max_steps: int = 50
@@ -62,6 +67,8 @@ class RunConfig:
         for name in ("max_steps", "batch", "history_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.batch > MAX_BATCH:
+            raise ValueError(f"batch must be <= {MAX_BATCH}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -120,6 +121,29 @@ def live_processes(marker: str) -> list[int]:
         if marker.encode() in args:
             pids.append(int(cmdline.parent.name))
     return pids
+
+
+class TimeBoundExceeded(BaseException):
+    """Raised into code still running when its time bound expires. It is no
+    ``Exception``, so the code under test cannot catch it as its own error."""
+
+
+@contextmanager
+def time_bound(seconds: float):
+    """Run the block for at most ``seconds`` of wall time, then raise
+    ``TimeBoundExceeded`` into it, so a hang fails the test instead of
+    stalling the run. Uses SIGALRM, so it works on the main thread only."""
+
+    def expire(signum, frame):
+        raise TimeBoundExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 _markers = itertools.count()

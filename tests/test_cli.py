@@ -1,8 +1,11 @@
 import copy
+import errno
 import inspect
 import json
 import math
+import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,8 @@ from llmize import cli, optimizers
 from llmize.cli import HISTORY_CSV_HEADER, main
 from llmize.evaluation import evaluate_batch
 from llmize.svg import render_history_chart
+
+from conftest import time_bound
 
 
 def run_cli(*args):
@@ -695,8 +700,13 @@ class TestCmdPlot:
                 HISTORY_CSV_HEADER + "\n0,1.0,1.0,1.0,1.0,,xyz\n",
                 "row 2: could not convert string to float: 'xyz'",
             ),
+            (
+                f"{HISTORY_CSV_HEADER}\n0,{'9' * 200_000},1.0,1.0,1.0,,\n",
+                "field larger than field limit (131072)",
+            ),
         ],
-        ids=["empty", "header-only", "short-row", "junk-sa-temperature", "junk-cooling-rate"],
+        ids=["empty", "header-only", "short-row", "junk-sa-temperature", "junk-cooling-rate",
+             "field-too-long"],
     )
     def test_bad_csv_named(self, text, message, tmp_path, capsys):
         path = tmp_path / "history.csv"
@@ -847,16 +857,16 @@ def same(x):
 # out of the key's range. A key that takes any finite number has none.
 NUMERIC_KEYS = [
     ("max_steps", BENCH_DOC, same, [0]),
-    ("batch", BENCH_DOC, same, [0]),
+    ("batch", BENCH_DOC, same, [0, 10_001]),
     ("history_capacity", BENCH_DOC, same, [0]),
     ("rng_seed", BENCH_DOC, same, [-1]),
     ("workers", BENCH_DOC, same, [0]),
-    ("benchmark_params.n", BENCH_DOC, same, [1]),
+    ("benchmark_params.n", BENCH_DOC, same, [1, 100_001]),
     ("benchmark_params.seed", BENCH_DOC, same, [-1]),
     ("sampling.model_temperature", BENCH_DOC, same, [below(0.0), above(2.0)]),
     ("sampling.max_output_tokens", BENCH_DOC, same, [0]),
     ("sampling.seed", BENCH_DOC, same, []),  # sent to the model as it is
-    ("seeding.count", BENCH_DOC, same, [0]),
+    ("seeding.count", BENCH_DOC, same, [0, 100_001]),
     ("seeding.seed", BENCH_DOC, same, [-1]),
     ("sa.initial_temperature", BENCH_DOC, same, [0.0]),
     ("sa.cooling_bounds", BENCH_DOC, lambda x: [x, 0.95], [0.0]),
@@ -865,7 +875,7 @@ NUMERIC_KEYS = [
     ("backend.seed", BENCH_DOC, same, [-1]),
     ("backend.step_scale", BENCH_DOC, same, [0.0]),
     ("backend.timeout", HTTP_DOC, same, [0.0]),
-    ("problem.schema.n", PERMUTATION_DOC, same, [1]),
+    ("problem.schema.n", PERMUTATION_DOC, same, [1, 100_001]),
     ("problem.schema.lower", REAL_DOC, lambda x: [x, 0], [above(1.0)]),
     # Only the bound order limits upper: test_bound_order_spans_both_real_vector_keys.
     ("problem.schema.upper", REAL_DOC, lambda x: [1, x], []),
@@ -1000,3 +1010,109 @@ def test_every_bad_document_is_a_config_error(doc, monkeypatch):
             except Exception as exc:
                 escaped.append(f"{'.'.join(map(str, site))}={value!r}: {exc!r}")
     assert escaped == []
+
+
+class TestUnwritableOutput:
+    """An output file that cannot be written ends a finished run in one line,
+    exit 1, and leaves no temporary file behind."""
+
+    @pytest.mark.parametrize(
+        "name, file",
+        [("tsp", "result.json"), ("tsp", "history.csv"), ("tsp", "plot.svg"),
+         ("tsp", "tour.svg"), ("convex2d", "tour.svg")],
+        ids=["result", "history", "plot", "tour", "stale-tour"],
+    )
+    def test_directory_in_place_of_an_output(self, name, file, tmp_path, capsys):
+        # convex2d draws no tour, so its run removes the stale tour.svg instead.
+        out = tmp_path / "out"
+        (out / file).mkdir(parents=True)
+        assert run_cli("bench", name, "--max-steps", 2, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {out / file}: ") and err.count("\n") == 1
+        assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
+
+    def test_failed_write_leaves_the_earlier_file_whole(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert run_cli("bench", "convex2d", "--max-steps", 2, "--out", out) == 0
+        earlier = (out / "result.json").read_bytes()
+
+        def disk_full(path, text):
+            with open(path, "w") as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        capsys.readouterr()
+        assert run_cli("bench", "convex2d", "--max-steps", 3, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"cannot write {out / 'result.json'}: {os.strerror(errno.ENOSPC)}\n"
+        )
+        assert (out / "result.json").read_bytes() == earlier
+        assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "tsp", "--n", 2**63],
+         "invalid benchmark options: benchmark_params.n must be <= 100000"),
+        (["bench", "convex2d", "--batch", 2**63],
+         "invalid benchmark options: batch must be <= 10000"),
+        ({**BENCH_DOC, "benchmark_params": {"n": 10**400}},
+         "benchmark_params.n must be <= 100000"),
+        (altered(PERMUTATION_DOC, "problem.schema.n", 2**63), "problem.schema.n must be <= 100000"),
+        (altered(BENCH_DOC, "seeding.count", 2**63), "seeding.count must be <= 100000"),
+        (altered(BENCH_DOC, "seeding.count", 10**400), "seeding.count must be <= 100000"),
+        (altered(REAL_DOC, "seeding.count", 10**11), "seeding.count must be <= 100000"),
+        (altered(altered(REAL_DOC, "problem.schema.lower", [0] * 40), "problem.schema.upper",
+                 [1] * 40),
+         "seeding: grid seeding lays 2^40 points, more than 100000"),
+    ],
+    ids=["bench-tsp-n", "bench-batch", "tsp-n", "permutation-n", "count-2**63",
+         "count-10**400", "grid-count", "grid-40-dims"],
+)
+def test_size_no_run_can_use_is_refused_in_one_line(argv, message, tmp_path, capsys):
+    if isinstance(argv, dict):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**argv, "output_dir": str(tmp_path / "out")}))
+        argv, message = ["run", path], f"config error in {path}: {message}"
+    else:
+        argv = [*argv, "--out", tmp_path / "out"]
+    with time_bound(5):
+        assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'\xff\xfe{"strategy": "opro"}',
+        b"[" * 100_000 + b"]" * 100_000,
+        pytest.param(
+            b'{"rng_seed": 1' + b"0" * 5000 + b"}",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "set_int_max_str_digits"),
+                reason="this Python converts integers of any length",
+            ),
+        ),
+    ],
+    ids=["not-utf-8", "nested-too-deep", "integer-too-long"],
+)
+def test_unreadable_config_is_one_line(content, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_bytes(content)
+    assert run_cli("run", path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error in {path}: unreadable JSON: ")
+    assert err.count("\n") == 1
+
+
+def test_history_csv_that_is_not_utf_8_is_one_line(tmp_path, capsys):
+    path = tmp_path / "history.csv"
+    path.write_bytes(b"\xff\xfe")
+    assert run_cli("plot", path, tmp_path / "chart.svg") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad history CSV {path}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "chart.svg").exists()

@@ -265,6 +265,11 @@ class TestSchemaArguments:
         with pytest.raises(ValueError, match="^no (keyed )?bounds found in prompt encoding$"):
             kind.from_description(text)
 
+    def test_keyed_block_that_repeats_a_key_is_refused(self):
+        schema = KeyedScalarsSchema({"a": (0.0, 1.0), "b": (0.0, 1.0)})
+        assert schema.parse("a=1, a=2, b=3") is None
+        assert schema.parse("a=2, b=3") == KeyedScalars((("a", 2.0), ("b", 3.0)))
+
     def test_keyed_value_must_be_a_number(self):
         schema = KeyedScalarsSchema({"a": (0.0, 1.0), "b": (0.0, 1.0)})
         assert schema.parse("a=0.5, b=high") is None

@@ -358,6 +358,26 @@ class TestRunHlmsa:
         )
         assert shown_trajectories(backend.prompts[1]) == [(5.0, 5.0), (1.0, 1.0)]
 
+    def test_seeds_of_one_score_leave_score_differences_unscaled(self, monkeypatch):
+        # Both seeds score 10, so their range is 0 and the scale falls back to
+        # 1.0: the Metropolis test sees raw differences, and at this
+        # temperature a worsening of 0.5 is all but certain to be accepted.
+        seen = []
+
+        def recording(current, proposed, *args):
+            seen.append((current, proposed))
+            return accept_candidate(current, proposed, *args)
+
+        monkeypatch.setattr(optimizers, "accept_candidate", recording)
+        backend = PromptRecorder([hlmsa_transcript([(5, 5.5), (4, 6.25)], cooling=0.9)])
+        initial = seeds((5.0, 5.0), (4.0, 6.0))
+        run_hlmsa(
+            SPEC, SUM_OBJECTIVE, backend, config(max_steps=2, batch=2), [], initial,
+            SaState(sa_temperature=1000.0),
+        )
+        assert seen == [(0.0, 0.5), (0.0, 0.25)]
+        assert shown_trajectories(backend.prompts[1]) == [(5.0, 5.5), (4.0, 6.25)]
+
     def test_cooling_tag_applied(self):
         backend = ScriptedBackend(
             [
