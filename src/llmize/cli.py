@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -40,6 +40,7 @@ from .core import (
     ProblemSpec,
     RealVectorSchema,
     SolutionValue,
+    StepStats,
     TerminationKind,
 )
 from .evaluation import EvalPolicy, EvaluationFailed, Objective, evaluate_batch
@@ -53,11 +54,10 @@ from .proposer import (
 )
 from .svg import render_history_chart, render_tour
 
-HISTORY_CSV_HEADER = (
-    "step_index,best_of_step,mean_of_step,best_so_far,"
-    "sampling_temperature,sa_temperature,cooling_rate"
-)
-_HISTORY_FIELDS = HISTORY_CSV_HEADER.split(",")
+# history.csv's columns: a step's fields but hyperparams, which result.json holds.
+_HISTORY_FIELDS = [f for f in fields(StepStats) if f.name != "hyperparams"]
+HISTORY_CSV_HEADER = ",".join(f.name for f in _HISTORY_FIELDS)
+
 
 class ConfigError(Exception):
     pass
@@ -68,27 +68,23 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def result_to_jsonable(result: OptimizationResult) -> dict:
+def dumps_result(result: OptimizationResult) -> str:
     # wall_time is intentionally left out: result.json must be byte-identical
-    # across reruns with the same seed. Steps are copied with vars(), not
+    # across reruns with the same seed. Steps go out as vars(), not
     # dataclasses.asdict, whose deep copy costs ~30x more per step.
-    return {
+    return json.dumps({
         "best": {
             "solution": result.best.solution.to_json(),
             "score": result.best.score,
         },
-        "steps": [dict(vars(s)) for s in result.steps],
+        "steps": [vars(s) for s in result.steps],
         "termination": {
             "kind": result.termination.kind.value,
             "message": result.termination.message,
         },
         "evaluations_used": result.evaluations_used,
         "proposer_calls": result.proposer_calls,
-    }
-
-
-def dumps_result(result: OptimizationResult) -> str:
-    return json.dumps(result_to_jsonable(result), sort_keys=True, indent=2) + "\n"
+    }, sort_keys=True, indent=2) + "\n"
 
 
 def _csv_cell(value: float | None) -> str:
@@ -98,40 +94,42 @@ def _csv_cell(value: float | None) -> str:
 def dumps_history_csv(result: OptimizationResult) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_HISTORY_FIELDS)
+    writer.writerow([f.name for f in _HISTORY_FIELDS])
     for s in result.steps:
-        row = vars(s)
-        writer.writerow([_csv_cell(row[f]) for f in _HISTORY_FIELDS])
+        writer.writerow([_csv_cell(getattr(s, f.name)) for f in _HISTORY_FIELDS])
     return out.getvalue()
 
 
-def read_history_csv(path: Path) -> list[dict[str, float | None]]:
-    """Parse a history CSV back into chart rows, strictly."""
+def _read_cell(text: str, field: Field) -> float | None:
+    # Blank only where a step may leave its field None: hlmsa's two columns.
+    return None if not text and field.default is None else float(text)
+
+
+def read_history_csv(path: Path) -> list[StepStats]:
+    """Parse a history CSV back into the steps it records, strictly."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ConfigError("empty CSV") from None
-        if header != _HISTORY_FIELDS:
+        if header != [f.name for f in _HISTORY_FIELDS]:
             raise ConfigError(
                 f"header mismatch: expected {HISTORY_CSV_HEADER!r}, got {','.join(header)!r}"
             )
-        rows: list[dict[str, float | None]] = []
+        steps: list[StepStats] = []
         for lineno, raw in enumerate(reader, start=2):
             try:
                 if len(raw) != len(_HISTORY_FIELDS):
                     raise ValueError(f"expected {len(_HISTORY_FIELDS)} fields, got {len(raw)}")
-                step_index, *scores, sa_temperature, cooling_rate = raw
-                values = [int(step_index), *map(float, scores)]
-                # Only hlmsa fills the last two cells; other strategies leave them blank.
-                values += [float(c) if c else None for c in (sa_temperature, cooling_rate)]
-                rows.append(dict(zip(_HISTORY_FIELDS, values)))
+                step_index, *cells = raw
+                values = map(_read_cell, cells, _HISTORY_FIELDS[1:])
+                steps.append(StepStats(int(step_index), *values))
             except ValueError as exc:
                 raise ConfigError(f"row {lineno}: {exc}") from None
-    if not rows:
+    if not steps:
         raise ConfigError("no data rows")
-    return rows
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +474,11 @@ def _execute(plan: RunPlan) -> int:
     )
 
     instance = plan.benchmark and plan.benchmark.tsp_instance
-    steps = [vars(s) for s in result.steps]
     # A chart this run does not draw is removed, so none is left from an earlier run.
     if _write_files({
         out_dir / "result.json": dumps_result(result),
         out_dir / "history.csv": dumps_history_csv(result),
-        out_dir / "plot.svg": render_history_chart(steps) if steps else None,
+        out_dir / "plot.svg": render_history_chart(result.steps) if result.steps else None,
         out_dir / "tour.svg": render_tour(instance, result.best.solution) if instance else None,
     }):
         return 1
@@ -549,7 +546,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     try:
-        rows = read_history_csv(Path(args.history_csv))
+        steps = read_history_csv(Path(args.history_csv))
     except (ConfigError, ValueError, csv.Error) as exc:
         # ValueError: text that is not UTF-8; csv.Error: a field over csv's size limit.
         print(f"bad history CSV {args.history_csv}: {exc}", file=sys.stderr)
@@ -557,7 +554,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"cannot read {args.history_csv}: {exc}", file=sys.stderr)
         return 1
-    return _write_files({Path(args.out_svg): render_history_chart(rows)})
+    return _write_files({Path(args.out_svg): render_history_chart(steps)})
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -81,12 +81,10 @@ def _check_temperature(sa_temperature: float) -> None:
 
 @dataclass(frozen=True)
 class SaState:
-    """Annealing settings: the initial temperature, the cooling schedule, and
-    one starting point per trajectory, or none to cycle the initial solutions
-    over the batch slots. A run never changes them.
+    """Annealing settings: the initial temperature and the cooling schedule.
+    A run never changes them.
     """
 
-    trajectories: Sequence[EvaluatedSolution] = ()
     sa_temperature: float = 1.0
     cooling_bounds: tuple[float, float] = (0.5, 0.99)
     default_cooling: float = 0.92
@@ -127,11 +125,11 @@ def cool(sa_temperature: float, alpha: float) -> float:
     return max(sa_temperature * alpha, math.ulp(0.0))
 
 
-def _opro_block(batch: int, sa: SaState | None) -> str:
+def _opro_block(batch: int, state: object) -> str:
     return f"Propose {batch} new, distinct solutions better than the best shown."
 
 
-def _hlmea_block(batch: int, sa: SaState | None) -> str:
+def _hlmea_block(batch: int, state: object) -> str:
     return (
         "Act as an evolutionary algorithm. Select parent solutions from the "
         "evaluated examples above, combine their strongest features as "
@@ -144,18 +142,16 @@ def _hlmea_block(batch: int, sa: SaState | None) -> str:
     )
 
 
-def _hlmsa_block(batch: int, sa: SaState | None) -> str:
-    if sa is None:
+def _hlmsa_block(batch: int, state: _Annealing | None) -> str:
+    if state is None:
         raise ValueError("HLMSA prompts require the annealing state")
     lines = [
         f"Act as simulated annealing over {batch} parallel trajectories "
         "sharing one temperature schedule.",
-        f"Current annealing temperature: {float(sa.sa_temperature)}.",
+        f"Current annealing temperature: {float(state.temperature)}.",
+        "Current trajectory states:",
     ]
-    if sa.trajectories:
-        lines.append("Current trajectory states:")
-        for i, entry in enumerate(sa.trajectories):
-            lines.append(f"trajectory {i}: " + entry.text)
+    lines += [f"trajectory {i}: " + entry.text for i, entry in enumerate(state.points)]
     lines.append(
         "For each trajectory, propose one neighboring solution: a modest "
         "change of that trajectory's current solution. The i-th solution "
@@ -170,7 +166,7 @@ def _hlmsa_block(batch: int, sa: SaState | None) -> str:
 class _Stateless:
     """The run state of a strategy that keeps none, and takes no settings."""
 
-    sa = need = None
+    need = None
 
     def __init__(self, sa, initial, config, direction) -> None:
         if sa is not None:
@@ -185,21 +181,20 @@ class _Stateless:
 
 
 class _Annealing:
-    """HLMSA's run state: ``sa`` as it stands at this step. Candidate i is
-    trajectory i's neighbor: an improvement always replaces the point, a
-    worsening passes a Metropolis test on its magnitude normalized by the seed
-    scores' range, frozen for the run. The model's cooling rate, clamped into
-    the settings' bounds (the default when missing or junk), then multiplies
-    the temperature."""
+    """HLMSA's run state: the ``temperature``, and ``points``, trajectory i's
+    at slot i, first the initial solutions cycled. Candidate i is point i's
+    neighbor: an improvement always replaces it, a worsening passes a
+    Metropolis test on its magnitude normalized by the seed scores' range,
+    frozen for the run. The model's cooling rate, clamped into the settings'
+    bounds (the default when missing or junk), then multiplies the temperature."""
 
     settings = SaState
 
     def __init__(self, sa, initial, config, direction) -> None:
         sa = sa or self.settings()
-        trajectories = sa.trajectories or [initial[i % len(initial)] for i in range(config.batch)]
-        if len(trajectories) != config.batch:
-            raise ValueError("need one trajectory per batch slot")
-        self.sa = replace(sa, trajectories=tuple(trajectories))
+        self.temperature = sa.sa_temperature
+        self.cooling = (*sa.cooling_bounds, sa.default_cooling)
+        self.points = [initial[i % len(initial)] for i in range(config.batch)]
         self.need = config.batch
         self.direction = direction
         self.rng = Rng(config.rng_seed)
@@ -210,18 +205,16 @@ class _Annealing:
                     self.offset, self.scale)
 
     def update(self, evaluated, hyperparams) -> tuple[float, float]:
-        """Move the trajectories and cool; returns the step's temperature and rate."""
-        sa = self.sa
-        trajectories = list(sa.trajectories)
+        """Move the points and cool; returns the step's temperature and rate."""
+        temperature, points = self.temperature, self.points
         for i, candidate in enumerate(evaluated):
-            current = (trajectories[i].score - self.offset) / self.scale
+            current = (points[i].score - self.offset) / self.scale
             proposed = (candidate.score - self.offset) / self.scale
-            if accept_candidate(current, proposed, sa.sa_temperature, self.direction, self.rng):
-                trajectories[i] = candidate
-        cooling = clamp_tag(hyperparams.get("cooling_rate"), *sa.cooling_bounds, sa.default_cooling)
-        temperature = cool(sa.sa_temperature, cooling)
-        self.sa = replace(sa, trajectories=tuple(trajectories), sa_temperature=temperature)
-        return sa.sa_temperature, cooling
+            if accept_candidate(current, proposed, temperature, self.direction, self.rng):
+                points[i] = candidate
+        cooling = clamp_tag(hyperparams.get("cooling_rate"), *self.cooling)
+        self.temperature = cool(temperature, cooling)
+        return temperature, cooling
 
 
 class Strategy(Enum):
@@ -232,9 +225,9 @@ class Strategy(Enum):
     rate tags that each step records in its ``hyperparams`` but nothing
     enforces (elitism is implicit in the top-K history). HLMSA anneals one
     trajectory per batch slot (``_Annealing``). Best-so-far tracks every
-    evaluation. Each member holds its ``prompt_block(batch, sa)``, the ``tags``
-    it asks for, and ``state``, its per-run state class; ``state.settings``
-    builds its ``sa``.
+    evaluation. Each member holds its ``prompt_block(batch, state)``, the
+    ``tags`` it asks for, and ``state``, its per-run state class, which the
+    block reads; ``state.settings`` builds the ``sa`` that ``optimize`` takes.
     """
 
     def __new__(cls, value, tags, prompt_block, state):
@@ -317,7 +310,7 @@ def optimize(
     termination = Termination(TerminationKind.MAX_STEPS)
 
     for step_index in range(config.max_steps):
-        bundle = build_prompt(spec, history, strategy, config.batch, state.sa)
+        bundle = build_prompt(spec, history, strategy, config.batch, state)
         parsed, calls, failure = _propose_and_parse(
             backend, bundle, sampling, spec.schema, strategy.tags, state.need
         )

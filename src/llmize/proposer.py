@@ -81,16 +81,16 @@ def build_prompt(
     history: History,
     strategy: Any,
     batch: int,
-    sa: Any = None,
+    state: Any = None,
 ) -> PromptBundle:
     """Compose the full prompt for one optimization step.
 
     The system message carries the assistant role, the solution encoding, and
     the output-format contract. The user message carries the problem statement,
     optional domain knowledge, the history rendered worst to best, the block
-    that ``strategy`` (an ``llmize.Strategy``) writes from ``batch`` and
-    ``sa``, and the number of blocks to return. HLMSA requires ``sa``, whose
-    temperature and trajectory points it shows.
+    that ``strategy`` (an ``llmize.Strategy``) writes from ``batch`` and its
+    run ``state``, and the number of blocks to return. HLMSA requires
+    ``state``, whose temperature and trajectory points it shows.
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
@@ -112,7 +112,7 @@ def build_prompt(
             "Previously evaluated solutions, ordered from worst to best:\n"
             + "\n".join(map(render_history_line, entries))
         )
-    blocks.append(strategy.prompt_block(batch, sa))
+    blocks.append(strategy.prompt_block(batch, state))
     blocks.append(f"Return exactly {batch} solution blocks.")
     return PromptBundle(system_text=system_text, user_text="\n\n".join(blocks))
 

@@ -6,8 +6,10 @@ golden-file comparisons, which rules out plotting libraries.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .benchmarks import TspInstance
-from .core import Permutation
+from .core import Permutation, StepStats
 
 # The charted series, in drawing and legend order, each with its colour.
 CHART_SERIES = {
@@ -34,15 +36,13 @@ def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> 
     return out_lo + (value - lo) * (out_hi - out_lo) / (hi - lo)
 
 
-def render_history_chart(rows: list[dict[str, float]]) -> str:
-    """Line chart of the three per-step score series over step_index.
-
-    Each row needs step_index plus the series CHART_SERIES names.
-    """
-    if not rows:
+def render_history_chart(steps: Sequence[StepStats]) -> str:
+    """Line chart of the three per-step score series, CHART_SERIES, over
+    step_index."""
+    if not steps:
         raise ValueError("at least one row required")
-    xs = [row["step_index"] for row in rows]
-    ys = [row[s] for row in rows for s in CHART_SERIES]
+    xs = [s.step_index for s in steps]
+    ys = [getattr(s, series) for s in steps for series in CHART_SERIES]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
 
@@ -66,9 +66,9 @@ def render_history_chart(rows: list[dict[str, float]]) -> str:
     ]
     for series, color in CHART_SERIES.items():
         points = " ".join(
-            f"{_fmt(_scale(row['step_index'], x_lo, x_hi, plot_left, plot_right))},"
-            f"{_fmt(_scale(row[series], y_lo, y_hi, plot_bottom, plot_top))}"
-            for row in rows
+            f"{_fmt(_scale(s.step_index, x_lo, x_hi, plot_left, plot_right))},"
+            f"{_fmt(_scale(getattr(s, series), y_lo, y_hi, plot_bottom, plot_top))}"
+            for s in steps
         )
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
     for i, (series, color) in enumerate(CHART_SERIES.items()):

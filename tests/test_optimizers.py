@@ -488,13 +488,6 @@ class TestRunHlmsa:
         assert len(run(2).steps) == 15
         assert sa == SaState(sa_temperature=1.0)
 
-    def test_trajectory_count_must_match_batch(self):
-        sa = SaState(trajectories=seeds((1, 1), (2, 2)))
-        with pytest.raises(ValueError, match="one trajectory per batch slot"):
-            run_hlmsa(
-                SPEC, SUM_OBJECTIVE, ScriptedBackend([]), config(batch=3), [], seeds((5, 5)), sa
-            )
-
     def test_best_tracks_rejected_evaluations(self):
         # Worsening candidate is rejected by every trajectory but still owns
         # best-of-step bookkeeping and history membership.

@@ -25,6 +25,7 @@ from llmize import (
     ProblemSpec,
     RealVector,
     RealVectorSchema,
+    RunConfig,
     SaState,
     SamplingParams,
     Strategy,
@@ -119,14 +120,16 @@ def _sha(text: str) -> str:
 
 def _prompt(kind: str, strategy: Strategy):
     spec = SPECS[kind]
-    history = History(capacity=8, direction=MAX if kind == "keyed_scalars" else MIN)
+    direction = MAX if kind == "keyed_scalars" else MIN
+    history = History(capacity=8, direction=direction)
     entries = [EvaluatedSolution(v, s) for v, s in zip(VALUES[kind], SCORES)]
     for entry in entries:
         history.insert(entry)
-    sa = None
+    state = None
     if strategy is Strategy.HLMSA:
-        sa = SaState(trajectories=entries[:3], sa_temperature=12.345678)
-    return build_prompt(spec, history, strategy, BATCH[strategy], sa)
+        sa = SaState(sa_temperature=12.345678)
+        state = strategy.state(sa, entries[:3], RunConfig(batch=BATCH[strategy]), direction)
+    return build_prompt(spec, history, strategy, BATCH[strategy], state)
 
 
 @pytest.mark.parametrize("kind, strategy", sorted(PROMPT_DIGESTS))

@@ -96,7 +96,10 @@ class TestBuildPrompt:
         )
         h = History(capacity=4, direction=ObjectiveDirection.MAXIMIZE)
         h.insert(ev(RealVector((1.0, 1.0, 1.0)), 13.0))
-        bundle = build_prompt(spec, h, Strategy.HLMSA, 3, SaState(sa_temperature=1.0))
+        state = Strategy.HLMSA.state(
+            SaState(sa_temperature=1.0), h.entries, RunConfig(batch=3), h.direction
+        )
+        bundle = build_prompt(spec, h, Strategy.HLMSA, 3, state)
         assert "temperature" in bundle.user_text
         assert "1.0" in bundle.user_text
 
@@ -118,10 +121,10 @@ class TestBuildPrompt:
 
     def test_trajectory_lines_rendered_for_hlmsa(self):
         trajectories = [ev(RealVector((1.0, 2.0)), 9.0), ev(RealVector((3.0, 4.0)), 8.0)]
-        bundle = build_prompt(
-            SPEC, make_history([9.0]), Strategy.HLMSA, 2,
-            SaState(trajectories=trajectories, sa_temperature=0.5),
+        state = Strategy.HLMSA.state(
+            SaState(sa_temperature=0.5), trajectories, RunConfig(batch=2), MIN
         )
+        bundle = build_prompt(SPEC, make_history([9.0]), Strategy.HLMSA, 2, state)
         assert "trajectory 0: 1, 2 | score: 9" in bundle.user_text
         assert "trajectory 1: 3, 4 | score: 8" in bundle.user_text
 
@@ -144,10 +147,10 @@ class TestHistoryLineCache:
         prompts = []
         build = optimizers.build_prompt
 
-        def recording_build(spec, history, strategy, batch, sa=None):
-            bundle = build(spec, history, strategy, batch, sa)
-            shown = list(sa.trajectories) if sa is not None else []
-            prompts.append((history.entries, shown, bundle, (strategy, batch, sa)))
+        def recording_build(spec, history, strategy, batch, state=None):
+            bundle = build(spec, history, strategy, batch, state)
+            shown = list(state.points) if strategy is Strategy.HLMSA else []
+            prompts.append((history.entries, shown, bundle, (strategy, batch, state)))
             return bundle
 
         monkeypatch.setattr(core, "render_solution", counting_render)
@@ -675,7 +678,10 @@ class TestPerturbBackend:
     def test_emits_requested_tags(self):
         h = History(capacity=2, direction=MIN)
         h.insert(ev(RealVector((1.0, 1.0)), 2.0))
-        bundle = build_prompt(SPEC, h, Strategy.HLMSA, 2, SaState(sa_temperature=1.0))
+        state = Strategy.HLMSA.state(
+            SaState(sa_temperature=1.0), h.entries, RunConfig(batch=2), MIN
+        )
+        bundle = build_prompt(SPEC, h, Strategy.HLMSA, 2, state)
         raw = PerturbBackend(seed=9).propose(bundle, SamplingParams())
         parsed = parse_proposal(raw, BOX, expected_tags=["cooling_rate"])
         assert parsed.hyperparams["cooling_rate"] == 0.9
