@@ -102,11 +102,17 @@ def dumps_history_csv(result: OptimizationResult) -> str:
 
 def _read_cell(text: str, field: Field) -> float | None:
     # Blank only where a step may leave its field None: hlmsa's two columns.
-    return None if not text and field.default is None else float(text)
+    if not text and field.default is None:
+        return None
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{field.name} must be finite, got {text!r}")
+    return value
 
 
 def read_history_csv(path: Path) -> list[StepStats]:
-    """Parse a history CSV back into the steps it records, strictly."""
+    """Parse a history CSV back into the steps it records, strictly: every
+    cell a finite number, blank only where a step may leave it unset."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -169,6 +169,10 @@ class PermutationSchema:
         if self.n > MAX_PERMUTATION_N:
             raise ValueError(f"n must be <= {MAX_PERMUTATION_N}")
 
+    @property
+    def dim(self) -> int:
+        return self.n
+
     @cached_property
     def _cities(self) -> frozenset[int]:
         return frozenset(range(self.n))
@@ -246,6 +250,10 @@ class KeyedScalarsSchema:
 
     def __hash__(self) -> int:
         return hash(tuple(self.bounds.items()))
+
+    @property
+    def dim(self) -> int:
+        return len(self.bounds)
 
     def describe(self) -> str:
         bounds = ", ".join(f"{k} in {_render_bounds(*b)}" for k, b in self.bounds.items())

@@ -21,13 +21,20 @@ class Objective:
     direction: ObjectiveDirection
 
 
+# The most evaluations run at once. Each worker is a thread, and with a command
+# objective a child process too. 256 is many times the cores of one machine,
+# and their threads' default 8 MiB stacks on Linux already reserve 2 GiB.
+MAX_WORKERS = 256
+
+
 @dataclass(frozen=True)
 class EvalPolicy:
     """How a batch is evaluated and what happens when one evaluation fails.
 
-    ``on_error`` is either None (abort the batch, the default) or a finite
-    score substituted for the failing candidate. The substitute must be worse
-    than anything the objective can legitimately return; that is on the caller.
+    ``workers``, at most ``MAX_WORKERS``, evaluate at once. ``on_error`` is
+    either None (abort the batch, the default) or a finite score substituted
+    for the failing candidate. The substitute must be worse than anything the
+    objective can legitimately return; that is on the caller.
     A time limit belongs to the objective: a Python thread cannot be
     interrupted, so an evaluation that must stop has to raise on its own.
     """
@@ -38,6 +45,8 @@ class EvalPolicy:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.workers > MAX_WORKERS:
+            raise ValueError(f"workers must be <= {MAX_WORKERS}")
         if self.on_error is not None and not math.isfinite(self.on_error):
             raise ValueError("on_error score must be finite")
 

@@ -241,6 +241,18 @@ class Strategy(Enum):
     HLMSA = ("hlmsa", ("cooling_rate",), _hlmsa_block, _Annealing)
 
 
+def _mean(scores: list[float]) -> float:
+    """The scores added left to right, as ``sum()`` adds before Python 3.12, so
+    the same on every version, over their count. Finite scores near the float
+    limit overflow that sum; then it is twice the exact sum of each score over
+    twice the count, kept within the scores' range against its rounding."""
+    mean = reduce(float.__add__, scores, 0.0) / len(scores)
+    if math.isfinite(mean):
+        return mean
+    half = math.fsum(s / (2 * len(scores)) for s in scores)
+    return min(max(2.0 * half, min(scores)), max(scores))
+
+
 def _propose_and_parse(
     backend: ProposerBackend,
     bundle,
@@ -339,8 +351,7 @@ def optimize(
         stats = StepStats(
             step_index=step_index,
             best_of_step=max(step_scores, key=direction.goodness),
-            # Left to right, as sum() adds before Python 3.12: same on every version.
-            mean_of_step=reduce(float.__add__, step_scores, 0.0) / len(step_scores),
+            mean_of_step=_mean(step_scores),
             best_so_far=best.score,
             sampling_temperature=sampling.model_temperature,
             sa_temperature=sa_temperature,

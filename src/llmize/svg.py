@@ -6,6 +6,7 @@ golden-file comparisons, which rules out plotting libraries.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .benchmarks import TspInstance
@@ -33,7 +34,14 @@ def _fmt(v: float) -> str:
 def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> float:
     if hi == lo:
         return (out_lo + out_hi) / 2.0
-    return out_lo + (value - lo) * (out_hi - out_lo) / (hi - lo)
+    span = hi - lo
+    if math.isfinite(span):
+        scaled = out_lo + (value - lo) * (out_hi - out_lo) / span
+        if math.isfinite(scaled):
+            return scaled
+    # Values near the float limit overflow the span or the product; halved,
+    # their differences cannot, and their ratio lies in [0, 1].
+    return out_lo + (value / 2 - lo / 2) / (hi / 2 - lo / 2) * (out_hi - out_lo)
 
 
 def render_history_chart(steps: Sequence[StepStats]) -> str:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from llmize import cli, optimizers
+from llmize import StepStats, cli, optimizers
 from llmize.cli import HISTORY_CSV_HEADER, main
 from llmize.evaluation import evaluate_batch
 from llmize.svg import render_history_chart
@@ -20,6 +20,13 @@ from conftest import time_bound
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+TOP = sys.float_info.max
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def write_config(path: Path, **overrides):
@@ -483,6 +490,30 @@ class TestCmdRun:
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["best"]["score"] < 2.5
 
+    def test_scores_at_the_float_limit_write_valid_artifacts(self, tmp_path):
+        # Two finite scores whose sum overflows a float, and their mean does not.
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "strategy": "opro",
+            "problem": {
+                "description": "d",
+                "direction": "minimize",
+                "schema": {"kind": "real_vector", "lower": [0.0], "upper": [1.0]},
+                "objective_command": ["python3", "-c", f"print({TOP!r})"],
+            },
+            "backend": {"kind": "perturb", "seed": 1},
+            "max_steps": 1,
+            "batch": 2,
+            "seeding": {"style": "uniform", "count": 2},
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert run_cli("run", config_path) == 0
+        out = tmp_path / "out"
+        result = json.loads((out / "result.json").read_text(), parse_constant=refuse_constant)
+        assert result["steps"][0]["mean_of_step"] == TOP
+        assert "inf" not in (out / "history.csv").read_text()
+        assert "nan" not in (out / "plot.svg").read_text()
+
     def test_sa_block_rejected_for_non_hlmsa(self, tmp_path, capsys):
         config = write_config(tmp_path / "run.json", sa={"initial_temperature": 2.0})
         assert run_cli("run", config) == 1
@@ -687,6 +718,26 @@ class TestCmdPlot:
             render_history_chart([])
 
     @pytest.mark.parametrize(
+        "scores",
+        [
+            # A span that overflows, then a finite span whose product does.
+            [(TOP, TOP, TOP), (-TOP, 0.0, -TOP), (TOP / 3, -TOP, -TOP)],
+            [(TOP, TOP, TOP), (0.0, TOP / 2, 0.0), (TOP / 3, 1.0, 0.0)],
+        ],
+        ids=["both-signs", "one-sign"],
+    )
+    def test_chart_of_scores_at_the_float_limit_stays_in_its_box(self, scores):
+        steps = [StepStats(i, *triple, 1.0) for i, triple in enumerate(scores)]
+        svg = render_history_chart(steps)
+        polylines = re.findall(r'<polyline [^>]*points="([^"]*)"', svg)
+        assert len(polylines) == 3
+        for points in polylines:
+            for point in points.split():
+                x, y = map(float, point.split(","))
+                # The plot box: 60..490 across, 20..350 down.
+                assert 60.0 <= x <= 490.0 and 20.0 <= y <= 350.0
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("", "empty CSV"),
@@ -704,9 +755,18 @@ class TestCmdPlot:
                 f"{HISTORY_CSV_HEADER}\n0,{'9' * 200_000},1.0,1.0,1.0,,\n",
                 "field larger than field limit (131072)",
             ),
+            (HISTORY_CSV_HEADER + "\n0,nan,1.0,1.0,1.0,,\n",
+             "row 2: best_of_step must be finite, got 'nan'"),
+            (HISTORY_CSV_HEADER + "\n0,1.0,inf,1.0,1.0,,\n",
+             "row 2: mean_of_step must be finite, got 'inf'"),
+            (HISTORY_CSV_HEADER + "\n0,1.0,1.0,1.0,1.0,-inf,0.9\n",
+             "row 2: sa_temperature must be finite, got '-inf'"),
+            (HISTORY_CSV_HEADER + "\n0,1.0,1.0,1e309,1.0,,\n",
+             "row 2: best_so_far must be finite, got '1e309'"),
         ],
         ids=["empty", "header-only", "short-row", "junk-sa-temperature", "junk-cooling-rate",
-             "field-too-long"],
+             "field-too-long", "nan-score", "inf-score", "minus-inf-sa-temperature",
+             "overflowing-score"],
     )
     def test_bad_csv_named(self, text, message, tmp_path, capsys):
         path = tmp_path / "history.csv"
@@ -860,7 +920,7 @@ NUMERIC_KEYS = [
     ("batch", BENCH_DOC, same, [0, 10_001]),
     ("history_capacity", BENCH_DOC, same, [0]),
     ("rng_seed", BENCH_DOC, same, [-1]),
-    ("workers", BENCH_DOC, same, [0]),
+    ("workers", BENCH_DOC, same, [0, 257]),
     ("benchmark_params.n", BENCH_DOC, same, [1, 100_001]),
     ("benchmark_params.seed", BENCH_DOC, same, [-1]),
     ("sampling.model_temperature", BENCH_DOC, same, [below(0.0), above(2.0)]),
@@ -1067,9 +1127,21 @@ class TestUnwritableOutput:
         (altered(altered(REAL_DOC, "problem.schema.lower", [0] * 40), "problem.schema.upper",
                  [1] * 40),
          "seeding: grid seeding lays 2^40 points, more than 100000"),
+        (altered(altered(PERMUTATION_DOC, "problem.schema.n", 100_000), "seeding.count", 100_000),
+         "seeding.count times the 100000 numbers of each value must be <= 1000000, "
+         "got 10000000000"),
+        (altered(altered(altered(altered(
+            REAL_DOC, "problem.schema.lower", [0] * 10_000), "problem.schema.upper",
+            [1] * 10_000), "seeding.style", "uniform"), "seeding.count", 100_000),
+         "seeding.count times the 10000 numbers of each value must be <= 1000000, "
+         "got 1000000000"),
+        (altered(altered(KEYED_DOC, "problem.schema.bounds",
+                         {f"k{i}": [0, 1] for i in range(1000)}), "seeding.count", 1001),
+         "seeding.count times the 1000 numbers of each value must be <= 1000000, got 1001000"),
     ],
     ids=["bench-tsp-n", "bench-batch", "tsp-n", "permutation-n", "count-2**63",
-         "count-10**400", "grid-count", "grid-40-dims"],
+         "count-10**400", "grid-count", "grid-40-dims", "permutation-seed-numbers",
+         "real-vector-seed-numbers", "keyed-seed-numbers"],
 )
 def test_size_no_run_can_use_is_refused_in_one_line(argv, message, tmp_path, capsys):
     if isinstance(argv, dict):

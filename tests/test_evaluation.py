@@ -18,6 +18,7 @@ from llmize import (
 )
 from llmize.benchmarks import convex2d
 from llmize.cli import command_objective
+from llmize.evaluation import MAX_WORKERS
 from conftest import fresh_python
 
 MIN = ObjectiveDirection.MINIMIZE
@@ -279,6 +280,13 @@ def test_policy_validation():
         EvalPolicy(workers=0)
     with pytest.raises(ValueError):
         EvalPolicy(on_error=float("inf"))
+
+
+def test_workers_above_the_cap_are_refused():
+    # Policies are only built here: no thread starts.
+    assert EvalPolicy(workers=MAX_WORKERS).workers == MAX_WORKERS
+    with pytest.raises(ValueError, match=f"^workers must be <= {MAX_WORKERS}$"):
+        EvalPolicy(workers=MAX_WORKERS + 1)
 
 
 def test_policy_is_workers_and_on_error():

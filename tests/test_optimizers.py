@@ -207,6 +207,43 @@ class TestRunOpro:
         )
         assert result.steps[0].mean_of_step == 0.0
 
+    def test_substituted_scores_at_the_float_limit_keep_a_finite_mean(self):
+        # sys.float_info.max is the natural "worse than anything" substitute,
+        # and two of them overflow the left-to-right sum.
+        def fail(value):
+            raise RuntimeError("no score")
+
+        policy = EvalPolicy(on_error=sys.float_info.max)
+        blocks = "<solution>1, 1</solution><solution>2, 2</solution>"
+        result = run_opro(
+            SPEC, Objective(fail, MIN), ScriptedBackend([blocks]),
+            config(max_steps=1, batch=2, evaluation=policy), [], seeds((1.0, 1.0)),
+        )
+        assert result.steps[0].mean_of_step == sys.float_info.max
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        document = json.loads(cli.dumps_result(result), parse_constant=refuse)
+        assert document["steps"][0]["mean_of_step"] == sys.float_info.max
+        assert "inf" not in cli.dumps_history_csv(result)
+
+    @pytest.mark.parametrize(
+        "scores, mean",
+        [
+            ([sys.float_info.max] * 3, sys.float_info.max),
+            ([-sys.float_info.max] * 7, -sys.float_info.max),
+            ([sys.float_info.max, -sys.float_info.max, sys.float_info.max], None),
+            ([sys.float_info.max, sys.float_info.max / 2], 0.75 * sys.float_info.max),
+        ],
+        ids=["three-at-max", "seven-at-min", "overflow-to-nan", "max-and-half"],
+    )
+    def test_mean_of_scores_whose_sum_overflows_lies_within_them(self, scores, mean):
+        got = optimizers._mean(scores)
+        assert math.isfinite(got) and min(scores) <= got <= max(scores)
+        if mean is not None:
+            assert got == mean
+
 
 class TestStrategyEquivalence:
     def test_identical_transcripts_identical_series(self):
