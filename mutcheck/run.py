@@ -13,13 +13,11 @@ flaky failure would pass for a kill.
 Exit 1 when a mutant survives, or when a row's text is not found exactly once
 (the code moved, so the row must move with it). Otherwise exit 0.
 
-    python3 mutcheck/run.py              # every mutant
-    python3 mutcheck/run.py NAME [NAME]  # just these rows
+    python3 mutcheck/run.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -157,6 +155,9 @@ MUTANTS = [
     ("seed-numbers-uncapped", "benchmarks.py",
      "if count * schema.dim > MAX_SEED_NUMBERS:", "if count > MAX_SEED_NUMBERS:",
      "seeds of many numbers each are drawn for hours"),
+    ("grid-numbers-uncapped", "benchmarks.py",
+     "if points * schema.dim > MAX_SEED_NUMBERS:", "if points > MAX_SEED_NUMBERS:",
+     "a grid over many dimensions draws more numbers than the seed cap"),
     # Charts and the history CSV.
     ("chart-overflows", "svg.py",
      "        if math.isfinite(scaled):\n", "        if True:\n",
@@ -206,18 +207,9 @@ def _apply(tree: Path, path: str, text: str, replacement: str) -> None:
     target.write_text(target.read_text().replace(text, replacement, 1))
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="run only these rows")
-    args = parser.parse_args(argv)
-
-    rows = [row for row in MUTANTS if not args.names or row[0] in args.names]
-    unknown = set(args.names) - {row[0] for row in MUTANTS}
-    if unknown:
-        print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 1
+def main() -> int:
     moved = []
-    for name, path, text, _, _ in rows:
+    for name, path, text, _, _ in MUTANTS:
         found = (ROOT / "src" / "llmize" / path).read_text().count(text)
         if found != 1:
             moved.append(f"{name}: its text occurs {found} times in src/llmize/{path}")
@@ -240,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"unmutated: passed in {seconds:.1f} s", flush=True)
         survivors = []
-        for i, (name, path, text, replacement, defect) in enumerate(rows):
+        for i, (name, path, text, replacement, defect) in enumerate(MUTANTS):
             tree = Path(scratch) / f"mutant{i}"
             _copy_tree(tree)
             _apply(tree, path, text, replacement)
@@ -250,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:26} {seconds:6.1f} s  {verdict}", flush=True)
             if passed:
                 survivors.append(f"{name}: {defect}")
-    print(f"{len(rows)} mutants, {len(survivors)} survived, "
+    print(f"{len(MUTANTS)} mutants, {len(survivors)} survived, "
           f"{time.perf_counter() - started:.0f} s in all")
     for line in survivors:
         print(f"survived: {line}", file=sys.stderr)

@@ -288,8 +288,10 @@ def seed_samples(
 
     Grid style lays an axis-aligned lattice of roughly ``count`` points over
     real-vector bounds (corners included); uniform style draws ``count``
-    values with ``schema.sample``. Either way at most ``MAX_SEEDS``, and at
-    most ``MAX_SEED_NUMBERS`` numbers in all.
+    values with ``schema.sample``. Either way at most ``MAX_SEEDS`` values,
+    and at most ``MAX_SEED_NUMBERS`` numbers in all: ``count`` times the
+    value's ``dim`` is checked first, and a grid's points, at least two per
+    axis, times ``dim`` again.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -305,9 +307,15 @@ def seed_samples(
         if not isinstance(schema, RealVectorSchema):
             raise ValueError("grid seeding only applies to real vectors")
         per_axis = max(2, round(count ** (1.0 / schema.dim)))
-        if per_axis**schema.dim > MAX_SEEDS:
+        points = per_axis**schema.dim
+        if points > MAX_SEEDS:
             raise ValueError(
                 f"grid seeding lays {per_axis}^{schema.dim} points, more than {MAX_SEEDS}"
+            )
+        if points * schema.dim > MAX_SEED_NUMBERS:
+            raise ValueError(
+                f"grid seeding lays {per_axis}^{schema.dim} points of {schema.dim} numbers, "
+                f"more than {MAX_SEED_NUMBERS} numbers"
             )
         axes = [_linspace(lo, hi, per_axis) for lo, hi in zip(schema.lower, schema.upper)]
         return [RealVector(point) for point in itertools.product(*axes)]

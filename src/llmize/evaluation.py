@@ -22,8 +22,10 @@ class Objective:
 
 
 # The most evaluations run at once. Each worker is a thread, and with a command
-# objective a child process too. 256 is many times the cores of one machine,
-# and their threads' default 8 MiB stacks on Linux already reserve 2 GiB.
+# objective a child process too. 256 is a chosen bound, not a measured limit:
+# it keeps a batch of up to 100000 seeds from asking for as many threads and
+# processes. Idle threads cost little below it: on a 2-vCPU Xeon VM, 256 of
+# them started in 25-43 ms and added 4.6 MiB of RSS, 512 in 52-73 ms and 9.3 MiB.
 MAX_WORKERS = 256
 
 

@@ -1127,6 +1127,9 @@ class TestUnwritableOutput:
         (altered(altered(REAL_DOC, "problem.schema.lower", [0] * 40), "problem.schema.upper",
                  [1] * 40),
          "seeding: grid seeding lays 2^40 points, more than 100000"),
+        (altered(altered(REAL_DOC, "problem.schema.lower", [0] * 16), "problem.schema.upper",
+                 [1] * 16),
+         "seeding: grid seeding lays 2^16 points of 16 numbers, more than 1000000 numbers"),
         (altered(altered(PERMUTATION_DOC, "problem.schema.n", 100_000), "seeding.count", 100_000),
          "seeding.count times the 100000 numbers of each value must be <= 1000000, "
          "got 10000000000"),
@@ -1140,7 +1143,7 @@ class TestUnwritableOutput:
          "seeding.count times the 1000 numbers of each value must be <= 1000000, got 1001000"),
     ],
     ids=["bench-tsp-n", "bench-batch", "tsp-n", "permutation-n", "count-2**63",
-         "count-10**400", "grid-count", "grid-40-dims", "permutation-seed-numbers",
+         "count-10**400", "grid-count", "grid-40-dims", "grid-16-dims", "permutation-seed-numbers",
          "real-vector-seed-numbers", "keyed-seed-numbers"],
 )
 def test_size_no_run_can_use_is_refused_in_one_line(argv, message, tmp_path, capsys):

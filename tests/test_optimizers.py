@@ -233,10 +233,11 @@ class TestRunOpro:
         [
             ([sys.float_info.max] * 3, sys.float_info.max),
             ([-sys.float_info.max] * 7, -sys.float_info.max),
-            ([sys.float_info.max, -sys.float_info.max, sys.float_info.max], None),
+            ([sys.float_info.max, sys.float_info.max, -sys.float_info.max],
+             sys.float_info.max / 3),
             ([sys.float_info.max, sys.float_info.max / 2], 0.75 * sys.float_info.max),
         ],
-        ids=["three-at-max", "seven-at-min", "overflow-to-nan", "max-and-half"],
+        ids=["three-at-max", "seven-at-min", "two-max-one-min", "max-and-half"],
     )
     def test_mean_of_scores_whose_sum_overflows_lies_within_them(self, scores, mean):
         got = optimizers._mean(scores)
