@@ -47,14 +47,14 @@ MUTANTS = [
      "return max(sa_temperature * alpha, math.ulp(0.0))", "return sa_temperature * alpha",
      "the temperature underflows to 0 instead of stopping at the smallest float"),
     ("score-scale-fallback", "optimizers.py",
-     "max(seed_scores) - self.offset or 1.0", "max(seed_scores) - self.offset or 1e-9",
+     "self.top - self.offset or 1.0", "self.top - self.offset or 1e-9",
      "seeds of one score scale score differences up a billionfold"),
     ("points-never-move", "optimizers.py",
      "                points[i] = candidate\n", "                pass\n",
      "an accepted neighbor does not replace its trajectory's point"),
     ("arguments-swapped", "optimizers.py",
-     "accept_candidate(current, proposed, temperature,",
-     "accept_candidate(proposed, current, temperature,",
+     "current_n, proposed_n, temperature, self.direction",
+     "proposed_n, current_n, temperature, self.direction",
      "the Metropolis test weighs the current point against the neighbor"),
     ("never-cools", "optimizers.py",
      "self.temperature = cool(temperature, cooling)", "self.temperature = temperature",
@@ -70,6 +70,13 @@ MUTANTS = [
      "[initial[i % len(initial)] for i in range(config.batch)]",
      "[initial[0] for i in range(config.batch)]",
      "every trajectory starts from the first initial solution"),
+    ("overflow-worsening-accepted", "optimizers.py",
+     "return self.direction.goodness(proposed) > self.direction.goodness(current)",
+     "return True",
+     "a worsening too large to normalize as a float is accepted"),
+    ("overflowing-range-divides", "optimizers.py",
+     "        if math.isfinite(self.scale):\n", "        if True:\n",
+     "seeds whose score range overflows normalize every score to 0 or nan"),
     ("prompt-shows-start-points", "optimizers.py",
      "enumerate(state.points)]", "enumerate(state.points[:1] * len(state.points))]",
      "the prompt shows trajectory 0's point on every trajectory line"),
@@ -135,9 +142,25 @@ MUTANTS = [
      "            timeout=timeout,\n", "            timeout=None,\n",
      "an objective command runs past its timeout"),
     ("aborted-batch-no-wait", "evaluation.py",
-     "pool.shutdown(wait=isinstance(exc, EvaluationFailed), cancel_futures=True)",
-     "pool.shutdown(wait=False, cancel_futures=True)",
+     "        if isinstance(exc, EvaluationFailed):\n            wait(futures)\n",
+     "        if False:\n            wait(futures)\n",
      "an aborted batch returns while its evaluations still run"),
+    ("interrupted-batch-waits", "evaluation.py",
+     "        if isinstance(exc, EvaluationFailed):\n            wait(futures)\n",
+     "        if True:\n            wait(futures)\n",
+     "an interrupted batch waits for its running evaluations"),
+    # The run's evaluation pool.
+    ("pool-per-step", "optimizers.py",
+     "evaluate_batch(objective, candidates, config.evaluation, pool)",
+     "evaluate_batch(objective, candidates, config.evaluation)",
+     "each step starts and joins a thread pool of its own"),
+    ("pool-never-ended", "evaluation.py",
+     "    pool.shutdown(wait=True)\n", "    pass\n",
+     "a run or batch returns with its pool's threads still alive"),
+    ("interrupted-pool-waits", "evaluation.py",
+     "pool.shutdown(wait=isinstance(exc, EvaluationFailed), cancel_futures=True)",
+     "pool.shutdown(wait=True, cancel_futures=True)",
+     "an interrupted run waits for its running evaluations"),
     ("non-finite-score-kept", "evaluation.py",
      "            if not math.isfinite(value):\n",
      "            if False:\n",
@@ -162,6 +185,9 @@ MUTANTS = [
     ("chart-overflows", "svg.py",
      "        if math.isfinite(scaled):\n", "        if True:\n",
      "a chart of scores near the float limit gets nan coordinates"),
+    ("chart-labels-unbounded", "svg.py",
+     'return _fmt(v) if abs(v) < 1e9 else f"{v:.3e}"', "return _fmt(v)",
+     "a chart of scores near the float limit gets 300-character axis labels"),
     ("csv-non-finite-read", "cli.py",
      "    if not math.isfinite(value):\n        raise ValueError(f\"{field.name} must be finite",
      "    if False:\n        raise ValueError(f\"{field.name} must be finite",

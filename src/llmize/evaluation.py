@@ -1,12 +1,21 @@
-"""Black-box objective abstraction and parallel batch evaluation."""
+"""Black-box objective abstraction and parallel batch evaluation.
+
+A batch of more than one worker runs on a thread pool: ``optimize`` keeps one
+from ``evaluation_pool`` for all the steps of a run, and a batch given none
+makes its own.
+"""
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .core import ObjectiveDirection, SolutionValue
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 
 @dataclass(frozen=True)
@@ -62,16 +71,41 @@ class EvaluationFailed(Exception):
         self.message = message
 
 
+@contextmanager
+def evaluation_pool(policy: EvalPolicy) -> Iterator[Executor | None]:
+    """A pool of ``policy.workers`` threads for ``evaluate_batch``, or None at
+    one worker. Only here is a thread pool loaded. Leaving the block ends its
+    threads; on an exception other than a failed evaluation, such as an
+    interrupt, it leaves at once instead, cancelling what has not started.
+    """
+    if policy.workers == 1:
+        yield None
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=policy.workers)
+    try:
+        yield pool
+    except BaseException as exc:
+        pool.shutdown(wait=isinstance(exc, EvaluationFailed), cancel_futures=True)
+        raise
+    pool.shutdown(wait=True)
+
+
 def evaluate_batch(
     objective: Objective,
     candidates: list[SolutionValue],
     policy: EvalPolicy = EvalPolicy(),
+    pool: Executor | None = None,
 ) -> list[float]:
     """Score every candidate, in order, with up to ``policy.workers`` threads.
 
     The returned list is positionally aligned with ``candidates`` no matter in
     which order evaluations finish. With one worker this is a plain sequential
-    loop, so single-worker results are bit-identical to unthreaded evaluation.
+    loop, so single-worker results are bit-identical to unthreaded evaluation,
+    and ``pool`` is not used. With more, the batch runs on ``pool``, which the
+    caller keeps and ends; given none, it makes one and returns with its
+    threads ended, as ``evaluation_pool`` does.
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
@@ -89,12 +123,23 @@ def evaluate_batch(
 
     if policy.workers == 1:
         return list(map(score, range(len(candidates)), candidates))
+    if pool is None:
+        with evaluation_pool(policy) as pool:
+            return _scores_on(pool, score, candidates)
+    return _scores_on(pool, score, candidates)
 
-    # Only this branch loads a thread pool, and a batch returns once its
-    # threads have ended; an interrupt alone leaves at once. After a failure
-    # no evaluation starts, and the abort waits for those running, then raises
-    # the first failure in candidate order, as skipped candidates yield None.
-    from concurrent.futures import ThreadPoolExecutor
+
+def _scores_on(
+    pool: Executor, score: Callable[[int, SolutionValue], float], candidates: list[SolutionValue]
+) -> list[float]:
+    """``score`` of every candidate on ``pool``, in candidate order.
+
+    After a failure or an interrupt no evaluation starts, and those queued are
+    cancelled. The abort waits for those running, then raises the first
+    failure in candidate order, as skipped candidates yield None; an interrupt
+    leaves at once.
+    """
+    from concurrent.futures import wait
 
     failed = []
 
@@ -103,15 +148,16 @@ def evaluate_batch(
             return None
         try:
             return score(index, candidate)
-        except EvaluationFailed:
+        except BaseException:
             failed.append(index)
             raise
 
-    pool = ThreadPoolExecutor(max_workers=policy.workers)
+    futures = [pool.submit(score_unless_failed, i, c) for i, c in enumerate(candidates)]
     try:
-        scores = list(pool.map(score_unless_failed, range(len(candidates)), candidates))
+        return [future.result() for future in futures]
     except BaseException as exc:
-        pool.shutdown(wait=isinstance(exc, EvaluationFailed), cancel_futures=True)
+        for future in futures:
+            future.cancel()
+        if isinstance(exc, EvaluationFailed):
+            wait(futures)
         raise
-    pool.shutdown(wait=True)
-    return scores

@@ -31,7 +31,13 @@ from .core import (
     TerminationKind,
     update_best,
 )
-from .evaluation import EvalPolicy, EvaluationFailed, Objective, evaluate_batch
+from .evaluation import (
+    EvalPolicy,
+    EvaluationFailed,
+    Objective,
+    evaluate_batch,
+    evaluation_pool,
+)
 from .proposer import (
     ParsedProposal,
     ProposerBackend,
@@ -199,18 +205,39 @@ class _Annealing:
         self.direction = direction
         self.rng = Rng(config.rng_seed)
         seed_scores = [e.score for e in initial]
-        self.offset = min(seed_scores)
-        self.scale = max(seed_scores) - self.offset or 1.0
+        self.offset, self.top = min(seed_scores), max(seed_scores)
+        self.scale = self.top - self.offset or 1.0
         logger.info("annealing score normalization frozen at offset=%r scale=%r",
                     self.offset, self.scale)
+
+    def accepts(self, current: float, proposed: float, temperature: float) -> bool:
+        """``accept_candidate`` on the two scores normalized by the seeds'
+        range. Where that overflows, the exact normalized change stands in:
+        one too large for a float is an improvement, accepted, or a worsening,
+        refused."""
+        if math.isfinite(self.scale):
+            current_n = (current - self.offset) / self.scale
+            proposed_n = (proposed - self.offset) / self.scale
+            if math.isfinite(current_n) and math.isfinite(proposed_n):
+                return accept_candidate(
+                    current_n, proposed_n, temperature, self.direction, self.rng
+                )
+        from fractions import Fraction
+
+        change = (Fraction(proposed) - Fraction(current)) / (
+            Fraction(self.top) - Fraction(self.offset) or 1
+        )
+        try:
+            change = float(change)
+        except OverflowError:
+            return self.direction.goodness(proposed) > self.direction.goodness(current)
+        return accept_candidate(0.0, change, temperature, self.direction, self.rng)
 
     def update(self, evaluated, hyperparams) -> tuple[float, float]:
         """Move the points and cool; returns the step's temperature and rate."""
         temperature, points = self.temperature, self.points
         for i, candidate in enumerate(evaluated):
-            current = (points[i].score - self.offset) / self.scale
-            proposed = (candidate.score - self.offset) / self.scale
-            if accept_candidate(current, proposed, temperature, self.direction, self.rng):
+            if self.accepts(points[i].score, candidate.score, temperature):
                 points[i] = candidate
         cooling = clamp_tag(hyperparams.get("cooling_rate"), *self.cooling)
         self.temperature = cool(temperature, cooling)
@@ -300,7 +327,9 @@ def optimize(
     and ranked in ``objective.direction``.
 
     ``sa`` holds HLMSA's annealing settings (its defaults when None), and
-    the run never changes it; other strategies refuse it.
+    the run never changes it; other strategies refuse it. With more than one
+    worker, every step's batch runs on one pool of ``workers`` threads, which
+    the run ends before it returns, or at once on an interrupt.
     """
     if not initial:
         raise ValueError("initial evaluated solutions required")
@@ -321,52 +350,53 @@ def optimize(
     proposer_calls = 0
     termination = Termination(TerminationKind.MAX_STEPS)
 
-    for step_index in range(config.max_steps):
-        bundle = build_prompt(spec, history, strategy, config.batch, state)
-        parsed, calls, failure = _propose_and_parse(
-            backend, bundle, sampling, spec.schema, strategy.tags, state.need
-        )
-        proposer_calls += calls
-        if parsed is None:
-            termination = Termination(TerminationKind.ABORTED, failure)
-            break
-
-        # A state that needs one candidate per slot drops the extras.
-        candidates = list(parsed.candidates[: state.need])
-        try:
-            scores = evaluate_batch(objective, candidates, config.evaluation)
-        except EvaluationFailed as exc:
-            termination = Termination(
-                TerminationKind.ABORTED, f"evaluation failed: {exc}"
+    with evaluation_pool(config.evaluation) as pool:
+        for step_index in range(config.max_steps):
+            bundle = build_prompt(spec, history, strategy, config.batch, state)
+            parsed, calls, failure = _propose_and_parse(
+                backend, bundle, sampling, spec.schema, strategy.tags, state.need
             )
-            break
-        evaluations += len(candidates)
-        evaluated = [EvaluatedSolution(c, s) for c, s in zip(candidates, scores)]
-        for entry in evaluated:
-            history.insert(entry)
-            best = update_best(best, entry, direction)
-        sa_temperature, cooling = state.update(evaluated, parsed.hyperparams)
+            proposer_calls += calls
+            if parsed is None:
+                termination = Termination(TerminationKind.ABORTED, failure)
+                break
 
-        step_scores = [e.score for e in evaluated]
-        stats = StepStats(
-            step_index=step_index,
-            best_of_step=max(step_scores, key=direction.goodness),
-            mean_of_step=_mean(step_scores),
-            best_so_far=best.score,
-            sampling_temperature=sampling.model_temperature,
-            sa_temperature=sa_temperature,
-            cooling_rate=cooling,
-            hyperparams=dict(parsed.hyperparams),
-        )
-        steps.append(stats)
+            # A state that needs one candidate per slot drops the extras.
+            candidates = list(parsed.candidates[: state.need])
+            try:
+                scores = evaluate_batch(objective, candidates, config.evaluation, pool)
+            except EvaluationFailed as exc:
+                termination = Termination(
+                    TerminationKind.ABORTED, f"evaluation failed: {exc}"
+                )
+                break
+            evaluations += len(candidates)
+            evaluated = [EvaluatedSolution(c, s) for c, s in zip(candidates, scores)]
+            for entry in evaluated:
+                history.insert(entry)
+                best = update_best(best, entry, direction)
+            sa_temperature, cooling = state.update(evaluated, parsed.hyperparams)
 
-        context = StepContext(stats=stats, direction=direction)
-        action = resolve_actions([cb(context) for cb in callbacks])
-        if isinstance(action, Stop):
-            termination = Termination(action.reason)
-            break
-        if isinstance(action, SetSamplingTemperature):
-            sampling = replace(sampling, model_temperature=action.value)
+            step_scores = [e.score for e in evaluated]
+            stats = StepStats(
+                step_index=step_index,
+                best_of_step=max(step_scores, key=direction.goodness),
+                mean_of_step=_mean(step_scores),
+                best_so_far=best.score,
+                sampling_temperature=sampling.model_temperature,
+                sa_temperature=sa_temperature,
+                cooling_rate=cooling,
+                hyperparams=dict(parsed.hyperparams),
+            )
+            steps.append(stats)
+
+            context = StepContext(stats=stats, direction=direction)
+            action = resolve_actions([cb(context) for cb in callbacks])
+            if isinstance(action, Stop):
+                termination = Termination(action.reason)
+                break
+            if isinstance(action, SetSamplingTemperature):
+                sampling = replace(sampling, model_temperature=action.value)
 
     return OptimizationResult(
         best=best,

@@ -31,6 +31,12 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _label(v: float) -> str:
+    """A score axis label: two decimals below 1e9 in magnitude, above it four
+    significant digits in exponent notation; at most 14 characters either way."""
+    return _fmt(v) if abs(v) < 1e9 else f"{v:.3e}"
+
+
 def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> float:
     if hi == lo:
         return (out_lo + out_hi) / 2.0
@@ -69,8 +75,8 @@ def render_history_chart(steps: Sequence[StepStats]) -> str:
         f'transform="rotate(-90 15 {(plot_top + plot_bottom) // 2})">score</text>',
         f'<text x="{plot_left}" y="{plot_bottom + 16}" text-anchor="middle" font-size="11">{_fmt(x_lo)}</text>',
         f'<text x="{plot_right}" y="{plot_bottom + 16}" text-anchor="middle" font-size="11">{_fmt(x_hi)}</text>',
-        f'<text x="{plot_left - 4}" y="{plot_bottom + 4}" text-anchor="end" font-size="11">{_fmt(y_lo)}</text>',
-        f'<text x="{plot_left - 4}" y="{plot_top + 4}" text-anchor="end" font-size="11">{_fmt(y_hi)}</text>',
+        f'<text x="{plot_left - 4}" y="{plot_bottom + 4}" text-anchor="end" font-size="11">{_label(y_lo)}</text>',
+        f'<text x="{plot_left - 4}" y="{plot_top + 4}" text-anchor="end" font-size="11">{_label(y_hi)}</text>',
     ]
     for series, color in CHART_SERIES.items():
         points = " ".join(

@@ -415,9 +415,9 @@ class TestCmdRun:
         seen = {"seeds": [], "steps": []}
 
         def recorder(phase):
-            def recording(objective, candidates, policy):
+            def recording(objective, candidates, policy, pool=None):
                 seen[phase].append(policy)
-                return evaluate_batch(objective, candidates, policy)
+                return evaluate_batch(objective, candidates, policy, pool)
 
             return recording
 
@@ -513,6 +513,30 @@ class TestCmdRun:
         assert result["steps"][0]["mean_of_step"] == TOP
         assert "inf" not in (out / "history.csv").read_text()
         assert "nan" not in (out / "plot.svg").read_text()
+
+    def test_hlmsa_run_of_scores_at_both_float_limits(self, tmp_path):
+        # The seeds' score range overflows a float, so annealing compares
+        # exactly normalized changes instead of dividing by it.
+        program = "print(1e308 if float(input()) < 0.5 else -1e308)"
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "strategy": "hlmsa",
+            "problem": {
+                "description": "d",
+                "direction": "minimize",
+                "schema": {"kind": "real_vector", "lower": [0.0], "upper": [1.0]},
+                "objective_command": [sys.executable, "-c", program],
+            },
+            "backend": {"kind": "perturb", "seed": 1},
+            "max_steps": 3,
+            "batch": 2,
+            "seeding": {"style": "grid", "count": 2},
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert run_cli("run", config_path) == 0
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert result["best"]["score"] == -1e308
+        assert len(result["steps"]) == 3
 
     def test_sa_block_rejected_for_non_hlmsa(self, tmp_path, capsys):
         config = write_config(tmp_path / "run.json", sa={"initial_temperature": 2.0})
@@ -736,6 +760,26 @@ class TestCmdPlot:
                 x, y = map(float, point.split(","))
                 # The plot box: 60..490 across, 20..350 down.
                 assert 60.0 <= x <= 490.0 and 20.0 <= y <= 350.0
+        # Each label fits beside the axis, the score labels in exponent notation.
+        labels = re.findall(r"<text [^>]*>([^<]*)</text>", svg)
+        assert len(labels) == 9
+        assert all(len(label) <= 14 for label in labels)
+        assert "1.798e+308" in labels
+
+    @pytest.mark.parametrize(
+        "low, high, labels",
+        [
+            (-999999999.99, 999999999.99, ("-999999999.99", "999999999.99")),
+            (-1e9, 1e9, ("-1.000e+09", "1.000e+09")),
+            (0.0, 123456789012.0, ("0.00", "1.235e+11")),
+        ],
+        ids=["decimals-below-1e9", "exponent-from-1e9", "one-of-each"],
+    )
+    def test_score_labels_switch_to_exponent_notation_at_1e9(self, low, high, labels):
+        steps = [StepStats(0, low, low, low, 1.0), StepStats(1, high, high, high, 1.0)]
+        svg = render_history_chart(steps)
+        shown = re.findall(r'text-anchor="end" font-size="11">([^<]*)</text>', svg)
+        assert tuple(shown) == labels
 
     @pytest.mark.parametrize(
         "text, message",

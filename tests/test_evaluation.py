@@ -18,7 +18,7 @@ from llmize import (
 )
 from llmize.benchmarks import convex2d
 from llmize.cli import command_objective
-from llmize.evaluation import MAX_WORKERS
+from llmize.evaluation import MAX_WORKERS, evaluation_pool
 from conftest import fresh_python
 
 MIN = ObjectiveDirection.MINIMIZE
@@ -195,6 +195,71 @@ def test_aborted_batch_returns_after_running_evaluations_end():
     assert all(end is not None and end <= returned for _, end in calls.values())
     assert 2 not in calls
     assert threading.active_count() == threads
+
+
+def test_aborted_batch_on_a_given_pool_waits_and_leaves_it_open():
+    # Candidate 0 fails once candidate 1 has started, which runs 0.3 s more:
+    # the abort returns after candidate 1 ends, candidate 2 never starts, and
+    # the pool, still the caller's, scores the next batch.
+    calls, running = {}, threading.Event()
+
+    def failing_first(values):
+        index = int(values[0])
+        calls[index] = [time.perf_counter(), None]
+        try:
+            if index == 0:
+                running.wait(5)
+                raise RuntimeError("boom")
+            running.set()
+            time.sleep(0.3)
+            return values[0]
+        finally:
+            calls[index][1] = time.perf_counter()
+
+    policy = EvalPolicy(workers=2)
+    threads = threading.active_count()
+    with evaluation_pool(policy) as pool:
+        with pytest.raises(EvaluationFailed) as exc:
+            evaluate_batch(vector_objective(failing_first), reals(0, 1, 2), policy, pool)
+        returned = time.perf_counter()
+        assert exc.value.index == 0
+        assert sorted(calls) == [0, 1]
+        assert all(end is not None and end <= returned for _, end in calls.values())
+        objective = vector_objective(lambda values: 2 * values[0])
+        assert evaluate_batch(objective, reals(1, 2, 3), policy, pool) == [2.0, 4.0, 6.0]
+    assert threading.active_count() == threads
+
+
+def test_interrupted_batch_on_a_given_pool_starts_nothing_after_it():
+    # Candidate 0 interrupts once candidate 1 has started: the batch leaves
+    # while candidate 1 still runs, and candidate 2 never starts.
+    started, running, release = set(), threading.Event(), threading.Event()
+
+    def interrupted_first(values):
+        index = int(values[0])
+        started.add(index)
+        if index == 0:
+            running.wait(5)
+            raise KeyboardInterrupt
+        running.set()
+        release.wait(5)
+        return values[0]
+
+    policy = EvalPolicy(workers=2)
+    with evaluation_pool(policy) as pool:
+        began = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_batch(vector_objective(interrupted_first), reals(0, 1, 2), policy, pool)
+        assert time.perf_counter() - began < 2.5
+        release.set()
+    assert started == {0, 1}
+
+
+def test_one_worker_needs_no_pool():
+    with evaluation_pool(EvalPolicy()) as pool:
+        assert pool is None
+    objective = vector_objective(lambda values: values[0])
+    assert evaluate_batch(objective, reals(1, 2), EvalPolicy(), pool) == [1.0, 2.0]
 
 
 def test_aborts_under_thread_switching_stress():

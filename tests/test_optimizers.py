@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from llmize import (
+    Continue,
     EvalPolicy,
     Objective,
     ObjectiveDirection,
@@ -36,6 +38,8 @@ from llmize.benchmarks import convex2d, make_convex_benchmark, seed_samples, See
 from conftest import ev
 
 MIN = ObjectiveDirection.MINIMIZE
+MAX = ObjectiveDirection.MAXIMIZE
+TOP = sys.float_info.max
 BOX = RealVectorSchema(lower=(0.0, 0.0), upper=(5.0, 5.0))
 SPEC = ProblemSpec(description="Minimize the box objective.", schema=BOX)
 
@@ -540,6 +544,43 @@ class TestRunHlmsa:
         assert result.best.score == -40.0
         assert result.steps[0].best_of_step == -18.0
 
+    def test_normalized_scores_past_the_float_range_still_anneal(self):
+        # The seeds' range is 5e-324, so every candidate's normalized score
+        # overflows. Even this hot, the worsening, too large for a float, is
+        # refused, and the improvement is accepted.
+        objective = Objective(evaluate=lambda v: v.values[0] - 2.5, direction=MIN)
+        backend = PromptRecorder([hlmsa_transcript([(4, 0), (1, 0)], cooling=0.9)])
+        initial = [ev(RealVector((2.5, 0.0)), 0.0), ev(RealVector((2.5, 1.0)), 5e-324)]
+        result = run_hlmsa(
+            SPEC, objective, backend, config(max_steps=2, batch=2), [], initial,
+            SaState(sa_temperature=1e300),
+        )
+        assert shown_trajectories(backend.prompts[1]) == [(2.5, 0.0), (1.0, 0.0)]
+        assert result.best.score == -1.5
+
+    @pytest.mark.parametrize(
+        "direction, current, proposed, accepted",
+        [
+            (MIN, TOP, -TOP, True),
+            (MIN, -TOP, TOP, False),
+            (MAX, -TOP, TOP, True),
+            (MAX, TOP, -TOP, False),
+            (MIN, -TOP, 0.0, False),
+            (MIN, 0.0, 1.0, False),
+            (MIN, 1.0, 0.0, True),
+        ],
+        ids=["min-improves", "min-worsens", "max-improves", "max-worsens",
+             "half-the-range-worsens", "tiny-range-worsens", "tiny-range-improves"],
+    )
+    def test_acceptance_where_normalizing_overflows(self, direction, current, proposed, accepted):
+        # Seeds at both float limits give a range past the float range; seeds
+        # 5e-324 apart give one that no unit change fits. At a temperature
+        # this low a representable worsening is all but certain to be refused.
+        seeds_at = (-TOP, TOP) if abs(current) == TOP else (0.0, 5e-324)
+        initial = [ev(RealVector((float(i), 0.0)), s) for i, s in enumerate(seeds_at)]
+        state = optimizers._Annealing(None, initial, config(batch=1), direction)
+        assert state.accepts(current, proposed, 1e-9) is accepted
+
 
 class TestProbePoints:
     """The step loop and the CLI reach these layers through module globals,
@@ -629,3 +670,134 @@ class TestProbePoints:
         assert cli.main(["run", str(path)]) == 0
         assert counts["command_objective"] == 1
         assert counts["get_benchmark"] == 0
+
+
+class TestRunPool:
+    """A run with more than one worker evaluates every step on one pool of
+    threads, which it ends before returning."""
+
+    BLOCK = "".join(f"<solution>{i}, {i}</solution>" for i in range(4))
+
+    def test_steps_share_one_pool_ended_with_the_run(self):
+        names = set()
+
+        def named(value):
+            names.add(threading.current_thread().name)
+            return math.fsum(value.values)
+
+        threads = threading.active_count()
+        result = run_opro(
+            SPEC, Objective(named, MIN), ScriptedBackend([self.BLOCK] * 4),
+            config(max_steps=4, batch=4, evaluation=EvalPolicy(workers=2)), [], seeds((3, 3)),
+        )
+        assert len(result.steps) == 4 and result.evaluations_used == 16
+        assert 1 <= len(names) <= 2
+        assert threading.main_thread().name not in names
+        assert threading.active_count() == threads
+
+    def test_aborted_step_returns_after_its_running_evaluations_end(self):
+        # Each step's candidate 0 waits for candidate 1 to start, so both
+        # threads run. At step 1, candidate 0 then fails while candidate 1
+        # runs for 0.3 s: candidates 2 and 3 never start, and the run returns
+        # after candidate 1 ends.
+        calls, lock = {}, threading.Lock()
+        running = [threading.Event() for _ in range(3)]
+        step = [0]
+
+        def failing_at_step_one(value):
+            key = (step[0], int(value.values[0]))
+            with lock:
+                calls[key] = [time.perf_counter(), None]
+            try:
+                if key[1] == 0:
+                    assert running[key[0]].wait(5)
+                if key[1] == 1:
+                    running[key[0]].set()
+                if key == (1, 0):
+                    raise RuntimeError("boom")
+                if key == (1, 1):
+                    time.sleep(0.3)
+                return math.fsum(value.values)
+            finally:
+                calls[key][1] = time.perf_counter()
+
+        def count_steps(ctx):
+            step[0] += 1
+            return Continue()
+
+        threads = threading.active_count()
+        result = run_opro(
+            SPEC, Objective(failing_at_step_one, MIN), ScriptedBackend([self.BLOCK] * 3),
+            config(max_steps=3, batch=4, evaluation=EvalPolicy(workers=2)),
+            [count_steps], seeds((3, 3)),
+        )
+        returned = time.perf_counter()
+        assert result.termination.kind is TerminationKind.ABORTED
+        assert "candidate 0: boom" in result.termination.message
+        assert len(result.steps) == 1
+        failed_at = calls[(1, 0)][1]
+        assert sorted(key for key in calls if key[0] == 1) == [(1, 0), (1, 1)]
+        assert all(start <= failed_at for start, _ in calls.values())
+        assert all(end is not None and end <= returned for _, end in calls.values())
+        assert threading.active_count() == threads
+
+    def test_interrupted_run_leaves_at_once(self):
+        # Candidate 0 interrupts once candidate 1 has started, which waits
+        # up to 5 s.
+        running, release = threading.Event(), threading.Event()
+
+        def interrupted(value):
+            if value.values[0] == 0:
+                running.wait(5)
+                raise KeyboardInterrupt
+            running.set()
+            release.wait(5)
+            return math.fsum(value.values)
+
+        started = time.perf_counter()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_opro(
+                    SPEC, Objective(interrupted, MIN), ScriptedBackend([self.BLOCK]),
+                    config(max_steps=1, batch=4, evaluation=EvalPolicy(workers=2)),
+                    [], seeds((3, 3)),
+                )
+            assert time.perf_counter() - started < 2.5
+        finally:
+            release.set()
+
+    def test_many_workers_under_thread_switching_stress_write_what_one_writes(self):
+        # More workers than cores, switching threads every microsecond, and
+        # one candidate in five failing into the substitute score.
+        def flaky(value):
+            time.sleep(0.0002)
+            if int(value.values[0] * 1000) % 5 == 0:
+                raise RuntimeError("boom")
+            return math.fsum(value.values)
+
+        bench = make_convex_benchmark()
+        initial = [
+            ev(v, bench.objective.evaluate(v))
+            for v in seed_samples(bench.spec.schema, 4, 3, SeedStyle.GRID)
+        ]
+
+        def result_json(workers):
+            policy = EvalPolicy(workers=workers, on_error=1e9)
+            result = run_hlmea(
+                bench.spec, Objective(flaky, MIN), PerturbBackend(seed=3),
+                config(max_steps=12, batch=16, evaluation=policy), [], initial,
+            )
+            assert result.evaluations_used == 12 * 16
+            return cli.dumps_result(result)
+
+        expected = result_json(1)
+        assert any(step["mean_of_step"] > 1e7 for step in json.loads(expected)["steps"])
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert result_json(8) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
