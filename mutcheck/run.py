@@ -87,6 +87,9 @@ MUTANTS = [
     ("short-batch-accepted", "optimizers.py",
      "len(parsed.candidates) < need:", "len(parsed.candidates) < need - 1:",
      "an hlmsa step runs with one candidate fewer than its trajectories"),
+    ("extra-candidates-scored", "optimizers.py",
+     "parsed.candidates[: config.batch]", "parsed.candidates",
+     "a step scores every block a reply holds, however many more than batch"),
     ("abort-reads-as-finished", "optimizers.py",
      "termination = Termination(TerminationKind.ABORTED, failure)",
      "termination = Termination(TerminationKind.MAX_STEPS, failure)",
@@ -181,6 +184,10 @@ MUTANTS = [
     ("grid-numbers-uncapped", "benchmarks.py",
      "if points * schema.dim > MAX_SEED_NUMBERS:", "if points > MAX_SEED_NUMBERS:",
      "a grid over many dimensions draws more numbers than the seed cap"),
+    # Config documents.
+    ("nested-block-unchecked", "cli.py",
+     "        return _block(value, _where(path, key), *kind)\n", "        return value\n",
+     "a nested config block is taken with unknown keys and values of any kind"),
     # Charts and the history CSV.
     ("chart-overflows", "svg.py",
      "        if math.isfinite(scaled):\n", "        if True:\n",

@@ -5,9 +5,12 @@ document, ``bench`` translates its flags into the same kind of document, and
 ``build_plan`` turns either into a ``RunPlan`` that ``_execute`` evaluates the
 seeds for, hands to ``optimizers.optimize`` and writes artifacts from.
 
-Each config block declares its keys and their kinds once, in one table; the
-kind-tagged blocks, ``_BACKENDS`` and ``_SCHEMAS``, hold one table per kind.
-``_block`` walks a block against its table, refusing any key it does not list.
+Each config block declares its keys and their kinds once, in one table:
+``_DOCUMENT``, where a nested block's entry is its pair of required and optional
+keys; the kind-tagged blocks, ``_BACKENDS`` and ``_SCHEMAS``, hold one table per
+kind. ``_block`` walks a block against its table, refusing any key it does not
+list, and walks each nested block at its path, so one walk checks the keys and
+shapes of every other block before any value is built.
 
 Exit codes: 0 for a completed run, 1 for usage or configuration errors and
 for an output that cannot be written, 2 for an aborted run.
@@ -184,7 +187,10 @@ _KINDS = {
 
 def _typed(value, kind, path: str, key: str):
     """``value`` converted by ``kind`` once it passes the kind's test. ``kind`` is
-    one of the ``_KINDS``, or a dict of choices that yields the entry a string names."""
+    one of the ``_KINDS``, a dict of choices that yields the entry a string names,
+    or a ``(required, optional)`` pair: a nested block, walked at its own path."""
+    if type(kind) is tuple:
+        return _block(value, _where(path, key), *kind)
     if type(kind) is dict:
         fits, name = type(value) is str and value in kind, f"one of {', '.join(kind)}"
         convert = kind.get
@@ -313,15 +319,22 @@ _EVAL_SETTINGS = {"workers": int}
 _DOCUMENT = (
     {"strategy": {s.value: s for s in Strategy}, "backend": dict},
     {
-        "benchmark": str, "benchmark_params": dict, "problem": dict, **_RUN_SETTINGS,
-        **_EVAL_SETTINGS, "sampling": dict, "seeding": dict, "callbacks": dict, "sa": dict,
+        "benchmark": str,
+        "benchmark_params": ({}, {"n": int, "seed": int}),
+        "problem": (
+            {"description": str, "direction": {d.value: d for d in ObjectiveDirection},
+             "schema": dict, "objective_command": list[str]},
+            {"domain_knowledge": str},
+        ),
+        **_RUN_SETTINGS, **_EVAL_SETTINGS,
+        "sampling": ({}, {"model_temperature": float, "max_output_tokens": int, "seed": int}),
+        "seeding": ({}, {"style": {s.value: s for s in SeedStyle}, "count": int, "seed": int}),
+        "callbacks": ({}, {name: (required, optional)
+                           for name, (_, required, optional) in _CALLBACKS.items()}),
+        "sa": ({}, {"initial_temperature": float, "cooling_bounds": tuple[float, float],
+                    "default_cooling": float}),
         "output_dir": str,
     },
-)
-_PROBLEM = (
-    {"description": str, "direction": {d.value: d for d in ObjectiveDirection},
-     "schema": dict, "objective_command": list[str]},
-    {"domain_knowledge": str},
 )
 
 
@@ -355,24 +368,20 @@ def _read_run_file(path: Path) -> dict:
 
 
 def build_plan(doc: dict) -> RunPlan:
-    """Validate a config document and build the run it describes."""
+    """Validate a config document and build the run it describes. One walk checks
+    every block but the kind-tagged ones; then come the rules that span blocks."""
     run = _block(doc, "", *_DOCUMENT)
     strategy = run["strategy"]
     if ("benchmark" in run) == ("problem" in run):
         raise ConfigError("exactly one of 'benchmark' or 'problem' is required")
 
-    sampling = _construct(SamplingParams, "sampling", _block(
-        run.get("sampling", {}), "sampling", {},
-        {"model_temperature": float, "max_output_tokens": int, "seed": int},
-    ))
+    sampling = _construct(SamplingParams, "sampling", run.get("sampling", {}))
     # The run's one evaluation policy: the seeds and every step share it.
     evaluation = _construct(EvalPolicy, "", {k: run[k] for k in _EVAL_SETTINGS if k in run})
     settings = {k: run[k] for k in _RUN_SETTINGS if k in run}
     config = _construct(partial(RunConfig, sampling=sampling, evaluation=evaluation), "", settings)
 
-    params = _block(
-        run.get("benchmark_params", {}), "benchmark_params", {}, {"n": int, "seed": int}
-    )
+    params = run.get("benchmark_params", {})
     if params and run.get("benchmark") != "tsp":
         raise ConfigError(
             f"benchmark_params ({', '.join(params)}) only applies to the tsp benchmark"
@@ -388,17 +397,14 @@ def build_plan(doc: dict) -> RunPlan:
             raise ConfigError(str(exc.args[0])) from None
         spec, objective = benchmark.spec, benchmark.objective
     else:
-        problem = _block(run["problem"], "problem", *_PROBLEM)
+        problem = run["problem"]
         schema = _tagged(problem.pop("schema"), "problem.schema", _SCHEMAS)
         objective = command_objective(problem.pop("objective_command"), problem.pop("direction"))
         spec = _construct(partial(ProblemSpec, schema=schema), "problem", problem)
 
     backend = _tagged(run["backend"], "backend", _BACKENDS)
 
-    seeding = _block(
-        run.get("seeding", {}), "seeding", {},
-        {"style": {s.value: s for s in SeedStyle}, "count": int, "seed": int},
-    )
+    seeding = run.get("seeding", {})
     defaults = {"count": config.batch, "seed": config.rng_seed}
     if benchmark is not None:
         defaults.update(style=benchmark.seed_style, count=benchmark.seed_count)
@@ -406,20 +412,15 @@ def build_plan(doc: dict) -> RunPlan:
         raise ConfigError("seeding.style is required for custom problems")
     seeds = _construct(partial(seed_samples, spec.schema), "seeding", {**defaults, **seeding})
 
-    blocks = _block(run.get("callbacks", {}), "callbacks", {}, dict.fromkeys(_CALLBACKS, dict))
-    callbacks: list[Callback] = []
-    for name, (make, required, optional) in _CALLBACKS.items():
-        if name in blocks:
-            path = f"callbacks.{name}"
-            callbacks.append(_construct(make, path, _block(blocks[name], path, required, optional)))
+    blocks = run.get("callbacks", {})
+    callbacks = [
+        _construct(make, f"callbacks.{name}", blocks[name])
+        for name, (make, _, _) in _CALLBACKS.items() if name in blocks
+    ]
 
     # An hlmsa run without 'sa' settings starts from the default SaState; the
     # block's initial_temperature is its sa_temperature. Other strategies refuse it.
-    options = _block(
-        run.get("sa", {}), "sa", {},
-        {"initial_temperature": float, "cooling_bounds": tuple[float, float],
-         "default_cooling": float},
-    )
+    options = run.get("sa", {})
     sa = None
     if options:
         rename = {"initial_temperature": "sa_temperature"}

@@ -172,7 +172,7 @@ def _hlmsa_block(batch: int, state: _Annealing | None) -> str:
 class _Stateless:
     """The run state of a strategy that keeps none, and takes no settings."""
 
-    need = None
+    need = 1
 
     def __init__(self, sa, initial, config, direction) -> None:
         if sa is not None:
@@ -286,13 +286,13 @@ def _propose_and_parse(
     sampling: SamplingParams,
     schema,
     tags: tuple[str, ...],
-    need: int | None,
+    need: int,
 ) -> tuple[ParsedProposal | None, int, str | None]:
     """One proposal with a single retry on unusable output: the parse, the calls
     made, and why the run aborts instead, when there is no parse.
 
-    ``need`` is the candidate count the run state takes (one per batch slot
-    when candidate i belongs to slot i); None accepts any non-empty parse.
+    ``need`` is the fewest candidates the run state takes: one per batch slot
+    when candidate i belongs to slot i, else 1.
     """
     failure = "no candidates"
     for calls in (1, 2):
@@ -305,7 +305,7 @@ def _propose_and_parse(
         except ZeroCandidatesError as exc:
             failure = str(exc)
             continue
-        if need is not None and len(parsed.candidates) < need:
+        if len(parsed.candidates) < need:
             failure = f"parsed {len(parsed.candidates)} candidates, need {need}"
             continue
         return parsed, calls, None
@@ -323,8 +323,8 @@ def optimize(
     sa: SaState | None = None,
 ) -> OptimizationResult:
     """Run ``strategy`` for up to ``config.max_steps`` steps from the evaluated
-    ``initial`` solutions. Candidates are scored under ``config.evaluation``
-    and ranked in ``objective.direction``.
+    ``initial`` solutions. A step scores the first ``config.batch`` candidates
+    its reply holds, under ``config.evaluation``, ranked in ``objective.direction``.
 
     ``sa`` holds HLMSA's annealing settings (its defaults when None), and
     the run never changes it; other strategies refuse it. With more than one
@@ -361,8 +361,8 @@ def optimize(
                 termination = Termination(TerminationKind.ABORTED, failure)
                 break
 
-            # A state that needs one candidate per slot drops the extras.
-            candidates = list(parsed.candidates[: state.need])
+            # Blocks past the batch go unscored: each would be one more objective call.
+            candidates = list(parsed.candidates[: config.batch])
             try:
                 scores = evaluate_batch(objective, candidates, config.evaluation, pool)
             except EvaluationFailed as exc:

@@ -1079,6 +1079,25 @@ def test_rule_over_several_keys_names_its_block(doc, message, monkeypatch):
     assert str(exc.value).startswith(message)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**BENCH_DOC, "batch": 0, "seeding": {"foo": 1}},
+         "unknown key seeding.foo; seeding takes style, count, seed"),
+        ({**BENCH_DOC, "problem": {**PERMUTATION_DOC["problem"], "foo": 1}},
+         "unknown key problem.foo; problem takes description, direction, schema, "
+         "objective_command, domain_knowledge"),
+    ],
+    ids=["range-fault", "cross-block-fault"],
+)
+def test_nested_shape_fault_is_named_before_later_faults(doc, message):
+    # One walk checks every nested block's keys and shapes before any value is
+    # built, so a shape fault wins over a range fault or a rule across blocks.
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.build_plan(doc)
+    assert str(exc.value) == message
+
+
 # Each leaf and each block of a valid document is replaced in turn with each
 # of these. The integers stay small: batch, seeding.count and
 # benchmark_params.n size allocations while the plan is built.

@@ -381,6 +381,31 @@ def shown_trajectories(prompt):
     ]
 
 
+@pytest.mark.parametrize("strategy", [Strategy.OPRO, Strategy.HLMEA], ids=["opro", "hlmea"])
+def test_a_step_scores_only_the_first_batch_of_a_long_reply(strategy):
+    # Each reply holds 50 blocks, each better than the one before it; a step
+    # scores the first batch of them, and only those reach the history.
+    reply = "".join(f"<solution>{5 - j / 10}, {5 - j / 10}</solution>" for j in range(1, 51))
+    backend = PromptRecorder([reply] * 3)
+    scored = []
+
+    def evaluate(value):
+        scored.append(value.values)
+        return math.fsum(value.values)
+
+    objective = Objective(evaluate=evaluate, direction=MIN)
+    result = optimize(
+        strategy, SPEC, objective, backend, config(max_steps=4, batch=2), initial=seeds((5, 5))
+    )
+    assert len(result.steps) == 3
+    assert result.evaluations_used == 3 * 2
+    assert scored == [(4.9, 4.9), (4.8, 4.8)] * 3
+    assert result.best.score == 9.6
+    # The prompt of the fourth step, which the exhausted script then aborts.
+    shown = re.findall(r"^solution: (.*) \| score: ", backend.prompts[-1], re.MULTILINE)
+    assert shown == ["5, 5", "4.9, 4.9", "4.8, 4.8"]
+
+
 class TestRunHlmsa:
     def test_improving_candidates_always_replace_trajectories(self):
         backend = PromptRecorder([hlmsa_transcript([(1, 1), (2, 2)], cooling=0.9)])
