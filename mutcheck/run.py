@@ -127,6 +127,23 @@ MUTANTS = [
     ("no-http-retry", "proposer.py",
      "        for _ in range(2):\n", "        for _ in range(1):\n",
      "a failed request is not retried once"),
+    ("short-body-accepted", "transport.py",
+     "    if len(data) < size:\n", "    if False:\n",
+     "a reply body shorter than its length is taken as the whole body"),
+    ("chunk-size-decimal", "transport.py",
+     'int(_read_line(reply).split(b";", 1)[0], 16)', 'int(_read_line(reply).split(b";", 1)[0])',
+     "chunk sizes of a chunked reply are read as decimal"),
+    ("proxy-variables-ignored", "transport.py",
+     "        proxies = _env_proxies()\n", "        proxies = {}\n",
+     "the *_proxy variables are ignored"),
+    ("no-proxy-ignored", "transport.py",
+     'if proxy and not _bypasses_proxy(parts.netloc, proxies.get("no", "")):', "if proxy:",
+     "a host that no_proxy names is still sent through the proxy"),
+    ("host-name-unchecked", "transport.py",
+     "            self._tls = ssl.create_default_context()\n",
+     "            self._tls = ssl.create_default_context()\n"
+     "            self._tls.check_hostname = False\n",
+     "an https endpoint's certificate is not checked against its host name"),
     # Callbacks.
     ("early-stop-tie-improves", "control.py",
      "goodness(best) - goodness(prev) > min_delta",

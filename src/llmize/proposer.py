@@ -234,12 +234,21 @@ class HttpChatBackend:
     Sends one request per proposal with the bundle's two messages, plus the
     sampling seed when one is set. The bearer token comes from ``api_key`` or
     the LLMIZE_API_KEY environment variable; the http(s) endpoint from
-    ``base_url`` or LLMIZE_BASE_URL. At most one transport retry is made; a
-    redirect is a failed attempt, never followed. Proxies come from ``*_proxy``
-    variables read at construction; HTTPS uses the system trust store.
-    Construction also loads the standard library's HTTP stack (``http.client``,
-    ``urllib.request``, and through them ``ssl`` and ``email``), which
-    ``import llmize`` leaves out.
+    ``base_url`` or LLMIZE_BASE_URL, which must carry no query, fragment,
+    credentials or spaces. At most one transport retry is made; a redirect is
+    a failed attempt, never followed.
+
+    Each attempt opens one connection, sends the whole request in one write
+    with ``Connection: close``, and reads the reply to its end (see
+    ``llmize.transport``). Construction loads ``socket``, and ``ssl`` only
+    for an ``https`` endpoint, which is verified against the system trust
+    store and its host name; ``import llmize`` loads neither. Proxies come
+    from the ``*_proxy`` variables as they are at construction, read by
+    urllib's rules: a lower-case name wins, ``HTTP_PROXY`` is ignored when
+    ``REQUEST_METHOD`` is set, and a ``no_proxy`` entry names a host, a
+    domain it is in, or ``*`` every host. An ``http`` request goes to the
+    proxy whole, an ``https`` one through a ``CONNECT`` tunnel, and
+    credentials in the proxy URL are sent as Basic proxy authorization.
     """
 
     def __init__(
@@ -251,8 +260,11 @@ class HttpChatBackend:
     ):
         resolved = base_url or os.environ.get("LLMIZE_BASE_URL")
         parts = urllib.parse.urlsplit(resolved or "")
-        if parts.scheme not in ("http", "https") or not parts.netloc:
+        if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"base_url must be an http(s) URL (or set LLMIZE_BASE_URL): {resolved!r}")
+        from .transport import Endpoint  # loaded here, not by ``import llmize``
+
+        self._endpoint = Endpoint(resolved, "base_url")
         if not model:
             raise ValueError("model must be a non-empty name")
         if not 0 < timeout < math.inf:
@@ -261,23 +273,8 @@ class HttpChatBackend:
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
-        from urllib.request import HTTPErrorProcessor, build_opener
-
-        class _EveryStatus(HTTPErrorProcessor):
-            # Hands every response back for ``propose`` to read its status. No error
-            # handler runs, so no redirect is followed: the token goes to base_url only.
-            def http_response(self, request, response):
-                return response
-
-            https_response = http_response
-
-        self._opener = build_opener(_EveryStatus)
 
     def propose(self, bundle: PromptBundle, params: SamplingParams) -> str:
-        # Loaded at construction; here the imports only look the modules up.
-        from http.client import HTTPException
-        from urllib.request import Request
-
         payload = {
             "model": self.model,
             "messages": [
@@ -289,22 +286,19 @@ class HttpChatBackend:
         }
         if params.seed is not None:
             payload["seed"] = params.seed
-        headers = {"Content-Type": "application/json", "User-Agent": "llmize"}
+        headers = "Content-Type: application/json\r\nUser-Agent: llmize\r\n"
         token = self.api_key or os.environ.get("LLMIZE_API_KEY")
         if token:
-            headers["Authorization"] = f"Bearer {token}"
+            if "\r" in token or "\n" in token:
+                raise TransportError("the API key must be one line")
+            headers += f"Authorization: Bearer {token}\r\n"
         url = f"{self.base_url}/chat/completions"
         data = json.dumps(payload).encode()
         last_error: TransportError | None = None
         for _ in range(2):
-            # A fresh Request per attempt: proxy handling rewrites it in place.
-            request = Request(url, data, headers)
             try:
-                with self._opener.open(request, timeout=self.timeout) as response:
-                    # An error reply fails on its status alone; its body is never read.
-                    status = response.status
-                    body = response.read() if status == 200 else b""
-            except (OSError, HTTPException) as exc:
+                status, body = self._endpoint.post("/chat/completions", headers, data, self.timeout)
+            except (OSError, ValueError) as exc:
                 last_error = TransportError(f"request failed: {exc}")
                 continue
             if status == 200:

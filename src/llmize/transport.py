@@ -1,0 +1,202 @@
+"""HTTP/1.1 POST on a plain socket, for ``HttpChatBackend``.
+
+Each request opens one connection, sends its head and body in one write with
+``Connection: close``, and reads the reply to its end: by ``Content-Length``,
+by chunks, or to EOF. Only a 200 reply's body is read. ``ssl`` loads only for
+an ``https`` endpoint. Proxies come from the environment by urllib's rules.
+
+``proposer`` imports this module when it builds a backend, so ``import
+llmize`` loads neither it nor ``socket``.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import socket
+import urllib.parse
+
+# http.client's limits on a reply: bytes in one line, and lines in its head,
+# the empty line that ends the head included.
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
+
+
+class Endpoint:
+    """An http(s) base URL to post under, and the route there: straight to
+    its host, or through the proxy that the ``*_proxy`` variables name for it
+    when the endpoint is built. ``what`` names the URL in error messages.
+
+    The URL must carry no query, fragment, credentials or spaces. An
+    ``https`` endpoint's certificate is verified against the system trust
+    store and its host name. Through a proxy, an ``http`` request goes whole
+    with an absolute URI, and an ``https`` one through a ``CONNECT`` tunnel;
+    credentials in the proxy URL are sent as Basic proxy authorization. The
+    proxy itself is reached over plain TCP.
+    """
+
+    def __init__(self, url: str, what: str):
+        parts = urllib.parse.urlsplit(url)
+        if re.search(r"[?#\x00-\x20\x7f]", url) or "@" in parts.netloc:
+            raise ValueError(
+                f"{what} must not carry a query, a fragment, credentials or spaces: {url!r}"
+            )
+        port = _port(parts, f"{what} must have a port from 0 to 65535: {url!r}")
+        self._prefix = parts.path.rstrip("/")
+        self._netloc = parts.netloc
+        self._hostname = parts.hostname
+        self._address = (parts.hostname, port)
+        self._tunnel = b""
+        self._proxy_auth = ""
+        proxies = _env_proxies()
+        proxy = proxies.get(parts.scheme)
+        if proxy and not _bypasses_proxy(parts.netloc, proxies.get("no", "")):
+            via = urllib.parse.urlsplit(proxy if "://" in proxy else "//" + proxy)
+            where = f"the {parts.scheme}_proxy variable must be a proxy URL: {proxy!r}"
+            if not via.hostname:
+                raise ValueError(where)
+            self._address = (via.hostname, _port(via, where))
+            auth = ""
+            if via.username and via.password:
+                import base64
+
+                unquote = urllib.parse.unquote
+                user = f"{unquote(via.username)}:{unquote(via.password)}".encode()
+                auth = f"Proxy-Authorization: Basic {base64.b64encode(user).decode()}\r\n"
+            if parts.scheme == "http":
+                self._prefix = url.rstrip("/")
+                self._proxy_auth = auth
+            else:
+                host = f"[{parts.hostname}]" if ":" in parts.hostname else parts.hostname
+                self._tunnel = f"CONNECT {host}:{port} HTTP/1.0\r\n{auth}\r\n".encode()
+        self._tls = None
+        if parts.scheme == "https":
+            import ssl
+
+            self._tls = ssl.create_default_context()
+            self._tls.set_alpn_protocols(["http/1.1"])
+
+    def post(self, path: str, headers: str, body: bytes, timeout: float) -> tuple[int, bytes]:
+        """POST ``body`` to ``path`` under the URL on a new connection, with
+        ``headers`` (``Name: value`` lines, each ending in CRLF) between
+        ``Host`` and ``Connection``. Returns the reply's status, and
+        its body when the status is 200. An error reply's body is never read.
+
+        Raises OSError or ValueError when the request or its reply fails."""
+        request = (
+            f"POST {self._prefix}{path} HTTP/1.1\r\nAccept-Encoding: identity\r\n"
+            f"Content-Length: {len(body)}\r\nHost: {self._netloc}\r\n"
+            f"{headers}{self._proxy_auth}Connection: close\r\n\r\n"
+        ).encode("latin-1") + body
+        with socket.create_connection(self._address, timeout) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel:
+                sock.sendall(self._tunnel)
+                with sock.makefile("rb") as reply:
+                    status = _read_head(reply)[0]
+                if status != 200:
+                    raise OSError(f"proxy tunnel refused: HTTP {status}")
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._hostname)
+            with sock, sock.makefile("rb") as reply:
+                sock.sendall(request)
+                status, reply_headers = _read_head(reply)
+                return status, _read_body(reply, reply_headers) if status == 200 else b""
+
+
+def _port(parts: urllib.parse.SplitResult, message: str) -> int:
+    """The port ``parts`` names, or its scheme's default; ``message`` is the
+    ValueError for a port that is not a number from 0 to 65535."""
+    try:
+        port = parts.port
+    except ValueError:
+        raise ValueError(message) from None
+    return (443 if parts.scheme == "https" else 80) if port is None else port
+
+
+def _env_proxies() -> dict[str, str]:
+    """The proxy URL of each scheme from the ``<scheme>_proxy`` variables,
+    with urllib's rules: a name with a lower-case ``_proxy`` wins over any
+    other spelling, and an empty one unsets its scheme; ``HTTP_PROXY`` is
+    ignored when ``REQUEST_METHOD`` is set, as a CGI server sets it from a
+    client's ``Proxy`` header."""
+    proxies = {}
+    for name, value in os.environ.items():
+        if value and name.lower().endswith("_proxy"):
+            proxies[name[:-6].lower()] = value
+    if "REQUEST_METHOD" in os.environ:
+        proxies.pop("http", None)
+    for name, value in os.environ.items():
+        if name.endswith("_proxy"):
+            if value:
+                proxies[name[:-6].lower()] = value
+            else:
+                proxies.pop(name[:-6].lower(), None)
+    return proxies
+
+
+def _bypasses_proxy(netloc: str, no_proxy: str) -> bool:
+    """Whether ``no_proxy`` names the host of ``netloc``, with or without its
+    port, or a domain the host is in; ``*`` names every host."""
+    if no_proxy == "*":
+        return True
+    host_port = netloc.lower()
+    host = re.sub(r":[0-9]*\Z", "", host_port)
+    for name in no_proxy.split(","):
+        name = name.strip().lstrip(".").lower()
+        if name and any(h == name or h.endswith("." + name) for h in (host, host_port)):
+            return True
+    return False
+
+
+def _read_line(reply) -> bytes:
+    line = reply.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ValueError(f"reply line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _read_head(reply) -> tuple[int, dict[str, str]]:
+    """A reply's status and its headers by lower-cased name, the first of a
+    repeated one kept. An interim ``100 Continue`` reply is skipped."""
+    while True:
+        line = _read_line(reply)
+        fields = line.split(None, 2)
+        code = fields[1] if len(fields) > 1 else b""
+        status = int(code) if len(code) == 3 and code.isdigit() else 0
+        if not line.startswith(b"HTTP/") or status < 100:
+            raise ValueError(f"bad status line {line[:80]!r}")
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEAD_LINES):
+            line = _read_line(reply)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers.setdefault(name.strip().lower(), value.strip())
+        else:
+            raise ValueError(f"reply head longer than {_MAX_HEAD_LINES} lines")
+        if status != 100:
+            return status, headers
+
+
+def _read_body(reply, headers: dict[str, str]) -> bytes:
+    """A reply's body: chunked, of ``Content-Length`` bytes, or up to EOF
+    (which a negative length reads to as well, as in http.client)."""
+    if headers.get("transfer-encoding", "").lower() == "chunked":
+        chunks = []
+        while size := int(_read_line(reply).split(b";", 1)[0], 16):
+            chunks.append(_read_exactly(reply, size))
+            _read_exactly(reply, 2)  # the line end after each chunk
+        while _read_line(reply) not in (b"\r\n", b"\n", b""):  # the trailer
+            pass
+        return b"".join(chunks)
+    if "content-length" in headers:
+        return _read_exactly(reply, int(headers["content-length"]))
+    return reply.read()
+
+
+def _read_exactly(reply, size: int) -> bytes:
+    data = reply.read(size)
+    if len(data) < size:
+        raise ValueError(f"reply ended {size - len(data)} bytes short of its length")
+    return data

@@ -4,7 +4,9 @@ import itertools
 import json
 import math
 import os
+import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -64,8 +66,9 @@ class StubChatServer:
                 self.end_headers()
                 self.wfile.write(data)
 
-            # Recorded too, so a test sees a request that a redirect turned into a GET.
-            do_GET = do_POST
+            # Recorded too, so a test sees a request that a redirect turned into a GET,
+            # and the tunnel an https request asks a proxy for.
+            do_GET = do_CONNECT = do_POST
 
             def log_message(self, *args):
                 pass
@@ -95,6 +98,75 @@ def stub_chat_server():
     yield start
     for server in servers:
         server.close()
+
+
+class RawHttpListener:
+    """Loopback listener that answers every connection with the same raw
+    ``reply`` bytes, so a test can send replies no HTTP server would write.
+
+    It reads a request's head and its ``Content-Length`` body first, and
+    records each request's bytes in ``requests``. A connection that does not
+    open with an upper-case letter (a TLS handshake, say) gets the reply
+    after its first read."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.requests: list[bytes] = []
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        # A short accept timeout lets close() stop the loop without waiting.
+        self._sock.settimeout(0.02)
+        self.address = self._sock.getsockname()
+        self.url = "http://%s:%d" % self.address
+        self._closed = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._closed.is_set():
+            try:
+                conn, _ = self._sock.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                try:
+                    self.requests.append(self._read_request(conn))
+                    conn.sendall(self.reply)
+                except OSError:
+                    pass
+
+    @staticmethod
+    def _read_request(conn) -> bytes:
+        data = conn.recv(65536)
+        if not data[:1].isupper():
+            return data
+        while b"\r\n\r\n" not in data and (chunk := conn.recv(65536)):
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = re.search(rb"\r\ncontent-length: *(\d+)", head, re.IGNORECASE)
+        need = int(length.group(1)) if length else 0
+        while len(body) < need and (chunk := conn.recv(65536)):
+            body += chunk
+        return head + b"\r\n\r\n" + body
+
+    def close(self):
+        self._closed.set()
+        self._thread.join(timeout=5)
+        self._sock.close()
+
+
+@pytest.fixture
+def raw_http_listener():
+    listeners = []
+
+    def start(reply: bytes):
+        listener = RawHttpListener(reply)
+        listeners.append(listener)
+        return listener
+
+    yield start
+    for listener in listeners:
+        listener.close()
 
 
 def fresh_python(code: str) -> str:

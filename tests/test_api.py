@@ -118,15 +118,15 @@ def test_import_loads_no_http_client_packages():
 
 
 def test_import_defers_the_http_stack_thread_pool_and_subprocess():
-    """What only some runs use loads on first use: the HTTP/TLS stack when an
-    ``HttpChatBackend`` is constructed, the thread pool in a multi-worker
-    batch, ``subprocess`` in ``command_objective``, ``fractions`` in
-    ``lp3_oracle``. Reading
+    """What only some runs use loads on first use: ``socket`` when an
+    ``HttpChatBackend`` is constructed, and ``ssl`` only when its endpoint is
+    ``https``; the thread pool in a multi-worker batch, ``subprocess`` in
+    ``command_objective``, ``fractions`` in ``lp3_oracle``. Reading
     ``HttpChatBackend.propose``, as a profiler that wraps it does, loads
-    nothing."""
+    nothing, and no backend loads the standard library's HTTP client."""
     deferred = (
         "http.client", "urllib.request", "ssl", "email.parser", "concurrent.futures", "subprocess",
-        "fractions",
+        "fractions", "socket",
     )
     code = f"""
 import json, sys
@@ -139,8 +139,12 @@ llmize.proposer.HttpChatBackend.propose
 print(json.dumps(added()))
 llmize.proposer.HttpChatBackend(base_url="http://127.0.0.1:9/v1", model="m")
 print(json.dumps(added()))
+llmize.proposer.HttpChatBackend(base_url="https://127.0.0.1:9/v1", model="m")
+print(json.dumps(added()))
 """
-    imported, touched, constructed = map(json.loads, fresh_python(code).splitlines())
+    imported, touched, plain, tls = map(json.loads, fresh_python(code).splitlines())
     assert imported == []
     assert touched == []
-    assert "http.client" in constructed
+    assert plain == ["socket"]
+    assert "ssl" in tls
+    assert "http.client" not in tls and "urllib.request" not in tls

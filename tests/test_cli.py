@@ -995,25 +995,23 @@ NUMERIC_KEYS = [
 NUMERIC_KINDS = (int, float, tuple[float, float], list[float], dict[str, tuple[float, float]])
 
 
+def numeric_keys(block, prefix=""):
+    """The path of every numeric key that a ``(required, optional)`` pair
+    declares, its nested blocks' keys included."""
+    required, optional = block
+    for key, kind in {**required, **optional}.items():
+        if isinstance(kind, tuple):
+            yield from numeric_keys(kind, f"{prefix}{key}.")
+        elif kind in NUMERIC_KINDS:
+            yield prefix + key
+
+
 def test_numeric_key_table_covers_every_numeric_key():
-    declared = {
-        key for key, kind in {**cli._RUN_SETTINGS, **cli._EVAL_SETTINGS}.items()
-        if kind in NUMERIC_KINDS
-    }
-    for block, table in [("backend", cli._BACKENDS), ("problem.schema", cli._SCHEMAS)] + [
-        (f"callbacks.{name}", {name: entry}) for name, entry in cli._CALLBACKS.items()
-    ]:
+    declared = set(numeric_keys(cli._DOCUMENT))
+    # The kind-tagged blocks, whose keys depend on their kind.
+    for block, table in [("backend", cli._BACKENDS), ("problem.schema", cli._SCHEMAS)]:
         for _, required, optional in table.values():
-            declared |= {
-                f"{block}.{key}" for key, kind in {**required, **optional}.items()
-                if kind in NUMERIC_KINDS
-            }
-    # The blocks build_plan declares inline.
-    declared |= {
-        "sampling.model_temperature", "sampling.max_output_tokens", "sampling.seed",
-        "seeding.count", "seeding.seed", "benchmark_params.n", "benchmark_params.seed",
-        "sa.initial_temperature", "sa.cooling_bounds", "sa.default_cooling",
-    }
+            declared |= set(numeric_keys((required, optional), f"{block}."))
     assert {path for path, *_ in NUMERIC_KEYS} == declared
 
 
@@ -1077,6 +1075,21 @@ def test_rule_over_several_keys_names_its_block(doc, message, monkeypatch):
     with pytest.raises(cli.ConfigError) as exc:
         cli.build_plan(doc)
     assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        "http://127.0.0.1:9/v1?api-version=1",
+        "http://127.0.0.1:9/v1#frag",
+        "http://user:pw@127.0.0.1:9/v1",
+    ],
+    ids=["query", "fragment", "credentials"],
+)
+def test_base_url_with_query_fragment_or_credentials_names_its_key(url):
+    doc = altered(HTTP_DOC, "backend.base_url", url)
+    with pytest.raises(cli.ConfigError, match=r"^backend\.base_url must not carry"):
+        cli.build_plan(doc)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import gc
 import json
@@ -5,6 +6,7 @@ import math
 import random
 import re
 import socket
+import ssl
 import time
 import weakref
 
@@ -925,6 +927,198 @@ class TestHttpChatBackend:
         assert backend.propose(self._bundle(), SamplingParams()) == "direct"
         assert [r["path"] for r in server.requests] == ["/v1/chat/completions"]
         assert proxy.requests == []
+
+    @staticmethod
+    def _reply(body: bytes, head: bytes = b"") -> bytes:
+        return (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n" + head
+            + b"Content-Length: %d\r\n\r\n" % len(body) + body
+        )
+
+    def test_request_head_line_for_line(self, raw_http_listener, monkeypatch):
+        monkeypatch.setenv("LLMIZE_API_KEY", "sekrit")
+        listener = raw_http_listener(self._reply(json.dumps(chat_body("x")).encode()))
+        backend = HttpChatBackend(base_url=listener.url + "/v1", model="m1")
+        bundle = self._bundle()
+        assert backend.propose(bundle, SamplingParams(model_temperature=0.3, seed=5)) == "x"
+        [request] = listener.requests
+        head, _, body = request.partition(b"\r\n\r\n")
+        assert json.loads(body)["seed"] == 5
+        assert head.decode().split("\r\n") == [
+            "POST /v1/chat/completions HTTP/1.1",
+            "Accept-Encoding: identity",
+            f"Content-Length: {len(body)}",
+            "Host: %s:%d" % listener.address,
+            "Content-Type: application/json",
+            "User-Agent: llmize",
+            "Authorization: Bearer sekrit",
+            "Connection: close",
+        ]
+
+    def test_request_sent_in_one_write(self, raw_http_listener, monkeypatch):
+        listener = raw_http_listener(self._reply(json.dumps(chat_body("x")).encode()))
+        writes = []
+        sendall = socket.socket.sendall
+
+        def recorded(sock, data, *args):
+            if sock.getpeername() == listener.address:
+                writes.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", recorded)
+        backend = HttpChatBackend(base_url=listener.url + "/v1", model="m1")
+        assert backend.propose(self._bundle(), SamplingParams()) == "x"
+        assert writes == listener.requests
+
+    def test_chunked_reply_is_decoded(self, raw_http_listener):
+        body = json.dumps(chat_body("<solution>1, 1</solution> in chunks")).encode()
+        pieces = [body[:26], body[26:31], body[31:]]
+        chunked = b"".join(b"%x;note=1\r\n%s\r\n" % (len(p), p) for p in pieces)
+        listener = raw_http_listener(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + chunked + b"0\r\nX-Trailer: 1\r\n\r\n"
+        )
+        backend = HttpChatBackend(base_url=listener.url, model="m1")
+        assert backend.propose(self._bundle(), SamplingParams()) == (
+            "<solution>1, 1</solution> in chunks"
+        )
+        assert len(listener.requests) == 1
+
+    def test_headers_up_to_the_limit_are_read(self, raw_http_listener):
+        # 97 of them here, plus Content-Type and Content-Length: 99 header lines,
+        # and the empty line that ends them makes 100, http.client's limit.
+        extra = b"".join(b"X-Filler-%d: %d\r\n" % (i, i) for i in range(97))
+        listener = raw_http_listener(self._reply(json.dumps(chat_body("x")).encode(), extra))
+        backend = HttpChatBackend(base_url=listener.url, model="m1")
+        assert backend.propose(self._bundle(), SamplingParams()) == "x"
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 500\r\n\r\n" + json.dumps(chat_body("x")).encode(),
+            b"garbage\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\n" + b"".join(b"X-Filler-%d: %d\r\n" % (i, i) for i in range(100))
+            + b"Content-Length: 2\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70_000 + b"\r\nContent-Length: 2\r\n\r\n{}",
+        ],
+        ids=["short-body", "garbage-status-line", "101-headers", "line-over-64-KiB"],
+    )
+    def test_broken_reply_fails_both_attempts(self, reply, raw_http_listener):
+        listener = raw_http_listener(reply)
+        assert self._fails(listener) is None
+        assert len(listener.requests) == 2
+
+    def test_https_against_a_plain_server_fails_both_attempts(self, raw_http_listener):
+        listener = raw_http_listener(self._reply(json.dumps(chat_body("x")).encode()))
+        backend = HttpChatBackend(base_url="https://%s:%d/v1" % listener.address, model="m1")
+        with pytest.raises(TransportError) as exc:
+            backend.propose(self._bundle(), SamplingParams())
+        assert exc.value.status is None
+        assert len(listener.requests) == 2
+
+    def test_https_proxy_is_asked_for_a_verified_tunnel(self, stub_chat_server, monkeypatch):
+        self._no_proxies_and_no_lookups(monkeypatch)
+        proxy = stub_chat_server(lambda n: (200, {}))
+        monkeypatch.setenv("https_proxy", proxy.url.replace("//", "//u:p@"))
+        handshakes = []
+
+        def refuse(context, sock, *args, server_hostname=None, **kwargs):
+            handshakes.append((context.check_hostname, context.verify_mode, server_hostname))
+            raise ssl.SSLError("handshake refused by the test")
+
+        monkeypatch.setattr(ssl.SSLContext, "wrap_socket", refuse)
+        backend = HttpChatBackend(base_url="https://llmize.invalid/v1", model="m1")
+        with pytest.raises(TransportError) as exc:
+            backend.propose(self._bundle(), SamplingParams())
+        assert exc.value.status is None
+        assert [(r["method"], r["path"]) for r in proxy.requests] == [
+            ("CONNECT", "llmize.invalid:443")
+        ] * 2
+        auth = "Basic " + base64.b64encode(b"u:p").decode()
+        assert [r["headers"].get("Proxy-Authorization") for r in proxy.requests] == [auth] * 2
+        assert handshakes == [(True, ssl.CERT_REQUIRED, "llmize.invalid")] * 2
+
+    @pytest.mark.parametrize(
+        "no_proxy, via_proxy",
+        [
+            ("llmize.invalid", False),
+            ("other.example, LLMIZE.invalid", False),
+            (".invalid", False),
+            ("invalid", False),
+            ("*", False),
+            ("mize.invalid", True),
+            ("llmize.invalid.example", True),
+        ],
+    )
+    def test_no_proxy_entry_bypasses_the_proxy(
+        self, no_proxy, via_proxy, stub_chat_server, monkeypatch
+    ):
+        self._no_proxies_and_no_lookups(monkeypatch)
+        proxy = stub_chat_server(lambda n: (200, chat_body("via proxy")))
+        monkeypatch.setenv("http_proxy", proxy.url)
+        monkeypatch.setenv("no_proxy", no_proxy)
+        backend = HttpChatBackend(base_url="http://llmize.invalid/v1", model="m1")
+        if via_proxy:
+            assert backend.propose(self._bundle(), SamplingParams()) == "via proxy"
+        else:
+            # Straight to llmize.invalid, whose name the test refuses to resolve.
+            with pytest.raises(TransportError) as exc:
+                backend.propose(self._bundle(), SamplingParams())
+            assert exc.value.status is None
+            assert proxy.requests == []
+
+    @pytest.mark.parametrize(
+        "env, used",
+        [
+            ({"HTTP_PROXY": "first"}, "first"),
+            ({"http_proxy": "first", "HTTP_PROXY": "second"}, "first"),
+            ({"HTTP_PROXY": "first", "REQUEST_METHOD": "GET"}, None),
+            ({"http_proxy": "first", "REQUEST_METHOD": "GET"}, "first"),
+        ],
+        ids=["upper-case-only", "lower-case-wins", "cgi-ignores-upper-case", "cgi-keeps-lower-case"],
+    )
+    def test_proxy_variable_names(self, env, used, stub_chat_server, monkeypatch):
+        self._no_proxies_and_no_lookups(monkeypatch)
+        monkeypatch.delenv("REQUEST_METHOD", raising=False)
+        server = stub_chat_server(lambda n: (200, chat_body("direct")))
+        proxies = {
+            name: stub_chat_server(lambda n, name=name: (200, chat_body(name)))
+            for name in ("first", "second")
+        }
+        for variable, value in env.items():
+            monkeypatch.setenv(variable, proxies[value].url if value in proxies else value)
+        backend = HttpChatBackend(base_url=server.url + "/v1", model="m1")
+        assert backend.propose(self._bundle(), SamplingParams()) == (used or "direct")
+
+    def test_proxy_credentials_sent_as_basic_auth(self, stub_chat_server, monkeypatch):
+        self._no_proxies_and_no_lookups(monkeypatch)
+        proxy = stub_chat_server(lambda n: (200, chat_body("via proxy")))
+        monkeypatch.setenv("http_proxy", proxy.url.replace("//", "//us%40r:p%3Aw@"))
+        backend = HttpChatBackend(base_url="http://llmize.invalid/v1", model="m1")
+        assert backend.propose(self._bundle(), SamplingParams()) == "via proxy"
+        [request] = proxy.requests
+        expected = "Basic " + base64.b64encode(b"us@r:p:w").decode()
+        assert request["headers"]["Proxy-Authorization"] == expected
+        assert request["headers"]["Host"] == "llmize.invalid"
+
+    def test_api_key_with_a_line_break_is_never_sent(self, raw_http_listener, monkeypatch):
+        monkeypatch.setenv("LLMIZE_API_KEY", "sekrit\r\nX-Injected: 1")
+        listener = raw_http_listener(self._reply(json.dumps(chat_body("x")).encode()))
+        assert self._fails(listener) is None
+        assert listener.requests == []
+
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "http://127.0.0.1:9/v1?api-version=1",
+            "http://127.0.0.1:9/v1#frag",
+            "http://user:pw@127.0.0.1:9/v1",
+            "http://127.0.0.1:port/v1",
+        ],
+    )
+    def test_base_url_with_query_fragment_credentials_or_bad_port_refused(self, url):
+        with pytest.raises(ValueError, match="^base_url "):
+            HttpChatBackend(base_url=url, model="m1")
 
 
 class TestSamplingParams:
