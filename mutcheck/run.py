@@ -144,6 +144,15 @@ MUTANTS = [
      "            self._tls = ssl.create_default_context()\n"
      "            self._tls.check_hostname = False\n",
      "an https endpoint's certificate is not checked against its host name"),
+    ("scheme-unchecked", "transport.py",
+     'if parts.scheme not in ("http", "https") or not parts.hostname:', "if not parts.hostname:",
+     "an ftp:// base_url is accepted"),
+    ("deadline-unchecked", "transport.py",
+     "        _arm(self._sock, self._deadline)\n", "",
+     "a reply that trickles in keeps an attempt running past its timeout"),
+    ("conflicting-lengths-accepted", "transport.py",
+     ' and name == "content-length":', " and False:",
+     "a reply with two different Content-Length values is read by the first"),
     # Callbacks.
     ("early-stop-tie-improves", "control.py",
      "goodness(best) - goodness(prev) > min_delta",
@@ -289,7 +298,7 @@ def main() -> int:
             passed, first, seconds = _tier1(tree)
             shutil.rmtree(tree)
             verdict = "SURVIVED" if passed else f"killed by {first}"
-            print(f"{name:26} {seconds:6.1f} s  {verdict}", flush=True)
+            print(f"{name:28} {seconds:6.1f} s  {verdict}", flush=True)
             if passed:
                 survivors.append(f"{name}: {defect}")
     print(f"{len(MUTANTS)} mutants, {len(survivors)} survived, "

@@ -470,15 +470,17 @@ def _execute(plan: RunPlan) -> int:
         return 1
     try:
         scores = evaluate_batch(plan.objective, plan.seeds, plan.config.evaluation)
-    except EvaluationFailed as exc:
+        initial = [EvaluatedSolution(v, s) for v, s in zip(plan.seeds, scores)]
+        result = optimize(
+            plan.strategy, plan.spec, plan.objective, plan.backend, plan.config,
+            plan.callbacks, initial, plan.sa,
+        )
+    except EvaluationFailed as exc:  # only the seeds' batch: a step's failure aborts the run
         print(f"aborted while evaluating initial samples: {exc}", file=sys.stderr)
         return 2
-    initial = [EvaluatedSolution(v, s) for v, s in zip(plan.seeds, scores)]
-
-    result = optimize(
-        plan.strategy, plan.spec, plan.objective, plan.backend, plan.config,
-        plan.callbacks, initial, plan.sa,
-    )
+    except KeyboardInterrupt:
+        print("interrupted: the run stopped and wrote nothing", file=sys.stderr)
+        return 130
 
     instance = plan.benchmark and plan.benchmark.tsp_instance
     # A chart this run does not draw is removed, so none is left from an earlier run.

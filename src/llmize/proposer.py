@@ -19,7 +19,6 @@ import math
 import os
 import re
 import threading
-import urllib.parse
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Protocol, get_args
@@ -231,24 +230,17 @@ class TransportError(Exception):
 class HttpChatBackend:
     """Client for a chat-completions endpoint.
 
-    Sends one request per proposal with the bundle's two messages, plus the
+    Sends one request per attempt with the bundle's two messages, plus the
     sampling seed when one is set. The bearer token comes from ``api_key`` or
-    the LLMIZE_API_KEY environment variable; the http(s) endpoint from
-    ``base_url`` or LLMIZE_BASE_URL, which must carry no query, fragment,
-    credentials or spaces. At most one transport retry is made; a redirect is
-    a failed attempt, never followed.
+    the LLMIZE_API_KEY environment variable, and the http(s) endpoint from
+    ``base_url`` or LLMIZE_BASE_URL. A proposal makes at most two attempts: a
+    4xx other than 429 is not retried, and a redirect is a failed attempt,
+    never followed.
 
-    Each attempt opens one connection, sends the whole request in one write
-    with ``Connection: close``, and reads the reply to its end (see
-    ``llmize.transport``). Construction loads ``socket``, and ``ssl`` only
-    for an ``https`` endpoint, which is verified against the system trust
-    store and its host name; ``import llmize`` loads neither. Proxies come
-    from the ``*_proxy`` variables as they are at construction, read by
-    urllib's rules: a lower-case name wins, ``HTTP_PROXY`` is ignored when
-    ``REQUEST_METHOD`` is set, and a ``no_proxy`` entry names a host, a
-    domain it is in, or ``*`` every host. An ``http`` request goes to the
-    proxy whole, an ``https`` one through a ``CONNECT`` tunnel, and
-    credentials in the proxy URL are sent as Basic proxy authorization.
+    ``llmize.transport.Endpoint`` checks the URL, picks the route (proxies
+    included), and writes and reads each request. Construction loads it with
+    ``socket``, and ``ssl`` only for an ``https`` endpoint; ``import llmize``
+    loads none of them.
     """
 
     def __init__(
@@ -258,18 +250,13 @@ class HttpChatBackend:
         api_key: str | None = None,
         timeout: float = 60.0,
     ):
-        resolved = base_url or os.environ.get("LLMIZE_BASE_URL")
-        parts = urllib.parse.urlsplit(resolved or "")
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"base_url must be an http(s) URL (or set LLMIZE_BASE_URL): {resolved!r}")
         from .transport import Endpoint  # loaded here, not by ``import llmize``
 
-        self._endpoint = Endpoint(resolved, "base_url")
+        self._endpoint = Endpoint(base_url or os.environ.get("LLMIZE_BASE_URL") or "")
         if not model:
             raise ValueError("model must be a non-empty name")
         if not 0 < timeout < math.inf:
             raise ValueError("timeout must be a finite number of seconds > 0")
-        self.base_url = resolved.rstrip("/")
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
@@ -286,18 +273,14 @@ class HttpChatBackend:
         }
         if params.seed is not None:
             payload["seed"] = params.seed
-        headers = "Content-Type: application/json\r\nUser-Agent: llmize\r\n"
         token = self.api_key or os.environ.get("LLMIZE_API_KEY")
-        if token:
-            if "\r" in token or "\n" in token:
-                raise TransportError("the API key must be one line")
-            headers += f"Authorization: Bearer {token}\r\n"
-        url = f"{self.base_url}/chat/completions"
+        if token and ("\r" in token or "\n" in token):
+            raise TransportError("the API key must be one line")
         data = json.dumps(payload).encode()
         last_error: TransportError | None = None
         for _ in range(2):
             try:
-                status, body = self._endpoint.post("/chat/completions", headers, data, self.timeout)
+                status, body = self._endpoint.post(data, token, self.timeout)
             except (OSError, ValueError) as exc:
                 last_error = TransportError(f"request failed: {exc}")
                 continue
@@ -309,7 +292,7 @@ class HttpChatBackend:
                 if not isinstance(content, str):
                     raise TransportError("completion content is not text", status=200)
                 return content
-            last_error = TransportError(f"HTTP {status} from {url}", status=status)
+            last_error = TransportError(f"HTTP {status} from {self._endpoint.url}", status=status)
             # Client errors other than rate limiting will not improve on retry.
             if 400 <= status < 500 and status != 429:
                 break

@@ -1,6 +1,8 @@
-"""HTTP/1.1 POST on a plain socket, for ``HttpChatBackend``.
+"""The chat-completions request of ``HttpChatBackend``: HTTP/1.1 POST on a
+plain socket.
 
-Each request opens one connection, sends its head and body in one write with
+Only this module parses the URL and writes the request's header lines. Each
+request opens one connection, sends its head and body in one write with
 ``Connection: close``, and reads the reply to its end: by ``Content-Length``,
 by chunks, or to EOF. Only a 200 reply's body is read. ``ssl`` loads only for
 an ``https`` endpoint. Proxies come from the environment by urllib's rules.
@@ -11,9 +13,11 @@ llmize`` loads neither it nor ``socket``.
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import socket
+import time
 import urllib.parse
 
 # http.client's limits on a reply: bytes in one line, and lines in its head,
@@ -23,11 +27,11 @@ _MAX_HEAD_LINES = 100
 
 
 class Endpoint:
-    """An http(s) base URL to post under, and the route there: straight to
-    its host, or through the proxy that the ``*_proxy`` variables name for it
-    when the endpoint is built. ``what`` names the URL in error messages.
+    """The chat-completions URL under an http(s) ``base_url``, and the route
+    there: straight to its host, or through the proxy that the ``*_proxy``
+    variables name for it when the endpoint is built.
 
-    The URL must carry no query, fragment, credentials or spaces. An
+    ``base_url`` must carry no query, fragment, credentials or spaces. An
     ``https`` endpoint's certificate is verified against the system trust
     store and its host name. Through a proxy, an ``http`` request goes whole
     with an absolute URI, and an ``https`` one through a ``CONNECT`` tunnel;
@@ -35,14 +39,19 @@ class Endpoint:
     proxy itself is reached over plain TCP.
     """
 
-    def __init__(self, url: str, what: str):
-        parts = urllib.parse.urlsplit(url)
-        if re.search(r"[?#\x00-\x20\x7f]", url) or "@" in parts.netloc:
+    def __init__(self, base_url: str):
+        parts = urllib.parse.urlsplit(base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(
-                f"{what} must not carry a query, a fragment, credentials or spaces: {url!r}"
+                f"base_url must be an http(s) URL (or set LLMIZE_BASE_URL): {base_url!r}"
             )
-        port = _port(parts, f"{what} must have a port from 0 to 65535: {url!r}")
-        self._prefix = parts.path.rstrip("/")
+        if re.search(r"[?#\x00-\x20\x7f]", base_url) or "@" in parts.netloc:
+            raise ValueError(
+                f"base_url must not carry a query, a fragment, credentials or spaces: {base_url!r}"
+            )
+        port = _port(parts, f"base_url must have a port from 0 to 65535: {base_url!r}")
+        self.url = base_url.rstrip("/") + "/chat/completions"
+        self._target = parts.path.rstrip("/") + "/chat/completions"
         self._netloc = parts.netloc
         self._hostname = parts.hostname
         self._address = (parts.hostname, port)
@@ -64,7 +73,7 @@ class Endpoint:
                 user = f"{unquote(via.username)}:{unquote(via.password)}".encode()
                 auth = f"Proxy-Authorization: Basic {base64.b64encode(user).decode()}\r\n"
             if parts.scheme == "http":
-                self._prefix = url.rstrip("/")
+                self._target = self.url
                 self._proxy_auth = auth
             else:
                 host = f"[{parts.hostname}]" if ":" in parts.hostname else parts.hostname
@@ -76,32 +85,65 @@ class Endpoint:
             self._tls = ssl.create_default_context()
             self._tls.set_alpn_protocols(["http/1.1"])
 
-    def post(self, path: str, headers: str, body: bytes, timeout: float) -> tuple[int, bytes]:
-        """POST ``body`` to ``path`` under the URL on a new connection, with
-        ``headers`` (``Name: value`` lines, each ending in CRLF) between
-        ``Host`` and ``Connection``. Returns the reply's status, and
+    def post(self, body: bytes, token: str | None, timeout: float) -> tuple[int, bytes]:
+        """POST the JSON ``body`` to the URL on a new connection, with ``token``
+        as its bearer token when one is given. Returns the reply's status, and
         its body when the status is 200. An error reply's body is never read.
+        ``timeout`` seconds bound the whole attempt: the connect, a proxy
+        tunnel, the TLS handshake, the send and each receive get only the
+        time left.
 
         Raises OSError or ValueError when the request or its reply fails."""
+        deadline = time.monotonic() + timeout
+        auth = f"Authorization: Bearer {token}\r\n" if token else ""
         request = (
-            f"POST {self._prefix}{path} HTTP/1.1\r\nAccept-Encoding: identity\r\n"
+            f"POST {self._target} HTTP/1.1\r\nAccept-Encoding: identity\r\n"
             f"Content-Length: {len(body)}\r\nHost: {self._netloc}\r\n"
-            f"{headers}{self._proxy_auth}Connection: close\r\n\r\n"
+            "Content-Type: application/json\r\nUser-Agent: llmize\r\n"
+            f"{auth}{self._proxy_auth}Connection: close\r\n\r\n"
         ).encode("latin-1") + body
         with socket.create_connection(self._address, timeout) as sock:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self._tunnel:
+                _arm(sock, deadline)
                 sock.sendall(self._tunnel)
-                with sock.makefile("rb") as reply:
+                with io.BufferedReader(_Receiver(sock, deadline)) as reply:
                     status = _read_head(reply)[0]
                 if status != 200:
                     raise OSError(f"proxy tunnel refused: HTTP {status}")
             if self._tls is not None:
+                _arm(sock, deadline)
                 sock = self._tls.wrap_socket(sock, server_hostname=self._hostname)
-            with sock, sock.makefile("rb") as reply:
+            with sock, io.BufferedReader(_Receiver(sock, deadline)) as reply:
+                _arm(sock, deadline)
                 sock.sendall(request)
                 status, reply_headers = _read_head(reply)
                 return status, _read_body(reply, reply_headers) if status == 200 else b""
+
+
+def _arm(sock: socket.socket, deadline: float) -> None:
+    """Set ``sock``'s timeout to the time left before ``deadline``."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    sock.settimeout(left)
+
+
+class _Receiver(io.RawIOBase):
+    """The receiving side of a socket, each receive bounded by the time left
+    before ``deadline``. A buffered ``readline`` or ``read`` may receive many
+    times, so a timeout set once before it would bound each receive, not it."""
+
+    def __init__(self, sock: socket.socket, deadline: float):
+        self._sock = sock
+        self._deadline = deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        _arm(self._sock, self._deadline)
+        return self._sock.recv_into(buffer)
 
 
 def _port(parts: urllib.parse.SplitResult, message: str) -> int:
@@ -158,7 +200,8 @@ def _read_line(reply) -> bytes:
 
 def _read_head(reply) -> tuple[int, dict[str, str]]:
     """A reply's status and its headers by lower-cased name, the first of a
-    repeated one kept. An interim ``100 Continue`` reply is skipped."""
+    repeated one kept; two different ``Content-Length`` values fail the reply
+    (RFC 9112 section 6.3). An interim ``100 Continue`` reply is skipped."""
     while True:
         line = _read_line(reply)
         fields = line.split(None, 2)
@@ -172,7 +215,9 @@ def _read_head(reply) -> tuple[int, dict[str, str]]:
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
-            headers.setdefault(name.strip().lower(), value.strip())
+            name, value = name.strip().lower(), value.strip()
+            if headers.setdefault(name, value) != value and name == "content-length":
+                raise ValueError("reply has two different Content-Length values")
         else:
             raise ValueError(f"reply head longer than {_MAX_HEAD_LINES} lines")
         if status != 100:

@@ -44,6 +44,10 @@ class StubChatServer:
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            # The reply goes out in two sends, head and body; with Nagle's
+            # algorithm on, a client that acks late would wait on the second.
+            disable_nagle_algorithm = True
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
                 raw = self.rfile.read(length)
@@ -107,10 +111,12 @@ class RawHttpListener:
     It reads a request's head and its ``Content-Length`` body first, and
     records each request's bytes in ``requests``. A connection that does not
     open with an upper-case letter (a TLS handshake, say) gets the reply
-    after its first read."""
+    after its first read. With ``trickle`` seconds, the reply's head goes at
+    once and its body one byte per ``trickle`` seconds."""
 
-    def __init__(self, reply: bytes):
+    def __init__(self, reply: bytes, trickle: float = 0.0):
         self.reply = reply
+        self.trickle = trickle
         self.requests: list[bytes] = []
         self._sock = socket.create_server(("127.0.0.1", 0))
         # A short accept timeout lets close() stop the loop without waiting.
@@ -131,9 +137,20 @@ class RawHttpListener:
                 conn.settimeout(5)
                 try:
                     self.requests.append(self._read_request(conn))
-                    conn.sendall(self.reply)
+                    self._send(conn)
                 except OSError:
                     pass
+
+    def _send(self, conn):
+        if not self.trickle:
+            conn.sendall(self.reply)
+            return
+        head, blank, body = self.reply.partition(b"\r\n\r\n")
+        conn.sendall(head + blank)
+        for i in range(len(body)):
+            if self._closed.wait(self.trickle):
+                return
+            conn.sendall(body[i : i + 1])
 
     @staticmethod
     def _read_request(conn) -> bytes:
@@ -159,8 +176,8 @@ class RawHttpListener:
 def raw_http_listener():
     listeners = []
 
-    def start(reply: bytes):
-        listener = RawHttpListener(reply)
+    def start(reply: bytes, trickle: float = 0.0):
+        listener = RawHttpListener(reply, trickle)
         listeners.append(listener)
         return listener
 

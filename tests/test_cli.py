@@ -5,7 +5,10 @@ import json
 import math
 import os
 import re
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,7 @@ from llmize.cli import HISTORY_CSV_HEADER, main
 from llmize.evaluation import evaluate_batch
 from llmize.svg import render_history_chart
 
-from conftest import time_bound
+from conftest import live_processes, time_bound
 
 
 def run_cli(*args):
@@ -454,6 +457,52 @@ class TestCmdRun:
         )
         assert run_cli("run", config_path) == 2
         assert "initial samples" in capsys.readouterr().err
+
+    def test_interrupt_ends_the_run_in_one_line(self, tmp_path, process_marker):
+        started = tmp_path / "started"
+        program = "import pathlib, sys, time; pathlib.Path(sys.argv[1]).touch(); time.sleep(30)"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "strategy": "opro",
+            "problem": {
+                "description": "d",
+                "direction": "minimize",
+                "schema": {"kind": "real_vector", "lower": [0.0], "upper": [1.0]},
+                "objective_command": [sys.executable, "-c", program, str(started), process_marker],
+            },
+            "backend": {"kind": "perturb", "seed": 1},
+            "seeding": {"style": "uniform", "count": 2},
+            "output_dir": str(tmp_path / "out"),
+        }))
+        # SIGINT is set to raise KeyboardInterrupt even where the test runner
+        # was started with it ignored, as a background job is.
+        launch = (
+            "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+            "from llmize.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        with subprocess.Popen(
+            [sys.executable, "-c", launch, "run", str(config)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        ) as proc:
+            try:
+                deadline = time.monotonic() + 30
+                while not started.exists() and proc.poll() is None and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                assert started.exists()
+                proc.send_signal(signal.SIGINT)
+                _, err = proc.communicate(timeout=10)
+            finally:
+                proc.kill()
+        assert proc.returncode == 130
+        assert "Traceback" not in err
+        assert err.splitlines() == ["interrupted: the run stopped and wrote nothing"]
+        assert not (tmp_path / "out" / "result.json").exists()
+        deadline = time.monotonic() + 1
+        while live_processes(process_marker) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert live_processes(process_marker) == []
 
     def test_custom_problem_with_command_objective(self, tmp_path, capsys):
         score_script = tmp_path / "score.py"

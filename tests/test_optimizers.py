@@ -12,6 +12,7 @@ import pytest
 from llmize import (
     Continue,
     EvalPolicy,
+    HttpChatBackend,
     Objective,
     ObjectiveDirection,
     PerturbBackend,
@@ -35,7 +36,7 @@ from llmize import (
 )
 from llmize import benchmarks, cli, optimizers
 from llmize.benchmarks import convex2d, make_convex_benchmark, seed_samples, SeedStyle
-from conftest import ev
+from conftest import chat_body, ev
 
 MIN = ObjectiveDirection.MINIMIZE
 MAX = ObjectiveDirection.MAXIMIZE
@@ -110,6 +111,18 @@ class TestRunOpro:
         result = run_opro(SPEC, SUM_OBJECTIVE, FailingBackend(), config(), [], seeds((3, 3)))
         assert result.termination.kind is TerminationKind.ABORTED
         assert "connection refused" in result.termination.message
+
+    def test_a_step_sends_at_most_four_requests(self, stub_chat_server):
+        # A reply with no solution block is proposed again once, and each
+        # proposal makes two attempts: 500, no block, then 500 twice aborts.
+        no_block = (200, chat_body("nothing to parse"))
+        server = stub_chat_server(lambda n: no_block if n == 2 else (500, {"error": "boom"}))
+        backend = HttpChatBackend(base_url=server.url, model="m1")
+        result = run_opro(SPEC, SUM_OBJECTIVE, backend, config(), [], seeds((3, 3)))
+        assert result.termination.kind is TerminationKind.ABORTED
+        assert "HTTP 500" in result.termination.message
+        assert result.proposer_calls == 2
+        assert len(server.requests) == 4
 
     def test_evaluation_failure_aborts(self):
         objective = Objective(

@@ -1008,6 +1008,28 @@ class TestHttpChatBackend:
         assert self._fails(listener) is None
         assert len(listener.requests) == 2
 
+    def test_timeout_bounds_a_trickled_reply(self, raw_http_listener):
+        # The body comes one byte per 50 ms, over 3 s in all: each attempt
+        # ends at its 0.5 s timeout however often a byte arrives.
+        body = json.dumps(chat_body("x")).encode()
+        listener = raw_http_listener(self._reply(body), trickle=0.05)
+        started = time.perf_counter()
+        assert self._fails(listener, timeout=0.5) is None
+        assert time.perf_counter() - started < 1.2
+        assert len(listener.requests) == 2
+
+    def test_conflicting_content_lengths_fail_both_attempts(self, raw_http_listener):
+        body = json.dumps(chat_body("x")).encode()
+        listener = raw_http_listener(self._reply(body, b"Content-Length: %d\r\n" % (len(body) - 1)))
+        assert self._fails(listener) is None
+        assert len(listener.requests) == 2
+
+    def test_repeated_equal_content_lengths_are_read(self, raw_http_listener):
+        body = json.dumps(chat_body("x")).encode()
+        listener = raw_http_listener(self._reply(body, b"Content-Length: %d\r\n" % len(body)))
+        backend = HttpChatBackend(base_url=listener.url, model="m1")
+        assert backend.propose(self._bundle(), SamplingParams()) == "x"
+
     def test_https_against_a_plain_server_fails_both_attempts(self, raw_http_listener):
         listener = raw_http_listener(self._reply(json.dumps(chat_body("x")).encode()))
         backend = HttpChatBackend(base_url="https://%s:%d/v1" % listener.address, model="m1")
