@@ -106,6 +106,12 @@ MUTANTS = [
      "key = (self.direction.goodness(entry.score), -self._next_seq)",
      "key = (self.direction.goodness(entry.score), self._next_seq)",
      "a later insertion wins a score tie in the history"),
+    ("history-reinsert-kept", "core.py",
+     "        if old is not key:\n", "        if False:\n",
+     "a re-inserted payload keeps its old entry beside the new one"),
+    ("city-texts-short", "core.py",
+     "tuple(map(str, range(len(self.order))))", "tuple(map(str, range(len(self.order) - 1)))",
+     "the table of city texts is grown one city short of a permutation's size"),
     # Parsing.
     ("keyed-duplicate-key", "core.py",
      "if not sep or key not in self.bounds or key in found:",
@@ -153,6 +159,9 @@ MUTANTS = [
     ("conflicting-lengths-accepted", "transport.py",
      ' and name == "content-length":', " and False:",
      "a reply with two different Content-Length values is read by the first"),
+    ("body-cap-ignored", "transport.py",
+     "    if size > left:\n", "    if False:\n",
+     "a reply body of any length is read whole into memory"),
     # Callbacks.
     ("early-stop-tie-improves", "control.py",
      "goodness(best) - goodness(prev) > min_delta",
@@ -225,6 +234,10 @@ MUTANTS = [
      "    if not math.isfinite(value):\n        raise ValueError(f\"{field.name} must be finite",
      "    if False:\n        raise ValueError(f\"{field.name} must be finite",
      "llmize plot charts a nan or infinite cell"),
+    # Output directories.
+    ("created-dir-left", "cli.py",
+     "            directory.rmdir()\n", "            pass\n",
+     "an interrupted or seed-aborted run leaves the empty directories it created"),
 ]
 
 

@@ -28,6 +28,7 @@ import sys
 from contextlib import suppress
 from dataclasses import Field, dataclass, fields
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 from typing import Sequence
 
@@ -461,8 +462,19 @@ def _write_files(files: dict[Path, str | None]) -> int:
     return 0
 
 
+def _remove_empty(directories: list[Path]) -> None:
+    """Remove each of ``directories`` in turn, up to the first one that is
+    not empty (or cannot be removed)."""
+    with suppress(OSError):
+        for directory in directories:
+            directory.rmdir()
+
+
 def _execute(plan: RunPlan) -> int:
     out_dir = plan.out_dir
+    # The directories this run creates, leaf first: a run that writes
+    # nothing removes them again while they are empty.
+    created = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -476,9 +488,11 @@ def _execute(plan: RunPlan) -> int:
             plan.callbacks, initial, plan.sa,
         )
     except EvaluationFailed as exc:  # only the seeds' batch: a step's failure aborts the run
+        _remove_empty(created)
         print(f"aborted while evaluating initial samples: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
+        _remove_empty(created)
         print("interrupted: the run stopped and wrote nothing", file=sys.stderr)
         return 130
 

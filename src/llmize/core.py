@@ -1,8 +1,9 @@
 """Shared domain types: problems, solutions, scores, history, and run results.
 
 Everything here is a plain value. Mutation is limited to ``History``, which is
-only ever touched from the single loop that owns a run, and to the memoized
-``EvaluatedSolution.text``, which renders an entry's prompt text on first use.
+only ever touched from the single loop that owns a run, to the memoized
+``EvaluatedSolution.text``, which renders an entry's prompt text on first use,
+and to the city texts that ``Permutation.render`` looks up.
 ``ObjectiveDirection.goodness`` is the one place that decides which score is
 better.
 
@@ -153,6 +154,10 @@ class RealVectorSchema:
 # The largest permutation size. On a 2-vCPU Xeon VM, drawing one tsp instance
 # took 0.5 s at 10**5 cities and 1.6 s at 3 * 10**5.
 MAX_PERMUTATION_N = 100_000
+# The decimal texts of 0..k-1 that ``Permutation.render`` joins, at most
+# MAX_PERMUTATION_N of them (about 6 MB). A longer table replaces a short one
+# whole, so a thread rendering alongside never sees one half built.
+_CITY_TEXTS: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -324,6 +329,8 @@ class Permutation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", tuple(int(v) for v in self.order))
+        if len(self.order) > MAX_PERMUTATION_N:
+            raise ValueError(f"a permutation has at most {MAX_PERMUTATION_N} cities")
         if sorted(self.order) != list(range(len(self.order))):
             raise ValueError(f"not a permutation of 0..{len(self.order) - 1}: {self.order}")
 
@@ -336,8 +343,12 @@ class Permutation:
         return value
 
     def render(self) -> str:
-        # The list repr of ints is ", ".join(map(str, order)), built in C.
-        return str(list(self.order))[1:-1]
+        # ", ".join(map(str, order)), each city's text looked up, not formatted.
+        global _CITY_TEXTS
+        texts = _CITY_TEXTS
+        if len(texts) < len(self.order):
+            texts = _CITY_TEXTS = tuple(map(str, range(len(self.order))))
+        return ", ".join([texts[c] for c in self.order])
 
     def to_json(self) -> dict:
         return {"kind": "permutation", "order": list(self.order)}
@@ -432,7 +443,8 @@ class History:
     Each entry has a unique sort key ``(direction.goodness(score), -seq)``,
     where ``seq`` counts insertions; a parallel list of keys and a dict from
     payload to key locate any slot by bisection. An insert costs an O(log K)
-    search plus an O(K) list shift.
+    search plus an O(K) list shift, and one hash of its payload unless the
+    payload is present.
     """
 
     def __init__(self, capacity: int, direction: ObjectiveDirection):
@@ -457,20 +469,19 @@ class History:
         return self._entries[-1] if self._entries else None
 
     def insert(self, entry: EvaluatedSolution) -> None:
-        old = self._key_of.pop(entry.solution, None)
-        if old is not None:
-            i = bisect_left(self._keys, old)
-            del self._keys[i]
-            del self._entries[i]
-
         # Worst-to-best: later insertions lose score ties, so they sort
         # closer to the worst end.
         key = (self.direction.goodness(entry.score), -self._next_seq)
         self._next_seq += 1
+        old = self._key_of.setdefault(entry.solution, key)
+        if old is not key:
+            i = bisect_left(self._keys, old)
+            del self._keys[i]
+            del self._entries[i]
+            self._key_of[entry.solution] = key
         i = bisect_left(self._keys, key)
         self._keys.insert(i, key)
         self._entries.insert(i, entry)
-        self._key_of[entry.solution] = key
 
         if len(self._entries) > self.capacity:
             del self._keys[0]

@@ -24,6 +24,10 @@ import urllib.parse
 # the empty line that ends the head included.
 _MAX_LINE = 65536
 _MAX_HEAD_LINES = 100
+# The most bytes a 200 reply's body may hold: a completion is a few hundred
+# kB at most, so a longer body is a broken or hostile server, refused before
+# it fills the memory.
+_MAX_BODY = 32 << 20
 
 
 class Endpoint:
@@ -226,18 +230,34 @@ def _read_head(reply) -> tuple[int, dict[str, str]]:
 
 def _read_body(reply, headers: dict[str, str]) -> bytes:
     """A reply's body: chunked, of ``Content-Length`` bytes, or up to EOF
-    (which a negative length reads to as well, as in http.client)."""
+    (which a negative length reads to as well, as in http.client). A body
+    longer than ``_MAX_BODY`` fails the reply: a stated length before any of
+    the body is read, a chunked or EOF-ended body once it passes the cap."""
     if headers.get("transfer-encoding", "").lower() == "chunked":
         chunks = []
+        left = _MAX_BODY
         while size := int(_read_line(reply).split(b";", 1)[0], 16):
+            if size < 0:
+                raise ValueError(f"negative chunk size {size}")
+            left -= _capped(size, left)
             chunks.append(_read_exactly(reply, size))
             _read_exactly(reply, 2)  # the line end after each chunk
         while _read_line(reply) not in (b"\r\n", b"\n", b""):  # the trailer
             pass
         return b"".join(chunks)
-    if "content-length" in headers:
-        return _read_exactly(reply, int(headers["content-length"]))
-    return reply.read()
+    size = int(headers.get("content-length", -1))
+    if size >= 0:
+        return _read_exactly(reply, _capped(size, _MAX_BODY))
+    data = reply.read(_MAX_BODY + 1)
+    _capped(len(data), _MAX_BODY)
+    return data
+
+
+def _capped(size: int, left: int) -> int:
+    """``size``, unless it is more than the ``left`` bytes the body may still take."""
+    if size > left:
+        raise ValueError(f"reply body longer than the {_MAX_BODY}-byte cap")
+    return size
 
 
 def _read_exactly(reply, size: int) -> bytes:

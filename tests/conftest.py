@@ -112,11 +112,13 @@ class RawHttpListener:
     records each request's bytes in ``requests``. A connection that does not
     open with an upper-case letter (a TLS handshake, say) gets the reply
     after its first read. With ``trickle`` seconds, the reply's head goes at
-    once and its body one byte per ``trickle`` seconds."""
+    once and its body one byte per ``trickle`` seconds. With ``endless``
+    bytes, they follow the reply over and over until the client hangs up."""
 
-    def __init__(self, reply: bytes, trickle: float = 0.0):
+    def __init__(self, reply: bytes, trickle: float = 0.0, endless: bytes = b""):
         self.reply = reply
         self.trickle = trickle
+        self.endless = endless
         self.requests: list[bytes] = []
         self._sock = socket.create_server(("127.0.0.1", 0))
         # A short accept timeout lets close() stop the loop without waiting.
@@ -144,6 +146,8 @@ class RawHttpListener:
     def _send(self, conn):
         if not self.trickle:
             conn.sendall(self.reply)
+            while self.endless and not self._closed.is_set():
+                conn.sendall(self.endless)
             return
         head, blank, body = self.reply.partition(b"\r\n\r\n")
         conn.sendall(head + blank)
@@ -176,8 +180,8 @@ class RawHttpListener:
 def raw_http_listener():
     listeners = []
 
-    def start(reply: bytes, trickle: float = 0.0):
-        listener = RawHttpListener(reply, trickle)
+    def start(reply: bytes, trickle: float = 0.0, endless: bytes = b""):
+        listener = RawHttpListener(reply, trickle, endless)
         listeners.append(listener)
         return listener
 

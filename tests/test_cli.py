@@ -458,6 +458,24 @@ class TestCmdRun:
         assert run_cli("run", config_path) == 2
         assert "initial samples" in capsys.readouterr().err
 
+    @staticmethod
+    def _abort_while_seeding(tmp_path, out_dir):
+        schema = {"kind": "real_vector", "lower": [0.0], "upper": [1.0]}
+        config = write_schema_problem(tmp_path / "run.json", schema)
+        config.write_text(json.dumps({**json.loads(config.read_text()), "output_dir": str(out_dir)}))
+        return run_cli("run", config)
+
+    def test_seed_abort_removes_the_directories_it_created(self, tmp_path, capsys):
+        assert self._abort_while_seeding(tmp_path, tmp_path / "out" / "a" / "b") == 2
+        assert "initial samples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("output_dir", ["out", "out/a/b"])
+    def test_seed_abort_keeps_an_empty_directory_that_existed(self, tmp_path, output_dir):
+        (tmp_path / "out").mkdir()
+        assert self._abort_while_seeding(tmp_path, tmp_path / output_dir) == 2
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_interrupt_ends_the_run_in_one_line(self, tmp_path, process_marker):
         started = tmp_path / "started"
         program = "import pathlib, sys, time; pathlib.Path(sys.argv[1]).touch(); time.sleep(30)"
@@ -499,6 +517,7 @@ class TestCmdRun:
         assert "Traceback" not in err
         assert err.splitlines() == ["interrupted: the run stopped and wrote nothing"]
         assert not (tmp_path / "out" / "result.json").exists()
+        assert not (tmp_path / "out").exists()
         deadline = time.monotonic() + 1
         while live_processes(process_marker) and time.monotonic() < deadline:
             time.sleep(0.02)

@@ -2,6 +2,8 @@ import ast
 import itertools
 import math
 import random
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +21,10 @@ from llmize import (
     ProblemSpec,
     RealVector,
     RealVectorSchema,
+    core,
     update_best,
 )
+from llmize.core import MAX_PERMUTATION_N
 from conftest import SortedHistory, brute_force_topk, ev
 
 MIN = ObjectiveDirection.MINIMIZE
@@ -228,6 +232,59 @@ class TestPermutationFastPaths:
         }
 
 
+def reference_render(order) -> str:
+    return str(list(order))[1:-1]
+
+
+def shuffled(n: int) -> tuple[int, ...]:
+    return tuple(random.Random(n).sample(range(n), n))
+
+
+class TestCityTexts:
+    """``Permutation.render`` joins cached city texts; these pin that it
+    writes what the list repr of its cities writes, however the table grew."""
+
+    @pytest.mark.parametrize("large_first", [True, False], ids=["large-first", "small-first"])
+    def test_render_matches_list_repr_in_either_growth_order(self, large_first, monkeypatch):
+        monkeypatch.setattr(core, "_CITY_TEXTS", ())
+        sizes = [*range(301), MAX_PERMUTATION_N]
+        for n in sorted(sizes, reverse=large_first):
+            order = shuffled(n)
+            assert Permutation(order).render() == reference_render(order), n
+        assert len(core._CITY_TEXTS) == MAX_PERMUTATION_N
+
+    def test_concurrent_renders_from_an_empty_table(self, monkeypatch):
+        monkeypatch.setattr(core, "_CITY_TEXTS", ())
+        values = [Permutation(shuffled(n)) for n in range(0, 2000, 7)]
+        start = threading.Barrier(8)
+        mismatches = []
+
+        def render_all(seed):
+            mine = random.Random(seed).sample(values, len(values))
+            start.wait()
+            for value in mine:
+                if value.render() != reference_render(value.order):
+                    mismatches.append(len(value.order))
+
+        # Threads switch often, so renders interleave with the table's growth.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=render_all, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_constructor_refuses_more_than_the_largest_size(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_PERMUTATION_N} cities"):
+            Permutation(tuple(range(MAX_PERMUTATION_N + 1)))
+
+
 class TestSchemaArguments:
     @pytest.mark.parametrize("n", [4.9, 7.0, "7", True, None, np.int64(7)])
     def test_permutation_size_must_be_int(self, n):
@@ -335,6 +392,21 @@ class TestHistoryInsert:
         h.insert(ev(rv(1), 7.0))
         assert len(h) == 1
         assert h.entries[0].score == 7.0
+
+    def test_reinserted_payload_evicted_later_leaves_no_stale_key(self):
+        def in_step(h):
+            return h._key_of == dict(zip((e.solution for e in h.entries), h._keys))
+
+        h = History(capacity=2, direction=MIN)
+        h.insert(ev(rv(0.0), 5.0))
+        h.insert(ev(rv(2), 6.0))
+        h.insert(ev(rv(-0.0), 9.0))  # the same payload as rv(0.0), now the worst
+        assert [e.score for e in h.entries] == [9.0, 6.0] and in_step(h)
+        h.insert(ev(rv(3), 1.0))  # evicts it
+        assert [e.solution for e in h.entries] == [rv(2), rv(3)] and in_step(h)
+        h.insert(ev(rv(0.0), 0.0))  # back as a new entry, evicting rv(2)
+        assert [e.solution for e in h.entries] == [rv(3), rv(0.0)] and in_step(h)
+        assert h._keys == sorted(h._keys) and len(h._key_of) == len(h) == 2
 
     def test_tie_keeps_earlier_insertion(self):
         h = History(capacity=2, direction=MIN)

@@ -43,6 +43,7 @@ from llmize import (
     proposer,
     render_solution,
 )
+from llmize import transport
 from llmize.proposer import HttpChatBackend, render_history_line
 from conftest import chat_body, ev
 
@@ -1029,6 +1030,40 @@ class TestHttpChatBackend:
         listener = raw_http_listener(self._reply(body, b"Content-Length: %d\r\n" % len(body)))
         backend = HttpChatBackend(base_url=listener.url, model="m1")
         assert backend.propose(self._bundle(), SamplingParams()) == "x"
+
+    def test_length_over_the_cap_fails_both_attempts_unread(self, raw_http_listener):
+        listener = raw_http_listener(
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n{}" % (transport._MAX_BODY + 1)
+        )
+        backend = HttpChatBackend(base_url=listener.url, model="m1")
+        with pytest.raises(TransportError, match=f"longer than the {transport._MAX_BODY}-byte cap"):
+            backend.propose(self._bundle(), SamplingParams())
+        assert len(listener.requests) == 2
+
+    @pytest.mark.parametrize(
+        "head, endless",
+        [
+            (b"Transfer-Encoding: chunked\r\n", b"10000\r\n" + b"x" * 65536 + b"\r\n"),
+            (b"", b"x" * 65536),
+        ],
+        ids=["chunked", "to-eof"],
+    )
+    def test_endless_body_fails_at_the_cap(self, head, endless, raw_http_listener):
+        listener = raw_http_listener(b"HTTP/1.1 200 OK\r\n" + head + b"\r\n", endless=endless)
+        backend = HttpChatBackend(base_url=listener.url, model="m1", timeout=20.0)
+        started = time.perf_counter()
+        with pytest.raises(TransportError, match="-byte cap") as exc:
+            backend.propose(self._bundle(), SamplingParams())
+        assert time.perf_counter() - started < 20.0
+        assert exc.value.status is None
+        assert len(listener.requests) == 2
+
+    def test_negative_chunk_size_fails_both_attempts(self, raw_http_listener):
+        listener = raw_http_listener(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-2\r\n{}\r\n0\r\n\r\n"
+        )
+        assert self._fails(listener) is None
+        assert len(listener.requests) == 2
 
     def test_https_against_a_plain_server_fails_both_attempts(self, raw_http_listener):
         listener = raw_http_listener(self._reply(json.dumps(chat_body("x")).encode()))
