@@ -73,9 +73,8 @@ class ConfigError(Exception):
 
 
 def dumps_result(result: OptimizationResult) -> str:
-    # wall_time is intentionally left out: result.json must be byte-identical
-    # across reruns with the same seed. Steps go out as vars(), not
-    # dataclasses.asdict, whose deep copy costs ~30x more per step.
+    # Steps go out as vars(), not dataclasses.asdict, whose deep copy costs
+    # ~30x more per step.
     return json.dumps({
         "best": {
             "solution": result.best.solution.to_json(),

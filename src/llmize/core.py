@@ -331,8 +331,11 @@ class Permutation:
         object.__setattr__(self, "order", tuple(int(v) for v in self.order))
         if len(self.order) > MAX_PERMUTATION_N:
             raise ValueError(f"a permutation has at most {MAX_PERMUTATION_N} cities")
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError(f"not a permutation of 0..{len(self.order) - 1}: {self.order}")
+        n = len(self.order)
+        if sorted(self.order) != list(range(n)):
+            # n entries that are not 0..n-1 leave one out; the order stays out of the message.
+            missing = min(set(range(n)).difference(self.order))
+            raise ValueError(f"not a permutation of 0..{n - 1}: city {missing} is missing")
 
     @classmethod
     def _trusted(cls, order: tuple[int, ...]) -> Permutation:
@@ -538,4 +541,3 @@ class OptimizationResult:
     termination: Termination
     evaluations_used: int
     proposer_calls: int
-    wall_time: float

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial, reduce
@@ -334,7 +333,6 @@ def optimize(
     if not initial:
         raise ValueError("initial evaluated solutions required")
 
-    started = time.perf_counter()
     direction = objective.direction
     history = History(config.history_capacity, direction)
     best: EvaluatedSolution | None = None
@@ -404,7 +402,6 @@ def optimize(
         termination=termination,
         evaluations_used=evaluations,
         proposer_calls=proposer_calls,
-        wall_time=time.perf_counter() - started,
     )
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import threading
 from collections import deque
@@ -231,35 +230,30 @@ class HttpChatBackend:
     """Client for a chat-completions endpoint.
 
     Sends one request per attempt with the bundle's two messages, plus the
-    sampling seed when one is set. The bearer token comes from ``api_key`` or
-    the LLMIZE_API_KEY environment variable, and the http(s) endpoint from
-    ``base_url`` or LLMIZE_BASE_URL. A proposal makes at most two attempts: a
+    sampling seed when one is set. A proposal makes at most two attempts: a
     4xx other than 429 is not retried, and a redirect is a failed attempt,
     never followed.
 
-    ``llmize.transport.Endpoint`` checks the URL, picks the route (proxies
-    included), and writes and reads each request. Construction loads it with
-    ``socket``, and ``ssl`` only for an ``https`` endpoint; ``import llmize``
-    loads none of them.
+    ``llmize.transport.Endpoint`` checks ``base_url``, ``api_key`` and
+    ``timeout``, picks the route (proxies included), and writes and reads each
+    request. Construction loads it with ``socket``, and ``ssl`` only for an
+    ``https`` endpoint; ``import llmize`` loads none of them.
     """
 
     def __init__(
         self,
         base_url: str | None = None,
-        model: str = "",
+        *,
+        model: str,
         api_key: str | None = None,
         timeout: float = 60.0,
     ):
         from .transport import Endpoint  # loaded here, not by ``import llmize``
 
-        self._endpoint = Endpoint(base_url or os.environ.get("LLMIZE_BASE_URL") or "")
+        self._endpoint = Endpoint(base_url, api_key, timeout)
         if not model:
             raise ValueError("model must be a non-empty name")
-        if not 0 < timeout < math.inf:
-            raise ValueError("timeout must be a finite number of seconds > 0")
         self.model = model
-        self.api_key = api_key
-        self.timeout = timeout
 
     def propose(self, bundle: PromptBundle, params: SamplingParams) -> str:
         payload = {
@@ -273,14 +267,11 @@ class HttpChatBackend:
         }
         if params.seed is not None:
             payload["seed"] = params.seed
-        token = self.api_key or os.environ.get("LLMIZE_API_KEY")
-        if token and ("\r" in token or "\n" in token):
-            raise TransportError("the API key must be one line")
         data = json.dumps(payload).encode()
         last_error: TransportError | None = None
         for _ in range(2):
             try:
-                status, body = self._endpoint.post(data, token, self.timeout)
+                status, body = self._endpoint.post(data)
             except (OSError, ValueError) as exc:
                 last_error = TransportError(f"request failed: {exc}")
                 continue

@@ -1,7 +1,8 @@
 """The chat-completions request of ``HttpChatBackend``: HTTP/1.1 POST on a
 plain socket.
 
-Only this module parses the URL and writes the request's header lines. Each
+Only this module reads ``LLMIZE_BASE_URL`` and ``LLMIZE_API_KEY``, parses the
+URL and writes the request head, once, when an ``Endpoint`` is built. Each
 request opens one connection, sends its head and body in one write with
 ``Connection: close``, and reads the reply to its end: by ``Content-Length``,
 by chunks, or to EOF. Only a 200 reply's body is read. ``ssl`` loads only for
@@ -14,6 +15,7 @@ llmize`` loads neither it nor ``socket``.
 from __future__ import annotations
 
 import io
+import math
 import os
 import re
 import socket
@@ -31,19 +33,21 @@ _MAX_BODY = 32 << 20
 
 
 class Endpoint:
-    """The chat-completions URL under an http(s) ``base_url``, and the route
-    there: straight to its host, or through the proxy that the ``*_proxy``
-    variables name for it when the endpoint is built.
+    """The chat-completions URL under an http(s) ``base_url`` (one with no
+    query, fragment, credentials or spaces), the route there, and the head of
+    each request, ``api_key`` (one line) its bearer token, all settled at
+    construction. ``LLMIZE_BASE_URL`` and ``LLMIZE_API_KEY`` stand in for an
+    empty ``base_url`` and ``api_key``; ``timeout`` seconds bound a request.
 
-    ``base_url`` must carry no query, fragment, credentials or spaces. An
-    ``https`` endpoint's certificate is verified against the system trust
-    store and its host name. Through a proxy, an ``http`` request goes whole
-    with an absolute URI, and an ``https`` one through a ``CONNECT`` tunnel;
-    credentials in the proxy URL are sent as Basic proxy authorization. The
-    proxy itself is reached over plain TCP.
+    The route goes to the host, or through the proxy the ``*_proxy`` variables
+    name for it, over plain TCP: an ``http`` request whole with an absolute
+    URI, an ``https`` one through a ``CONNECT`` tunnel, with the proxy URL's
+    credentials as Basic proxy authorization. An ``https`` certificate is
+    verified against the system trust store and the host name.
     """
 
-    def __init__(self, base_url: str):
+    def __init__(self, base_url: str | None, api_key: str | None = None, timeout: float = 60.0):
+        base_url = base_url or os.environ.get("LLMIZE_BASE_URL") or ""
         parts = urllib.parse.urlsplit(base_url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(
@@ -54,13 +58,18 @@ class Endpoint:
                 f"base_url must not carry a query, a fragment, credentials or spaces: {base_url!r}"
             )
         port = _port(parts, f"base_url must have a port from 0 to 65535: {base_url!r}")
+        token = api_key or os.environ.get("LLMIZE_API_KEY")
+        if token and ("\r" in token or "\n" in token):
+            raise ValueError(f"api_key{'' if api_key else ' from LLMIZE_API_KEY'} must be one line")
+        if not 0 < timeout < math.inf:
+            raise ValueError("timeout must be a finite number of seconds > 0")
         self.url = base_url.rstrip("/") + "/chat/completions"
-        self._target = parts.path.rstrip("/") + "/chat/completions"
-        self._netloc = parts.netloc
+        self._timeout = timeout
         self._hostname = parts.hostname
         self._address = (parts.hostname, port)
         self._tunnel = b""
-        self._proxy_auth = ""
+        target = parts.path.rstrip("/") + "/chat/completions"
+        auth = f"Authorization: Bearer {token}\r\n" if token else ""
         proxies = _env_proxies()
         proxy = proxies.get(parts.scheme)
         if proxy and not _bypasses_proxy(parts.netloc, proxies.get("no", "")):
@@ -69,19 +78,25 @@ class Endpoint:
             if not via.hostname:
                 raise ValueError(where)
             self._address = (via.hostname, _port(via, where))
-            auth = ""
+            proxy_auth = ""
             if via.username and via.password:
                 import base64
 
                 unquote = urllib.parse.unquote
                 user = f"{unquote(via.username)}:{unquote(via.password)}".encode()
-                auth = f"Proxy-Authorization: Basic {base64.b64encode(user).decode()}\r\n"
+                proxy_auth = f"Proxy-Authorization: Basic {base64.b64encode(user).decode()}\r\n"
             if parts.scheme == "http":
-                self._target = self.url
-                self._proxy_auth = auth
+                target = self.url
+                auth += proxy_auth
             else:
                 host = f"[{parts.hostname}]" if ":" in parts.hostname else parts.hostname
-                self._tunnel = f"CONNECT {host}:{port} HTTP/1.0\r\n{auth}\r\n".encode()
+                self._tunnel = f"CONNECT {host}:{port} HTTP/1.0\r\n{proxy_auth}\r\n".encode()
+        # The head, split at the NUL (which the URL cannot hold) where the body's length goes.
+        self._head, _, self._tail = (
+            f"POST {target} HTTP/1.1\r\nAccept-Encoding: identity\r\nContent-Length: \0\r\n"
+            f"Host: {parts.netloc}\r\nContent-Type: application/json\r\nUser-Agent: llmize\r\n"
+            f"{auth}Connection: close\r\n\r\n"
+        ).encode("latin-1").partition(b"\0")
         self._tls = None
         if parts.scheme == "https":
             import ssl
@@ -89,24 +104,15 @@ class Endpoint:
             self._tls = ssl.create_default_context()
             self._tls.set_alpn_protocols(["http/1.1"])
 
-    def post(self, body: bytes, token: str | None, timeout: float) -> tuple[int, bytes]:
-        """POST the JSON ``body`` to the URL on a new connection, with ``token``
-        as its bearer token when one is given. Returns the reply's status, and
-        its body when the status is 200. An error reply's body is never read.
-        ``timeout`` seconds bound the whole attempt: the connect, a proxy
-        tunnel, the TLS handshake, the send and each receive get only the
-        time left.
-
+    def post(self, body: bytes) -> tuple[int, bytes]:
+        """POST the JSON ``body`` on a new connection: the reply's status, and its
+        body when the status is 200 (an error reply's body is never read). The
+        endpoint's timeout bounds the whole attempt: the connect, a proxy tunnel,
+        the TLS handshake, the send and each receive get only the time left.
         Raises OSError or ValueError when the request or its reply fails."""
-        deadline = time.monotonic() + timeout
-        auth = f"Authorization: Bearer {token}\r\n" if token else ""
-        request = (
-            f"POST {self._target} HTTP/1.1\r\nAccept-Encoding: identity\r\n"
-            f"Content-Length: {len(body)}\r\nHost: {self._netloc}\r\n"
-            "Content-Type: application/json\r\nUser-Agent: llmize\r\n"
-            f"{auth}{self._proxy_auth}Connection: close\r\n\r\n"
-        ).encode("latin-1") + body
-        with socket.create_connection(self._address, timeout) as sock:
+        deadline = time.monotonic() + self._timeout
+        request = b"%s%d%s%s" % (self._head, len(body), self._tail, body)
+        with socket.create_connection(self._address, self._timeout) as sock:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self._tunnel:
                 _arm(sock, deadline)
@@ -203,22 +209,25 @@ def _read_line(reply) -> bytes:
 
 
 def _read_head(reply) -> tuple[int, dict[str, str]]:
-    """A reply's status and its headers by lower-cased name, the first of a
-    repeated one kept; two different ``Content-Length`` values fail the reply
-    (RFC 9112 section 6.3). An interim ``100 Continue`` reply is skipped."""
+    """A reply's status and headers by lower-cased name (the first of a repeated
+    one), past any interim ``100 Continue``. A status line not ``HTTP/1.x`` with 3
+    digits, a line without a colon, or two different ``Content-Length`` values
+    fail it (RFC 9112)."""
     while True:
         line = _read_line(reply)
         fields = line.split(None, 2)
         code = fields[1] if len(fields) > 1 else b""
         status = int(code) if len(code) == 3 and code.isdigit() else 0
-        if not line.startswith(b"HTTP/") or status < 100:
+        if not line.startswith(b"HTTP/1.") or status < 100:
             raise ValueError(f"bad status line {line[:80]!r}")
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEAD_LINES):
             line = _read_line(reply)
             if line in (b"\r\n", b"\n", b""):
                 break
-            name, _, value = line.decode("latin-1").partition(":")
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                raise ValueError(f"header line without a colon {line[:80]!r}")
             name, value = name.strip().lower(), value.strip()
             if headers.setdefault(name, value) != value and name == "content-length":
                 raise ValueError("reply has two different Content-Length values")
@@ -233,9 +242,9 @@ def _read_body(reply, headers: dict[str, str]) -> bytes:
     (which a negative length reads to as well, as in http.client). A body
     longer than ``_MAX_BODY`` fails the reply: a stated length before any of
     the body is read, a chunked or EOF-ended body once it passes the cap."""
+    chunks = []
+    left = _MAX_BODY
     if headers.get("transfer-encoding", "").lower() == "chunked":
-        chunks = []
-        left = _MAX_BODY
         while size := int(_read_line(reply).split(b";", 1)[0], 16):
             if size < 0:
                 raise ValueError(f"negative chunk size {size}")
@@ -248,9 +257,10 @@ def _read_body(reply, headers: dict[str, str]) -> bytes:
     size = int(headers.get("content-length", -1))
     if size >= 0:
         return _read_exactly(reply, _capped(size, _MAX_BODY))
-    data = reply.read(_MAX_BODY + 1)
-    _capped(len(data), _MAX_BODY)
-    return data
+    while data := reply.read(_MAX_LINE):  # a read of the whole cap would allocate it
+        left -= _capped(len(data), left)
+        chunks.append(data)
+    return b"".join(chunks)
 
 
 def _capped(size: int, left: int) -> int:

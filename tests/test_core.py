@@ -284,6 +284,24 @@ class TestCityTexts:
         with pytest.raises(ValueError, match=f"at most {MAX_PERMUTATION_N} cities"):
             Permutation(tuple(range(MAX_PERMUTATION_N + 1)))
 
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ((0, 1, 1), "not a permutation of 0..2: city 2 is missing"),
+            ((1, 2, 3), "not a permutation of 0..2: city 0 is missing"),
+            ((-1, 0), "not a permutation of 0..1: city 1 is missing"),
+        ],
+    )
+    def test_refusal_names_the_first_missing_city(self, order, message):
+        with pytest.raises(ValueError) as exc:
+            Permutation(order)
+        assert str(exc.value) == message
+
+    def test_refusal_of_the_largest_size_is_short(self):
+        with pytest.raises(ValueError) as exc:
+            Permutation(tuple(range(1, MAX_PERMUTATION_N + 1)))
+        assert len(str(exc.value)) < 200
+
 
 class TestSchemaArguments:
     @pytest.mark.parametrize("n", [4.9, 7.0, "7", True, None, np.int64(7)])

@@ -115,6 +115,16 @@ def test_timeout_treated_as_failure(tmp_path, process_marker):
         assert exc.value.index == 1
 
 
+def test_timeout_cuts_short_a_command_that_would_finish(process_marker):
+    # The command would print its score after 2 s; its 0.3 s timeout fails it first.
+    command = [sys.executable, "-c", "import time; time.sleep(2); print(1)", process_marker]
+    objective = command_objective(command, MIN, timeout=0.3)
+    started = time.perf_counter()
+    with pytest.raises(EvaluationFailed, match="timed out"):
+        evaluate_batch(objective, reals(1.0), EvalPolicy())
+    assert time.perf_counter() - started < 1.5
+
+
 def test_timeout_bounds_wall_time(tmp_path, process_marker):
     # One hung command per worker: each is killed at the timeout, so the batch
     # takes about one timeout, and its process is gone when the batch returns.

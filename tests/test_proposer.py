@@ -1161,8 +1161,39 @@ class TestHttpChatBackend:
     def test_api_key_with_a_line_break_is_never_sent(self, raw_http_listener, monkeypatch):
         monkeypatch.setenv("LLMIZE_API_KEY", "sekrit\r\nX-Injected: 1")
         listener = raw_http_listener(self._reply(json.dumps(chat_body("x")).encode()))
-        assert self._fails(listener) is None
+        with pytest.raises(ValueError, match="^api_key from LLMIZE_API_KEY must be one line$"):
+            HttpChatBackend(base_url=listener.url, model="m1")
         assert listener.requests == []
+
+    @pytest.mark.parametrize("key", ["sekrit\r\nX-Injected: 1", "sekrit\n", "\rsekrit"])
+    def test_api_key_with_a_line_break_is_refused_at_construction(self, key, monkeypatch):
+        monkeypatch.setenv("LLMIZE_API_KEY", "fine")
+        with pytest.raises(ValueError, match="^api_key must be one line$"):
+            HttpChatBackend(base_url="http://127.0.0.1:9/v1", model="m1", api_key=key)
+
+    def test_api_key_read_at_construction(self, stub_chat_server, monkeypatch):
+        monkeypatch.setenv("LLMIZE_API_KEY", "a")
+        server = stub_chat_server(lambda n: (200, chat_body("x")))
+        backend = HttpChatBackend(base_url=server.url, model="m1")
+        monkeypatch.setenv("LLMIZE_API_KEY", "b")
+        backend.propose(self._bundle(), SamplingParams())
+        monkeypatch.delenv("LLMIZE_API_KEY")
+        backend.propose(self._bundle(), SamplingParams())
+        assert [r["headers"]["Authorization"] for r in server.requests] == ["Bearer a"] * 2
+
+    def test_base_url_read_at_construction(self, stub_chat_server, monkeypatch):
+        server = stub_chat_server(lambda n: (200, chat_body("x")))
+        monkeypatch.setenv("LLMIZE_BASE_URL", server.url)
+        backend = HttpChatBackend(model="m1")
+        monkeypatch.setenv("LLMIZE_BASE_URL", "http://127.0.0.1:9/v1")
+        assert backend.propose(self._bundle(), SamplingParams()) == "x"
+        assert len(server.requests) == 1
+
+    def test_model_is_required(self):
+        with pytest.raises(TypeError, match="model"):
+            HttpChatBackend(base_url="http://127.0.0.1:9/v1")
+        with pytest.raises(TypeError):
+            HttpChatBackend("http://127.0.0.1:9/v1", "m1")
 
     @pytest.mark.parametrize(
         "url",
