@@ -149,6 +149,14 @@ MUTANTS = [
      "if not sep or key not in self.bounds:",
      "tests/test_core.py::TestSchemaArguments::test_keyed_block_that_repeats_a_key_is_refused",
      "a keyed block that repeats a key is read with the last value"),
+    ("keyed-blank-part-refused", "core.py",
+     "            if not part.strip():\n                continue\n", "",
+     "tests/test_core.py::TestSchemaArguments::test_keyed_block_with_a_blank_part_is_read",
+     "a keyed block with an empty part between or after its commas is rejected"),
+    ("keyed-hash-by-identity", "core.py",
+     "        return hash(tuple(self.bounds.items()))\n", "        return id(self)\n",
+     "tests/test_core.py::TestSchemaArguments::test_equal_keyed_schemas_hash_equal",
+     "two equal keyed schemas hash apart, so one cannot find the other in a dict"),
     ("permutation-city-check", "core.py",
      "if set(order) != self._cities:", "if len(set(order)) != self.n:",
      "tests/test_core.py::TestPermutationFastPaths::test_parse_agrees_with_checked_constructor",
@@ -221,6 +229,46 @@ MUTANTS = [
      '        if token and ("\\r" in token or "\\n" in token):\n', "        if False:\n",
      "tests/test_proposer.py::TestHttpChatBackend::test_api_key_with_a_line_break_is_never_sent",
      "an API key with a line break is written into the request head"),
+    ("tunnel-refusal-ignored", "transport.py",
+     "                if status != 200:\n", "                if False:\n",
+     "tests/test_proposer.py::TestHttpChatBackend::test_refused_tunnel_fails_both_attempts",
+     "a proxy's refusal of a CONNECT tunnel is read as its acceptance"),
+    ("proxy-without-host-accepted", "transport.py",
+     "            if not via.hostname:\n", "            if False:\n",
+     "tests/test_proposer.py::TestHttpChatBackend::test_proxy_variable_without_a_host_is_refused",
+     "a proxy variable that names no host is taken as a proxy"),
+    ("empty-proxy-variable-kept", "transport.py",
+     "                proxies.pop(name[:-6].lower(), None)\n", "                pass\n",
+     "tests/test_proposer.py::TestHttpChatBackend::test_proxy_variable_names"
+     "[empty-lower-case-unsets]",
+     "an empty lower-case *_proxy variable leaves the upper-case one in force"),
+    ("spent-deadline-armed", "transport.py",
+     "    if left <= 0:\n", "    if False:\n",
+     "tests/test_transport.py::test_arm_past_its_deadline_times_out",
+     "a socket is armed with no time left instead of timing out"),
+    ("api-key-outside-latin-1-unnamed", "transport.py",
+     '        if token and max(token) > "\\xff":\n', "        if False:\n",
+     "tests/test_proposer.py::TestHttpChatBackend"
+     "::test_api_key_outside_latin_1_is_refused_naming_the_key",
+     "an API key outside Latin-1 fails with an encoding error that names no key"),
+    ("base-url-outside-latin-1-unnamed", "transport.py",
+     '        if max(base_url) > "\\xff":\n', "        if False:\n",
+     "tests/test_proposer.py::TestHttpChatBackend"
+     "::test_base_url_outside_latin_1_is_refused_naming_the_key",
+     "a base_url outside Latin-1 fails with an encoding error that names no key"),
+    ("fold-read-as-field", "transport.py",
+     '            if line[:1] in b" \\t":\n', "            if False:\n",
+     "tests/test_transport.py::test_folded_line_goes_on_with_the_field_before_it",
+     "a folded header line is read as a field line of its own"),
+    ("fold-without-field-skipped", "transport.py",
+     "                if not pairs:\n                    raise",
+     "                if not pairs:\n                    continue\n                    raise",
+     "tests/test_transport.py::test_fold_with_no_field_before_it_fails_the_reply",
+     "a folded line with no field line before it is skipped"),
+    ("space-before-colon-accepted", "transport.py",
+     "            if name != name.rstrip():\n", "            if False:\n",
+     "tests/test_transport.py::test_whitespace_before_a_colon_fails_the_reply",
+     "a field line with whitespace before its colon is read"),
     # Callbacks.
     ("early-stop-tie-improves", "control.py",
      "goodness(best) - goodness(prev) > min_delta",
@@ -238,7 +286,7 @@ MUTANTS = [
      "tests/test_control.py::TestResolveActions::test_last_temperature_wins",
      "the first temperature change wins instead of the last"),
     # Evaluation, its bounds and its penalties.
-    ("command-timeout-dropped", "cli.py",
+    ("command-timeout-dropped", "evaluation.py",
      "            timeout=timeout,\n", "            timeout=None,\n",
      "tests/test_evaluation.py::test_timeout_cuts_short_a_command_that_would_finish",
      "an objective command runs past its timeout"),

@@ -198,8 +198,6 @@ class InstanceTooLarge(Exception):
 def tsp_generate(n: int, seed: int) -> TspInstance:
     """Random instance with ``n`` cities uniform in [0, 100]^2, reproducible
     from the seed."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
     rng = Rng(seed)
     return TspInstance(
         tuple((rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)) for _ in range(n))

@@ -47,7 +47,7 @@ from .core import (
     StepStats,
     TerminationKind,
 )
-from .evaluation import EvalPolicy, EvaluationFailed, Objective, evaluate_batch
+from .evaluation import EvalPolicy, EvaluationFailed, Objective, command_objective, evaluate_batch
 from .optimizers import RunConfig, SaState, Strategy, optimize
 from .proposer import (
     HttpChatBackend,
@@ -247,37 +247,6 @@ def _construct(make, path: str, options: dict, params: dict | None = None):
         elif path:
             message = f"{path}: {message}"
         raise ConfigError(message) from None
-
-
-def command_objective(
-    command: list[str], direction: ObjectiveDirection, timeout: float | None = None
-) -> Objective:
-    """Objective that shells out per candidate: rendered solution on stdin,
-    one real number expected on stdout.
-
-    A command still running after ``timeout`` seconds is killed, and its
-    evaluation fails. The kill reaches the command's own process only, so a
-    wrapper script should ``exec`` the program it runs.
-    """
-    if timeout is not None and not 0 < timeout < math.inf:
-        raise ValueError("timeout must be a finite number of seconds > 0")
-    import subprocess
-
-    def evaluate(value: SolutionValue) -> float:
-        proc = subprocess.run(
-            command,
-            input=value.render(),
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"objective command exited {proc.returncode}: {proc.stderr.strip()}"
-            )
-        return float(proc.stdout.strip())
-
-    return Objective(evaluate=evaluate, direction=direction)
 
 
 def _scripted_backend(transcript: str) -> ScriptedBackend:

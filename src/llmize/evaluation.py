@@ -1,8 +1,7 @@
-"""Black-box objective abstraction and parallel batch evaluation.
-
-A batch of more than one worker runs on a thread pool: ``optimize`` keeps one
-from ``evaluation_pool`` for all the steps of a run, and a batch given none
-makes its own.
+"""Black-box objectives, ``command_objective`` for an external command, and
+parallel batch evaluation: a batch of more than one worker runs on a thread
+pool, which ``optimize`` keeps from ``evaluation_pool`` for all the steps of a
+run, and a batch given none makes its own.
 """
 
 from __future__ import annotations
@@ -30,6 +29,37 @@ class Objective:
     direction: ObjectiveDirection
 
 
+def command_objective(
+    command: list[str], direction: ObjectiveDirection, timeout: float | None = None
+) -> Objective:
+    """Objective that shells out per candidate: rendered solution on stdin,
+    one real number expected on stdout.
+
+    A command still running after ``timeout`` seconds is killed, and its
+    evaluation fails. The kill reaches the command's own process only, so a
+    wrapper script should ``exec`` the program it runs.
+    """
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError("timeout must be a finite number of seconds > 0")
+    import subprocess
+
+    def evaluate(value: SolutionValue) -> float:
+        proc = subprocess.run(
+            command,
+            input=value.render(),
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+        )
+        if proc.returncode != 0:
+            raise RuntimeError(
+                f"objective command exited {proc.returncode}: {proc.stderr.strip()}"
+            )
+        return float(proc.stdout.strip())
+
+    return Objective(evaluate=evaluate, direction=direction)
+
+
 # The most evaluations run at once. Each worker is a thread, and with a command
 # objective a child process too. 256 is a chosen bound, not a measured limit:
 # it keeps a batch of up to 100000 seeds from asking for as many threads and
@@ -46,8 +76,9 @@ class EvalPolicy:
     either None (abort the batch, the default) or a finite score substituted
     for the failing candidate. The substitute must be worse than anything the
     objective can legitimately return; that is on the caller.
-    A time limit belongs to the objective: a Python thread cannot be
-    interrupted, so an evaluation that must stop has to raise on its own.
+    A time limit belongs to the objective, such as ``command_objective``'s
+    ``timeout``: a Python thread cannot be interrupted, so an evaluation that
+    must stop has to raise on its own.
     """
 
     workers: int = 1

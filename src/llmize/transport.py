@@ -37,7 +37,8 @@ class Endpoint:
     query, fragment, credentials or spaces), the route there, and the head of
     each request, ``api_key`` (one line) its bearer token, all settled at
     construction. ``LLMIZE_BASE_URL`` and ``LLMIZE_API_KEY`` stand in for an
-    empty ``base_url`` and ``api_key``; ``timeout`` seconds bound a request.
+    empty ``base_url`` and ``api_key``; both must be Latin-1, the head's
+    encoding. ``timeout`` seconds bound a request.
 
     The route goes to the host, or through the proxy the ``*_proxy`` variables
     name for it, over plain TCP: an ``http`` request whole with an absolute
@@ -46,7 +47,8 @@ class Endpoint:
     verified against the system trust store and the host name.
     """
 
-    def __init__(self, base_url: str | None, api_key: str | None = None, timeout: float = 60.0):
+    def __init__(self, base_url: str | None, api_key: str | None, timeout: float):
+        url_from = "" if base_url else " from LLMIZE_BASE_URL"
         base_url = base_url or os.environ.get("LLMIZE_BASE_URL") or ""
         parts = urllib.parse.urlsplit(base_url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
@@ -57,10 +59,15 @@ class Endpoint:
             raise ValueError(
                 f"base_url must not carry a query, a fragment, credentials or spaces: {base_url!r}"
             )
+        if max(base_url) > "\xff":
+            raise ValueError(f"base_url{url_from} must be Latin-1 text: {base_url!r}")
         port = _port(parts, f"base_url must have a port from 0 to 65535: {base_url!r}")
+        key_from = "" if api_key else " from LLMIZE_API_KEY"
         token = api_key or os.environ.get("LLMIZE_API_KEY")
         if token and ("\r" in token or "\n" in token):
-            raise ValueError(f"api_key{'' if api_key else ' from LLMIZE_API_KEY'} must be one line")
+            raise ValueError(f"api_key{key_from} must be one line")
+        if token and max(token) > "\xff":
+            raise ValueError(f"api_key{key_from} must be Latin-1 text")
         if not 0 < timeout < math.inf:
             raise ValueError("timeout must be a finite number of seconds > 0")
         self.url = base_url.rstrip("/") + "/chat/completions"
@@ -210,9 +217,11 @@ def _read_line(reply) -> bytes:
 
 def _read_head(reply) -> tuple[int, dict[str, str]]:
     """A reply's status and headers by lower-cased name (the first of a repeated
-    one), past any interim ``100 Continue``. A status line not ``HTTP/1.x`` with 3
-    digits, a line without a colon, or two different ``Content-Length`` values
-    fail it (RFC 9112)."""
+    one), past any interim ``100 Continue``. A line that opens with a space or a
+    tab (an obs-fold) goes on with the field line before it, after one space. A
+    status line not ``HTTP/1.x`` with 3 digits, a field line without a colon or
+    with whitespace before it, a fold with no field line before it, or two
+    different ``Content-Length`` values fail it (RFC 9112)."""
     while True:
         line = _read_line(reply)
         fields = line.split(None, 2)
@@ -220,19 +229,30 @@ def _read_head(reply) -> tuple[int, dict[str, str]]:
         status = int(code) if len(code) == 3 and code.isdigit() else 0
         if not line.startswith(b"HTTP/1.") or status < 100:
             raise ValueError(f"bad status line {line[:80]!r}")
-        headers: dict[str, str] = {}
+        pairs: list[tuple[str, str]] = []
         for _ in range(_MAX_HEAD_LINES):
             line = _read_line(reply)
             if line in (b"\r\n", b"\n", b""):
                 break
-            name, colon, value = line.decode("latin-1").partition(":")
+            text = line.decode("latin-1").strip()
+            if line[:1] in b" \t":
+                if not pairs:
+                    raise ValueError(f"folded header line with no field before it {line[:80]!r}")
+                name, value = pairs[-1]
+                pairs[-1] = name, f"{value} {text}".strip()
+                continue
+            name, colon, value = text.partition(":")
             if not colon:
                 raise ValueError(f"header line without a colon {line[:80]!r}")
-            name, value = name.strip().lower(), value.strip()
-            if headers.setdefault(name, value) != value and name == "content-length":
-                raise ValueError("reply has two different Content-Length values")
+            if name != name.rstrip():
+                raise ValueError(f"header line with whitespace before its colon {line[:80]!r}")
+            pairs.append((name.lower(), value.strip()))
         else:
             raise ValueError(f"reply head longer than {_MAX_HEAD_LINES} lines")
+        headers: dict[str, str] = {}
+        for name, value in pairs:
+            if headers.setdefault(name, value) != value and name == "content-length":
+                raise ValueError("reply has two different Content-Length values")
         if status != 100:
             return status, headers
 

@@ -496,6 +496,49 @@ class TestCmdRun:
         assert not marker.exists()
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, variable, message",
+        [
+            ("api_key", None, ": backend.api_key must be Latin-1 text"),
+            ("api_key", "LLMIZE_API_KEY",
+             ": backend: api_key from LLMIZE_API_KEY must be Latin-1 text"),
+            ("base_url", None, ": backend.base_url must be Latin-1 text: 'http://ключ.example/v1'"),
+            ("base_url", "LLMIZE_BASE_URL",
+             ": backend: base_url from LLMIZE_BASE_URL must be Latin-1 text: 'http://ключ.example/v1'"),
+        ],
+        ids=["api-key", "api-key-env", "base-url", "base-url-env"],
+    )
+    def test_key_or_url_outside_latin_1_ends_the_run_before_any_evaluation(
+        self, key, variable, message, tmp_path, capsys, monkeypatch
+    ):
+        value = {"api_key": "ключ", "base_url": "http://ключ.example/v1"}[key]
+        marker = tmp_path / "evaluated"
+        backend = {"kind": "http", "model": "m1", "base_url": "http://127.0.0.1:9/v1"}
+        if variable:
+            backend.pop(key, None)
+            monkeypatch.setenv(variable, value)
+        else:
+            backend[key] = value
+        program = f"open({str(marker)!r}, 'w').close(); print(1.0)"
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "strategy": "opro",
+            "problem": {
+                "description": "d",
+                "direction": "minimize",
+                "schema": {"kind": "real_vector", "lower": [0.0], "upper": [1.0]},
+                "objective_command": [sys.executable, "-c", program],
+            },
+            "backend": backend,
+            "max_steps": 1,
+            "seeding": {"style": "uniform", "count": 2},
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert run_cli("run", config_path) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error in {config_path}{message}"]
+        assert not marker.exists()
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def _abort_while_seeding(tmp_path, out_dir):
         schema = {"kind": "real_vector", "lower": [0.0], "upper": [1.0]}

@@ -350,6 +350,17 @@ class TestSchemaArguments:
         assert schema.parse("a=0.5, b=high") is None
         assert schema.parse("a=0.5, b=0.25") == KeyedScalars((("a", 0.5), ("b", 0.25)))
 
+    @pytest.mark.parametrize("text", ["u=1,,p=2", "u=1, p=2,", "u=1, , p=2", "\n,u=1\np=2"])
+    def test_keyed_block_with_a_blank_part_is_read(self, text):
+        schema = KeyedScalarsSchema({"u": (0.0, 9.0), "p": (0.0, 9.0)})
+        assert schema.parse(text) == KeyedScalars((("u", 1.0), ("p", 2.0)))
+
+    def test_equal_keyed_schemas_hash_equal(self):
+        schema = KeyedScalarsSchema({"u": (0, 1), "p": (0.0, 2.0)})
+        same = KeyedScalarsSchema({"u": (0.0, 1.0), "p": (0, 2)})
+        assert hash(schema) == hash(same)
+        assert {schema: "found"}[same] == "found"
+
     def test_keyed_round_trip_for_accepted_keys(self):
         rng = random.Random(3)
         # Printable ASCII without whitespace, ',', '=', '<' and '>', plus some

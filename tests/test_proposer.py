@@ -1001,8 +1001,10 @@ class TestHttpChatBackend:
             b"HTTP/1.1 200 OK\r\n" + b"".join(b"X-Filler-%d: %d\r\n" % (i, i) for i in range(100))
             + b"Content-Length: 2\r\n\r\n{}",
             b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70_000 + b"\r\nContent-Length: 2\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nContent-Length : 2\r\n\r\n{}",
         ],
-        ids=["short-body", "garbage-status-line", "101-headers", "line-over-64-KiB"],
+        ids=["short-body", "garbage-status-line", "101-headers", "line-over-64-KiB",
+             "space-before-colon"],
     )
     def test_broken_reply_fails_both_attempts(self, reply, raw_http_listener):
         listener = raw_http_listener(reply)
@@ -1131,8 +1133,10 @@ class TestHttpChatBackend:
             ({"http_proxy": "first", "HTTP_PROXY": "second"}, "first"),
             ({"HTTP_PROXY": "first", "REQUEST_METHOD": "GET"}, None),
             ({"http_proxy": "first", "REQUEST_METHOD": "GET"}, "first"),
+            ({"HTTP_PROXY": "first", "http_proxy": ""}, None),
         ],
-        ids=["upper-case-only", "lower-case-wins", "cgi-ignores-upper-case", "cgi-keeps-lower-case"],
+        ids=["upper-case-only", "lower-case-wins", "cgi-ignores-upper-case", "cgi-keeps-lower-case",
+             "empty-lower-case-unsets"],
     )
     def test_proxy_variable_names(self, env, used, stub_chat_server, monkeypatch):
         self._no_proxies_and_no_lookups(monkeypatch)
@@ -1146,6 +1150,24 @@ class TestHttpChatBackend:
             monkeypatch.setenv(variable, proxies[value].url if value in proxies else value)
         backend = HttpChatBackend(base_url=server.url + "/v1", model="m1")
         assert backend.propose(self._bundle(), SamplingParams()) == (used or "direct")
+
+    @pytest.mark.parametrize("proxy", ["http://:3128", ":3128", "http://"])
+    def test_proxy_variable_without_a_host_is_refused(self, proxy, monkeypatch):
+        self._no_proxies_and_no_lookups(monkeypatch)
+        monkeypatch.setenv("http_proxy", proxy)
+        with pytest.raises(ValueError, match="^the http_proxy variable must be a proxy URL: "):
+            HttpChatBackend(base_url="http://llmize.invalid/v1", model="m1")
+
+    def test_refused_tunnel_fails_both_attempts(self, raw_http_listener, monkeypatch):
+        self._no_proxies_and_no_lookups(monkeypatch)
+        proxy = raw_http_listener(b"HTTP/1.1 407 Proxy Authentication Required\r\n\r\n")
+        monkeypatch.setenv("https_proxy", proxy.url)
+        backend = HttpChatBackend(base_url="https://llmize.invalid/v1", model="m1")
+        with pytest.raises(TransportError, match="proxy tunnel refused: HTTP 407") as exc:
+            backend.propose(self._bundle(), SamplingParams())
+        assert exc.value.status is None
+        # Both attempts asked the proxy for a tunnel, and went no further.
+        assert proxy.requests == [b"CONNECT llmize.invalid:443 HTTP/1.0\r\n\r\n"] * 2
 
     def test_proxy_credentials_sent_as_basic_auth(self, stub_chat_server, monkeypatch):
         self._no_proxies_and_no_lookups(monkeypatch)
@@ -1170,6 +1192,32 @@ class TestHttpChatBackend:
         monkeypatch.setenv("LLMIZE_API_KEY", "fine")
         with pytest.raises(ValueError, match="^api_key must be one line$"):
             HttpChatBackend(base_url="http://127.0.0.1:9/v1", model="m1", api_key=key)
+
+    @pytest.mark.parametrize("in_argument", [True, False], ids=["api-key", "env"])
+    def test_api_key_outside_latin_1_is_refused_naming_the_key(self, in_argument, monkeypatch):
+        key = "ключ-sekrit"
+        monkeypatch.setenv("LLMIZE_API_KEY", key)
+        source = "" if in_argument else " from LLMIZE_API_KEY"
+        with pytest.raises(ValueError, match=f"^api_key{source} must be Latin-1 text$"):
+            HttpChatBackend(
+                base_url="http://127.0.0.1:9/v1", model="m1", api_key=key if in_argument else None
+            )
+
+    @pytest.mark.parametrize("in_argument", [True, False], ids=["base-url", "env"])
+    def test_base_url_outside_latin_1_is_refused_naming_the_key(self, in_argument, monkeypatch):
+        url = "http://ключ.example/v1"
+        monkeypatch.setenv("LLMIZE_BASE_URL", url)
+        source = "" if in_argument else " from LLMIZE_BASE_URL"
+        with pytest.raises(ValueError, match=f"^base_url{source} must be Latin-1 text: "):
+            HttpChatBackend(base_url=url if in_argument else None, model="m1")
+
+    def test_latin_1_key_and_url_path_are_sent_as_latin_1(self, raw_http_listener):
+        listener = raw_http_listener(self._reply(json.dumps(chat_body("x")).encode()))
+        backend = HttpChatBackend(base_url=listener.url + "/café", model="m1", api_key="clé")
+        assert backend.propose(self._bundle(), SamplingParams()) == "x"
+        [request] = listener.requests
+        assert request.startswith(b"POST /caf\xe9/chat/completions HTTP/1.1\r\n")
+        assert b"\r\nAuthorization: Bearer cl\xe9\r\n" in request
 
     def test_api_key_read_at_construction(self, stub_chat_server, monkeypatch):
         monkeypatch.setenv("LLMIZE_API_KEY", "a")

@@ -5,6 +5,8 @@ classes where the two differ on purpose."""
 import http.client
 import io
 import random
+import socket
+import time
 
 import pytest
 
@@ -17,6 +19,10 @@ EXPECTED_DIFFERENCES = {
     "status-not-3-digits": "a status code is 3 digits (section 4); http.client reads 0200 as 200",
     "header-without-colon": "a field line is a name, a colon and a value (section 5); "
     "http.client ends the head there",
+    "space-before-colon": "no whitespace is allowed between a field name and its colon "
+    "(section 5.1); http.client ends the head there",
+    "fold-without-field": "a line that opens with whitespace before the first field line is "
+    "rejected or skipped (section 2.2); http.client skips it",
     "conflicting-lengths": "different Content-Length values are unrecoverable (section 6.3); "
     "http.client reads by the first",
     "negative-chunk-size": "a chunk size is unsigned hex (section 7.1); "
@@ -63,6 +69,15 @@ def header(rng, name: str, value: str, padded: bool = True) -> bytes:
     return f"{name}:{space}{value}{pad}".encode("latin-1") + rng.choice([b"\r\n", b"\n"])
 
 
+def folded(rng, line: bytes) -> bytes:
+    """``line``, a field line, and now and then obs-fold lines that go on with
+    its value (RFC 9112 section 5.2), one of them written as a field line."""
+    if rng.random() < 0.8:
+        return line
+    folds = rng.sample([b" more", b"\tvalue", b"  ", b" Content-Length: 7", b" \t x:y"], 2)
+    return line + b"".join(f + rng.choice([b"\r\n", b"\n"]) for f in folds[: rng.randint(1, 2)])
+
+
 def generated_reply(rng) -> tuple[bytes, str | None]:
     """A reply on the probe's grammar, and the expected difference it holds, if any."""
     expected = None
@@ -83,12 +98,17 @@ def generated_reply(rng) -> tuple[bytes, str | None]:
     reason = rng.choice([b" OK", b"", b" Very  Good", b" "])
     out.append(rng.choice([b" ", b"  "]).join(filter(None, (version, code))) + reason + eol)
 
-    head = [header(rng, "Content-Type", "application/json")]
+    # Folds go only on fields that do not frame the body: http.client keeps
+    # a fold's line break in the value, so a folded "chunked" is not chunked to it.
+    head = [folded(rng, header(rng, "Content-Type", "application/json"))]
     fillers = rng.choice([0] * 10 + [1, 3, 97, 98])  # 97 or 98: at the 100-line limit or over
-    head += [header(rng, f"X-Filler-{i}", str(i)) for i in range(fillers)]
+    head += [folded(rng, header(rng, f"X-Filler-{i}", str(i))) for i in range(fillers)]
     if rng.random() < 0.05:
-        head.append(rng.choice([b"no colon here", b"Content-Length 5", b" "]) + eol)
+        head.append(rng.choice([b"no colon here", b"Content-Length 5"]) + eol)
         expected = "header-without-colon"
+    if rng.random() < 0.03:
+        head.append(rng.choice([b"Content-Length : 5", b"X-Spaced\t: 1"]) + eol)
+        expected = "space-before-colon"
 
     body = rng.randbytes(rng.randint(0, 60))
     framing = rng.choice(["length", "length", "chunked", "eof"])
@@ -127,6 +147,9 @@ def generated_reply(rng) -> tuple[bytes, str | None]:
             head.append(header(rng, "Transfer-Encoding", "identity"))
         encoded = body
     rng.shuffle(head)
+    if rng.random() < 0.02:
+        head.insert(0, rng.choice([b" ", b"\tX-Lead: 1"]) + eol)
+        expected = "fold-without-field"
     out += head
     out.append(eol)
     if rng.random() < 0.1:  # the connection drops inside the body
@@ -176,3 +199,37 @@ def test_padded_transfer_encoding_is_chunked():
     # RFC 9112 section 5: a field value excludes the whitespace around it.
     data = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked \r\n\r\n2\r\n{}\r\n0\r\n\r\n"
     assert read_by_llmize(data) == (200, b"{}")
+
+
+@pytest.mark.parametrize(
+    "head, body",
+    [
+        (b"X-A: 1\r\n Content-Length: 2\r\n", b"{}x"),
+        (b"X-A: 1\r\n\t\r\nContent-Length: 2\r\n", b"{}"),
+        (b"Content-Length:\r\n \t2\r\n", b"{}"),
+    ],
+    ids=["field-line-folded-in", "blank-fold", "value-on-the-fold"],
+)
+def test_folded_line_goes_on_with_the_field_before_it(head, body):
+    # RFC 9112 section 5.2: each obs-fold is replaced by a space.
+    data = b"HTTP/1.1 200 OK\r\n" + head + b"\r\n{}x"
+    assert read_by_llmize(data) == (200, body)
+
+
+@pytest.mark.parametrize("line", [b" Content-Length: 2", b"\tX-A: 1", b" "])
+def test_fold_with_no_field_before_it_fails_the_reply(line):
+    data = b"HTTP/1.1 200 OK\r\n%s\r\nContent-Length: 2\r\n\r\n{}" % line
+    assert read_by_llmize(data) is None
+    assert read_by_llmize(data.replace(line + b"\r\n", b"")) == (200, b"{}")
+
+
+@pytest.mark.parametrize("name", [b"Content-Length ", b"Content-Length\t", b"X-A  "])
+def test_whitespace_before_a_colon_fails_the_reply(name):
+    data = b"HTTP/1.1 200 OK\r\n%s: 2\r\nContent-Length: 2\r\n\r\n{}" % name
+    assert read_by_llmize(data) is None
+    assert read_by_llmize(data.replace(name, name.rstrip())) == (200, b"{}")
+
+
+def test_arm_past_its_deadline_times_out():
+    with socket.socket() as sock, pytest.raises(TimeoutError):
+        transport._arm(sock, time.monotonic())
