@@ -170,14 +170,20 @@ MUTANTS = [
      "tests/test_proposer.py::TestSpanContract::test_matches_reference_reader",
      "the first of repeated scalar tags wins instead of the last"),
     # HTTP transport.
-    ("no-429-retry", "proposer.py",
-     "if 400 <= status < 500 and status != 429:", "if 400 <= status < 500:",
+    ("no-429-retry", "transport.py",
+     "400 <= status < 500 and status != 429:", "400 <= status < 500:",
      "tests/test_proposer.py::TestHttpChatBackend::test_rate_limit_retried_once",
      "a rate-limited request is not retried"),
-    ("no-http-retry", "proposer.py",
-     "        for _ in range(2):\n", "        for _ in range(1):\n",
+    ("no-http-retry", "transport.py",
+     "        if status == 200 or 400 <= status < 500 and status != 429:\n",
+     "        if True:\n",
      "tests/test_acceptance.py::test_criterion_11_http_backend_contract",
-     "a failed request is not retried once"),
+     "a request answered with a 5xx is not retried once"),
+    ("failed-attempt-final", "transport.py",
+     "        except (OSError, ValueError):\n            return self._attempt(body)\n",
+     "        except (OSError, ValueError):\n            raise\n",
+     "tests/test_proposer.py::TestHttpChatBackend::test_broken_reply_fails_both_attempts",
+     "a request whose attempt fails is not retried once"),
     ("short-body-accepted", "transport.py",
      "    if len(data) < size:\n", "    if False:\n",
      "tests/test_proposer.py::TestHttpChatBackend::test_broken_reply_fails_both_attempts",
@@ -229,6 +235,12 @@ MUTANTS = [
      '        if token and ("\\r" in token or "\\n" in token):\n', "        if False:\n",
      "tests/test_proposer.py::TestHttpChatBackend::test_api_key_with_a_line_break_is_never_sent",
      "an API key with a line break is written into the request head"),
+    ("api-key-control-sent", "transport.py",
+     '        if token and re.search(r"[\\x00-\\x08\\x0a-\\x1f\\x7f]", token):\n',
+     "        if False:\n",
+     "tests/test_proposer.py::TestHttpChatBackend"
+     "::test_api_key_with_a_control_character_is_refused_naming_the_key",
+     "an API key with a NUL, DEL or other control character is written into the request head"),
     ("tunnel-refusal-ignored", "transport.py",
      "                if status != 200:\n", "                if False:\n",
      "tests/test_proposer.py::TestHttpChatBackend::test_refused_tunnel_fails_both_attempts",
@@ -276,10 +288,14 @@ MUTANTS = [
      "tests/test_acceptance.py::test_criterion_09_callback_traces",
      "a gain of exactly min_delta counts as an improvement"),
     ("sampling-ceiling", "control.py",
-     "min(ctx.stats.sampling_temperature + bump, ceiling)",
-     "ctx.stats.sampling_temperature + bump",
+     "min(temperature + bump, ceiling)", "temperature + bump",
      "tests/test_acceptance.py::test_criterion_09_callback_traces",
      "adaptive sampling raises the temperature past its ceiling"),
+    ("adaptive-lowers", "control.py",
+     " and temperature < ceiling:", ":",
+     "tests/test_control.py::TestAdaptiveSampling"
+     "::test_never_lowers_a_temperature_at_or_above_its_ceiling",
+     "adaptive sampling lowers a temperature above its ceiling to the ceiling"),
     ("first-temperature-wins", "control.py",
      "return changes[-1] if changes else Continue()",
      "return changes[0] if changes else Continue()",
@@ -406,12 +422,18 @@ def _apply(tree: Path, path: str, text: str, replacement: str) -> None:
     target.write_text(target.read_text().replace(text, replacement, 1))
 
 
-def main() -> int:
+def moved_rows() -> list[str]:
+    """Each row whose text does not occur exactly once in its file, named."""
     moved = []
     for name, path, text, *_ in MUTANTS:
         found = (ROOT / "src" / "llmize" / path).read_text().count(text)
         if found != 1:
             moved.append(f"{name}: its text occurs {found} times in src/llmize/{path}")
+    return moved
+
+
+def main() -> int:
+    moved = moved_rows()
     if moved:
         print("\n".join(moved), file=sys.stderr)
         return 1

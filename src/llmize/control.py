@@ -107,7 +107,8 @@ def adaptive_sampling(
     """Raise the model sampling temperature when progress stalls.
 
     After each ``stagnation_window`` consecutive steps without improvement,
-    requests ``min(current + bump, ceiling)``; any improvement starts the count
+    requests ``min(current + bump, ceiling)``, or nothing when the current
+    temperature is at or above ``ceiling``; any improvement starts the count
     again.
     """
     if stagnation_window < 1:
@@ -120,8 +121,9 @@ def adaptive_sampling(
 
     def callback(ctx: StepContext) -> CallbackAction:
         stale = stagnation(ctx)
-        if stale and stale % stagnation_window == 0:
-            return SetSamplingTemperature(min(ctx.stats.sampling_temperature + bump, ceiling))
+        temperature = ctx.stats.sampling_temperature
+        if stale and stale % stagnation_window == 0 and temperature < ceiling:
+            return SetSamplingTemperature(min(temperature + bump, ceiling))
         return Continue()
 
     return callback

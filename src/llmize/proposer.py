@@ -229,14 +229,11 @@ class TransportError(Exception):
 class HttpChatBackend:
     """Client for a chat-completions endpoint.
 
-    Sends one request per attempt with the bundle's two messages, plus the
-    sampling seed when one is set. A proposal makes at most two attempts: a
-    4xx other than 429 is not retried, and a redirect is a failed attempt,
-    never followed.
+    Posts the bundle's two messages, plus the sampling seed when one is set.
 
     ``llmize.transport.Endpoint`` checks ``base_url``, ``api_key`` and
-    ``timeout``, picks the route (proxies included), and writes and reads each
-    request. Construction loads it with ``socket``, and ``ssl`` only for an
+    ``timeout``, picks the route (proxies included), and makes each request's
+    attempts. Construction loads it with ``socket``, and ``ssl`` only for an
     ``https`` endpoint; ``import llmize`` loads none of them.
     """
 
@@ -268,27 +265,19 @@ class HttpChatBackend:
         if params.seed is not None:
             payload["seed"] = params.seed
         data = json.dumps(payload).encode()
-        last_error: TransportError | None = None
-        for _ in range(2):
-            try:
-                status, body = self._endpoint.post(data)
-            except (OSError, ValueError) as exc:
-                last_error = TransportError(f"request failed: {exc}")
-                continue
-            if status == 200:
-                try:
-                    content = json.loads(body)["choices"][0]["message"]["content"]
-                except (ValueError, KeyError, IndexError, TypeError):
-                    raise TransportError("malformed completion response", status=200) from None
-                if not isinstance(content, str):
-                    raise TransportError("completion content is not text", status=200)
-                return content
-            last_error = TransportError(f"HTTP {status} from {self._endpoint.url}", status=status)
-            # Client errors other than rate limiting will not improve on retry.
-            if 400 <= status < 500 and status != 429:
-                break
-        assert last_error is not None
-        raise last_error
+        try:
+            status, body = self._endpoint.post(data)
+        except (OSError, ValueError) as exc:
+            raise TransportError(f"request failed: {exc}") from None
+        if status != 200:
+            raise TransportError(f"HTTP {status} from {self._endpoint.url}", status=status)
+        try:
+            content = json.loads(body)["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError):
+            raise TransportError("malformed completion response", status=200) from None
+        if not isinstance(content, str):
+            raise TransportError("completion content is not text", status=200)
+        return content
 
 
 _HISTORY_LINE_RE = re.compile(r"^solution: (.*) \| score: (.*)$", re.MULTILINE)

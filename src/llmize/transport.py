@@ -3,7 +3,7 @@ plain socket.
 
 Only this module reads ``LLMIZE_BASE_URL`` and ``LLMIZE_API_KEY``, parses the
 URL and writes the request head, once, when an ``Endpoint`` is built. Each
-request opens one connection, sends its head and body in one write with
+attempt opens one connection, sends its head and body in one write with
 ``Connection: close``, and reads the reply to its end: by ``Content-Length``,
 by chunks, or to EOF. Only a 200 reply's body is read. ``ssl`` loads only for
 an ``https`` endpoint. Proxies come from the environment by urllib's rules.
@@ -35,10 +35,10 @@ _MAX_BODY = 32 << 20
 class Endpoint:
     """The chat-completions URL under an http(s) ``base_url`` (one with no
     query, fragment, credentials or spaces), the route there, and the head of
-    each request, ``api_key`` (one line) its bearer token, all settled at
-    construction. ``LLMIZE_BASE_URL`` and ``LLMIZE_API_KEY`` stand in for an
-    empty ``base_url`` and ``api_key``; both must be Latin-1, the head's
-    encoding. ``timeout`` seconds bound a request.
+    each request, ``api_key`` (one line, no control characters but tabs) its
+    bearer token, all settled at construction. ``LLMIZE_BASE_URL`` and
+    ``LLMIZE_API_KEY`` stand in for an empty ``base_url`` and ``api_key``; both
+    must be Latin-1, the head's encoding. ``timeout`` seconds bound an attempt.
 
     The route goes to the host, or through the proxy the ``*_proxy`` variables
     name for it, over plain TCP: an ``http`` request whole with an absolute
@@ -66,6 +66,8 @@ class Endpoint:
         token = api_key or os.environ.get("LLMIZE_API_KEY")
         if token and ("\r" in token or "\n" in token):
             raise ValueError(f"api_key{key_from} must be one line")
+        if token and re.search(r"[\x00-\x08\x0a-\x1f\x7f]", token):
+            raise ValueError(f"api_key{key_from} must hold no control characters")
         if token and max(token) > "\xff":
             raise ValueError(f"api_key{key_from} must be Latin-1 text")
         if not 0 < timeout < math.inf:
@@ -112,11 +114,21 @@ class Endpoint:
             self._tls.set_alpn_protocols(["http/1.1"])
 
     def post(self, body: bytes) -> tuple[int, bytes]:
-        """POST the JSON ``body`` on a new connection: the reply's status, and its
-        body when the status is 200 (an error reply's body is never read). The
-        endpoint's timeout bounds the whole attempt: the connect, a proxy tunnel,
-        the TLS handshake, the send and each receive get only the time left.
-        Raises OSError or ValueError when the request or its reply fails."""
+        """POST the JSON ``body``; a second attempt follows a failed one or any status
+        but 200 and the 4xx other than 429 (a 3xx is never followed). Returns the last
+        attempt's status, with its body if 200; raises its error if it failed."""
+        try:
+            status, reply = self._attempt(body)
+        except (OSError, ValueError):
+            return self._attempt(body)
+        if status == 200 or 400 <= status < 500 and status != 429:
+            return status, reply
+        return self._attempt(body)
+
+    def _attempt(self, body: bytes) -> tuple[int, bytes]:
+        """One attempt on a new connection, bounded as a whole by the timeout: the
+        connect, a proxy tunnel, the TLS handshake, the send and each receive get
+        only the time left. Raises OSError or ValueError when it fails."""
         deadline = time.monotonic() + self._timeout
         request = b"%s%d%s%s" % (self._head, len(body), self._tail, body)
         with socket.create_connection(self._address, self._timeout) as sock:

@@ -458,24 +458,11 @@ class TestCmdRun:
         assert run_cli("run", config_path) == 2
         assert "initial samples" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "in_document, message",
-        [
-            (True, ": backend.api_key must be one line"),
-            (False, ": backend: api_key from LLMIZE_API_KEY must be one line"),
-        ],
-        ids=["api-key", "env"],
-    )
-    def test_api_key_with_a_line_break_ends_the_run_before_any_evaluation(
-        self, in_document, message, tmp_path, capsys, monkeypatch
-    ):
-        key = "k\r\nX-Injected: 1"
+    @staticmethod
+    def _refused_before_any_evaluation(tmp_path, capsys, backend, message):
+        """``llmize run`` with ``backend`` exits 1 with the one stderr line
+        ``message`` before its command objective scores a seed."""
         marker = tmp_path / "evaluated"
-        backend = {"kind": "http", "model": "m1", "base_url": "http://127.0.0.1:9/v1"}
-        if in_document:
-            backend["api_key"] = key
-        else:
-            monkeypatch.setenv("LLMIZE_API_KEY", key)
         program = f"open({str(marker)!r}, 'w').close(); print(1.0)"
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({
@@ -497,6 +484,45 @@ class TestCmdRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "in_document, key, message",
+        [
+            (True, "ab\x00c\x7fd\x1be", ": backend.api_key must hold no control characters"),
+            # An environment variable cannot hold a NUL.
+            (False, "ab\x01c\x7fd\x1be",
+             ": backend: api_key from LLMIZE_API_KEY must hold no control characters"),
+        ],
+        ids=["api-key", "env"],
+    )
+    def test_api_key_with_a_control_character_ends_the_run_before_any_evaluation(
+        self, in_document, key, message, tmp_path, capsys, monkeypatch
+    ):
+        backend = {"kind": "http", "model": "m1", "base_url": "http://127.0.0.1:9/v1"}
+        if in_document:
+            backend["api_key"] = key
+        else:
+            monkeypatch.setenv("LLMIZE_API_KEY", key)
+        self._refused_before_any_evaluation(tmp_path, capsys, backend, message)
+
+    @pytest.mark.parametrize(
+        "in_document, message",
+        [
+            (True, ": backend.api_key must be one line"),
+            (False, ": backend: api_key from LLMIZE_API_KEY must be one line"),
+        ],
+        ids=["api-key", "env"],
+    )
+    def test_api_key_with_a_line_break_ends_the_run_before_any_evaluation(
+        self, in_document, message, tmp_path, capsys, monkeypatch
+    ):
+        key = "k\r\nX-Injected: 1"
+        backend = {"kind": "http", "model": "m1", "base_url": "http://127.0.0.1:9/v1"}
+        if in_document:
+            backend["api_key"] = key
+        else:
+            monkeypatch.setenv("LLMIZE_API_KEY", key)
+        self._refused_before_any_evaluation(tmp_path, capsys, backend, message)
+
+    @pytest.mark.parametrize(
         "key, variable, message",
         [
             ("api_key", None, ": backend.api_key must be Latin-1 text"),
@@ -512,32 +538,13 @@ class TestCmdRun:
         self, key, variable, message, tmp_path, capsys, monkeypatch
     ):
         value = {"api_key": "ключ", "base_url": "http://ключ.example/v1"}[key]
-        marker = tmp_path / "evaluated"
         backend = {"kind": "http", "model": "m1", "base_url": "http://127.0.0.1:9/v1"}
         if variable:
             backend.pop(key, None)
             monkeypatch.setenv(variable, value)
         else:
             backend[key] = value
-        program = f"open({str(marker)!r}, 'w').close(); print(1.0)"
-        config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps({
-            "strategy": "opro",
-            "problem": {
-                "description": "d",
-                "direction": "minimize",
-                "schema": {"kind": "real_vector", "lower": [0.0], "upper": [1.0]},
-                "objective_command": [sys.executable, "-c", program],
-            },
-            "backend": backend,
-            "max_steps": 1,
-            "seeding": {"style": "uniform", "count": 2},
-            "output_dir": str(tmp_path / "out"),
-        }))
-        assert run_cli("run", config_path) == 1
-        assert capsys.readouterr().err.splitlines() == [f"config error in {config_path}{message}"]
-        assert not marker.exists()
-        assert not (tmp_path / "out").exists()
+        self._refused_before_any_evaluation(tmp_path, capsys, backend, message)
 
     @staticmethod
     def _abort_while_seeding(tmp_path, out_dir):

@@ -103,6 +103,11 @@ class TestAdaptiveSampling:
         actions = feed(cb, [10, 10], temperature=1.9)
         assert actions[1] == SetSamplingTemperature(2.0)
 
+    @pytest.mark.parametrize("temperature", [1.0, 1.5])
+    def test_never_lowers_a_temperature_at_or_above_its_ceiling(self, temperature):
+        cb = adaptive_sampling(stagnation_window=1, bump=0.1, ceiling=1.0)
+        assert feed(cb, [10, 10, 10], temperature=temperature) == [Continue()] * 3
+
     def test_improvement_resets(self):
         cb = adaptive_sampling(stagnation_window=2, bump=0.3)
         actions = feed(cb, [10, 10, 9, 9, 8], temperature=0.7)

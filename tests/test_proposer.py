@@ -1193,6 +1193,25 @@ class TestHttpChatBackend:
         with pytest.raises(ValueError, match="^api_key must be one line$"):
             HttpChatBackend(base_url="http://127.0.0.1:9/v1", model="m1", api_key=key)
 
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0b", "\x1b", "\x1f", "\x7f"])
+    def test_api_key_with_a_control_character_is_refused_naming_the_key(self, char, monkeypatch):
+        key = f"sek{char}rit"
+        monkeypatch.setenv("LLMIZE_API_KEY", "fine")
+        with pytest.raises(ValueError, match="^api_key must hold no control characters$"):
+            HttpChatBackend(base_url="http://127.0.0.1:9/v1", model="m1", api_key=key)
+        if char != "\x00":  # an environment variable cannot hold a NUL
+            monkeypatch.setenv("LLMIZE_API_KEY", key)
+            message = "^api_key from LLMIZE_API_KEY must hold no control characters$"
+            with pytest.raises(ValueError, match=message):
+                HttpChatBackend(base_url="http://127.0.0.1:9/v1", model="m1")
+
+    def test_api_key_with_a_tab_is_sent(self, raw_http_listener):
+        listener = raw_http_listener(self._reply(json.dumps(chat_body("x")).encode()))
+        backend = HttpChatBackend(base_url=listener.url, model="m1", api_key="sek\trit")
+        assert backend.propose(self._bundle(), SamplingParams()) == "x"
+        [request] = listener.requests
+        assert b"\r\nAuthorization: Bearer sek\trit\r\n" in request
+
     @pytest.mark.parametrize("in_argument", [True, False], ids=["api-key", "env"])
     def test_api_key_outside_latin_1_is_refused_naming_the_key(self, in_argument, monkeypatch):
         key = "ключ-sekrit"
